@@ -33,7 +33,6 @@ from .chain import (
 )
 from .errors import (
     Degenerate,
-    DimensionMismatch,
     GenerationFailed,
     McsumError,
     NoConvergence,
@@ -80,7 +79,6 @@ __all__ = [
     "ChainSolution",
     "ColsumInverse",
     "Degenerate",
-    "DimensionMismatch",
     "DoublyStochasticReport",
     "FundamentalMatrix",
     "GenerationFailed",

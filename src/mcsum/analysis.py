@@ -214,24 +214,20 @@ class DoublyStochasticReport:
     row_total_margins: np.ndarray | None = None  # m_i. - m(m+1)/2
 
 
-def doubly_stochastic_report(tm: TransitionMatrix) -> DoublyStochasticReport:
+def doubly_stochastic_report(sol: ChainSolution) -> DoublyStochasticReport:
     """Verify the uniform-stationary specializations when c = e.
 
     Checks pi = e/m, the constant shift H = Z + (1-m)/m^2 E, the column
     totals m_.j = m - 1 + m^2 h_jj = m^2 z_jj, the constant row totals
     m_i. = m K, the grand total K = m_../m^2, and the row-total floor
-    m(m+1)/2.
+    m(m+1)/2.  Everything is read off the chain's existing solution.
     """
-    c = column_sums(tm)
-    deviation = float(np.abs(c - 1.0).max())
+    deviation = float(np.abs(sol.c - 1.0).max())
     if deviation >= DOUBLY_STOCHASTIC_TOL:
         return DoublyStochasticReport(applicable=False, colsum_deviation=deviation)
 
-    m = tm.n
-    pi = oracle.stationary_direct(tm)
-    hc = compute_h(tm)
-    zf = compute_z(tm, pi)
-    mfpt = mfpt_from_h(hc, pi)
+    m = sol.tm.n
+    pi, hc, zf, mfpt = sol.pi, sol.hc, sol.zf, sol.mfpt
     kemeny = kemeny_from_z(zf)
     col_totals = mfpt.sum(axis=0)
     row_totals = mfpt.sum(axis=1)

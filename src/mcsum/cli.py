@@ -18,16 +18,16 @@ import numpy as np
 
 from . import fixtures, io, oracle
 from .analysis import (
+    ChainSolution,
     bounds_check,
     identity_residuals,
-    mfpt_from_h,
     solve_chain,
     stationary_from_h,
 )
 from .chain import validate
 from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .ginv import theorem2_residuals
-from .report import analyze, ordering_to_dict, report_to_dict
+from .report import analyze, report_to_dict
 from .scan import ScanConfig, scan as run_scan
 
 EXIT_OK = 0
@@ -115,8 +115,8 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _verify_rows(tm) -> list[tuple[str, float]]:
-    sol = solve_chain(tm)
+def _verify_rows(sol: ChainSolution) -> list[tuple[str, float]]:
+    tm = sol.tm
     rows: list[tuple[str, float]] = [
         ("c^T H = pi^T", float(np.abs(stationary_from_h(sol.hc) - sol.pi).max())),
         ("sum_j c_j = m", float(abs(sol.c.sum() - tm.n))),
@@ -142,11 +142,10 @@ def _verify_rows(tm) -> list[tuple[str, float]]:
 
 
 def _cmd_verify(args) -> int:
-    tm = _load_chain(args)
-    rows = [(name, value, args.tol_identity) for name, value in _verify_rows(tm)]
-    reference = fixtures.reference_values(tm)
+    sol = solve_chain(_load_chain(args))
+    rows = [(name, value, args.tol_identity) for name, value in _verify_rows(sol)]
+    reference = fixtures.reference_values(sol.tm)
     if reference is not None:
-        sol = solve_chain(tm)
         rows.append(
             (
                 "published stationary vector",
@@ -195,8 +194,8 @@ def _cmd_scan(args) -> int:
                     "m": ce.m,
                     "trial": ce.trial,
                     "seed": ce.seed,
-                    "p": [[float(x) for x in row] for row in ce.p],
-                    "ordering": ordering_to_dict(ce.record),
+                    "p": ce.p.tolist(),
+                    "ordering": report_to_dict(ce.record),
                 }
                 fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
     if result.hard_failures:
@@ -213,14 +212,12 @@ def _print_matrix(name: str, a: np.ndarray) -> None:
 
 
 def _closed_form_crosscheck(p, closed) -> float:
-    tm = validate(p)
-    sol = solve_chain(tm)
-    mfpt = mfpt_from_h(sol.hc, sol.pi)
+    sol = solve_chain(validate(p))
     return max(
         float(np.abs(sol.pi - closed.pi).max()),
         float(np.abs(sol.hc.h - closed.h).max()),
         float(np.abs(sol.zf.z - closed.z).max()),
-        float(np.abs(mfpt - closed.mfpt).max()),
+        float(np.abs(sol.mfpt - closed.mfpt).max()),
         abs(float(sol.zf.z.trace()) - closed.kemeny),
     )
 

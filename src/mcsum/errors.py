@@ -14,11 +14,7 @@ class NotIrreducible(McsumError):
 
 
 class SingularMatrix(McsumError):
-    """A pivot fell below the singularity threshold during factorization."""
-
-
-class DimensionMismatch(McsumError):
-    """Operand shapes are incompatible."""
+    """A linear system is singular or too ill-conditioned to solve."""
 
 
 class NoConvergence(McsumError):
@@ -37,4 +33,4 @@ class GenerationFailed(McsumError):
 VALIDATION_ERRORS = (NotStochastic, NotIrreducible, Degenerate, GenerationFailed)
 
 #: Errors that signal numerical failure on accepted input (CLI exit code 3).
-NUMERICAL_ERRORS = (SingularMatrix, DimensionMismatch, NoConvergence)
+NUMERICAL_ERRORS = (SingularMatrix, NoConvergence)

@@ -6,6 +6,10 @@ H = (I - P + e c^T)^{-1} where c is the column-sum vector of P; its rows sum
 to 1/m and c^T H recovers the stationary vector.  Z = (I - P + e pi^T)^{-1}
 is the classical fundamental matrix, and Z - e pi^T is the group inverse of
 I - P.  Each matrix determines the others through rank-one corrections.
+
+Both H and Z are inverted with LAPACK (``numpy.linalg.inv``) through one
+helper, which also takes the 1-norm condition number ||A||_1 ||A^{-1}||_1
+from the inverse in hand and refuses systems that are numerically singular.
 """
 from __future__ import annotations
 
@@ -13,16 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .chain import TransitionMatrix, column_sums
+from .errors import SingularMatrix
+
+#: Inversions whose 1-norm condition number reaches this are refused: with
+#: cond * eps above about 0.02 the inverse keeps fewer than two digits.
+CONDITION_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
 class ColsumInverse:
-    """H together with the column-sum vector it was built from."""
+    """H together with the column-sum vector it was built from, and the
+    1-norm condition number of I - P + e c^T when H came from inverting it."""
 
     h: np.ndarray
     c: np.ndarray
+    cond: float | None = None
 
     @property
     def n(self) -> int:
@@ -47,21 +57,40 @@ def colsum_system(tm: TransitionMatrix) -> np.ndarray:
     return np.eye(tm.n) - tm.p + np.tile(c, (tm.n, 1))
 
 
-def compute_h(tm: TransitionMatrix) -> ColsumInverse:
-    """Invert I - P + e c^T.
+def _invert(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """LAPACK inverse of `a` and its 1-norm condition number.
 
-    Irreducibility guarantees nonsingularity, so SingularMatrix escaping
-    from here indicates an input that slipped past validation.
+    Raises SingularMatrix when LAPACK meets an exact zero pivot, or when
+    the condition number is non-finite or reaches CONDITION_LIMIT.
     """
-    c = column_sums(tm)
-    h = linalg.invert(colsum_system(tm))
-    return ColsumInverse(h=h, c=c)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"matrix is singular: {exc}") from None
+    cond = float(np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
+    if not cond < CONDITION_LIMIT:  # written so that NaN is refused too
+        raise SingularMatrix(
+            f"condition number {cond:.3e} is not below {CONDITION_LIMIT:.0e}; "
+            "matrix is numerically singular"
+        )
+    return inv, cond
+
+
+def compute_h(tm: TransitionMatrix) -> ColsumInverse:
+    """Invert I - P + e c^T, keeping its condition number.
+
+    Irreducibility guarantees nonsingularity in exact arithmetic;
+    SingularMatrix from here means the chain is so close to reducible that
+    the condition number reaches CONDITION_LIMIT.
+    """
+    h, cond = _invert(colsum_system(tm))
+    return ColsumInverse(h=h, c=column_sums(tm), cond=cond)
 
 
 def compute_z(tm: TransitionMatrix, pi: np.ndarray) -> FundamentalMatrix:
     """Invert I - P + e pi^T for a stationary vector from an independent solver."""
     pi = np.asarray(pi, dtype=np.float64)
-    z = linalg.invert(np.eye(tm.n) - tm.p + np.tile(pi, (tm.n, 1)))
+    z, _ = _invert(np.eye(tm.n) - tm.p + np.tile(pi, (tm.n, 1)))
     return FundamentalMatrix(z=z, pi=pi)
 
 

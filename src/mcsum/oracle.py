@@ -1,10 +1,11 @@
 """Independent ground-truth solvers and small-chain closed forms.
 
-Nothing here touches the column-sum inverse machinery: stationary vectors
-come from a direct linear solve (LAPACK via ``numpy.linalg``), passage times
-from per-target elimination systems, and a Monte Carlo estimator provides a
-statistical sanity check.  The 2- and 3-state closed forms are evaluated
-from explicit parameter formulas.
+The direct solvers share LAPACK (``numpy.linalg``) with the H/Z path; their
+independence comes from solving different systems.  Stationary vectors
+come from (I - P)^T pi = 0 with a normalization row, passage times from
+per-target elimination systems, never from I - P + e c^T, and a Monte
+Carlo estimator provides a statistical sanity check.  The 2- and 3-state
+closed forms are evaluated from explicit parameter formulas.
 """
 from __future__ import annotations
 

@@ -1,11 +1,10 @@
 """Full single-chain analysis assembled into one serializable report."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from . import linalg
 from .analysis import (
     BoundsReport,
     DoublyStochasticReport,
@@ -18,8 +17,11 @@ from .analysis import (
     solve_chain,
 )
 from .chain import TransitionMatrix, reorder_by_column_sums
-from .ginv import colsum_system, theorem2_residuals
+from .ginv import theorem2_residuals
 from .scan import OrderingRecord, ordering_from_solution
+
+#: Condition numbers at or above this set ``condition_warning``.
+CONDITION_WARN_THRESHOLD = 1e8
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,6 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
     values = list(variants.values())
     spread = max(values) - min(values)
 
-    system = colsum_system(tm)
-    cond = linalg.condition_estimate(linalg.lu_factor(system), system)
-
     return ChainReport(
         labels=tm.labels,
         m=tm.n,
@@ -94,89 +93,35 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
             tm, sol.hc, sol.zf, sol.pi, sol.mfpt, sol.c
         ),
         bounds=bounds_check(sol.hc, sol.pi, sol.mfpt),
-        doubly_stochastic=doubly_stochastic_report(tm),
+        doubly_stochastic=doubly_stochastic_report(sol),
         ordering=ordering_from_solution(sol),
-        condition_estimate=cond,
-        condition_warning=cond >= linalg.CONDITION_WARN_THRESHOLD,
+        condition_estimate=sol.hc.cond,
+        condition_warning=sol.hc.cond >= CONDITION_WARN_THRESHOLD,
     )
 
 
-def _vec(v: np.ndarray) -> list[float]:
-    return [float(x) for x in v]
+def _encode(value):
+    if isinstance(value, (str, int, float)):  # first: most values sit in violation pairs
+        return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return report_to_dict(value)
+    return value
 
 
-def _mat(a: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in a]
+def report_to_dict(obj) -> dict:
+    """Any report dataclass as a JSON-ready dict in field order.
 
-
-def bounds_to_dict(b: BoundsReport) -> dict:
+    Fields that are None are left out; arrays and tuples become lists, and
+    nested dicts and dataclasses are encoded the same way.
+    """
     return {
-        "kemeny": b.kemeny,
-        "kemeny_lower": b.kemeny_lower,
-        "kemeny_margin": b.kemeny_margin,
-        "trace_h": b.trace_h,
-        "trace_h_lower": b.trace_h_lower,
-        "trace_h_margin": b.trace_h_margin,
-        "trace_h_weak_lower": b.trace_h_weak_lower,
-        "trace_h_weak_margin": b.trace_h_weak_margin,
-        "pi_upper_margins": _vec(b.pi_upper_margins),
-        "pi_lower_offdiag_margins": _vec(b.pi_lower_offdiag_margins),
-        "pi_lower_colsum_margins": _vec(b.pi_lower_colsum_margins),
+        f.name: _encode(value)
+        for f in fields(obj)
+        if (value := getattr(obj, f.name)) is not None
     }
-
-
-def doubly_stochastic_to_dict(d: DoublyStochasticReport) -> dict:
-    out: dict = {"applicable": d.applicable, "colsum_deviation": d.colsum_deviation}
-    if d.applicable:
-        out.update(
-            {
-                "pi_uniform_residual": d.pi_uniform_residual,
-                "h_shift_residual": d.h_shift_residual,
-                "col_total_vs_h_residual": d.col_total_vs_h_residual,
-                "col_total_vs_z_residual": d.col_total_vs_z_residual,
-                "row_total_vs_kemeny_residual": d.row_total_vs_kemeny_residual,
-                "grand_total_vs_kemeny_residual": d.grand_total_vs_kemeny_residual,
-                "row_total_margins": _vec(d.row_total_margins),
-            }
-        )
-    return out
-
-
-def ordering_to_dict(o: OrderingRecord) -> dict:
-    return {
-        "digest": o.digest,
-        "m": o.m,
-        "signs": {k: [[int(s) for s in row] for row in v] for k, v in o.signs.items()},
-        "violations": {k: [list(p) for p in v] for k, v in o.violations.items()},
-    }
-
-
-def report_to_dict(r: ChainReport) -> dict:
-    """Report as a JSON-ready dict with fixed key order."""
-    out: dict = {
-        "labels": list(r.labels),
-        "m": r.m,
-    }
-    if r.permutation is not None:
-        out["permutation"] = list(r.permutation)
-    out.update(
-        {
-            "p": _mat(r.p),
-            "column_sums": _vec(r.column_sums),
-            "stationary": _vec(r.stationary),
-            "kemeny": r.kemeny,
-            "kemeny_variants": dict(r.kemeny_variants),
-            "kemeny_spread": r.kemeny_spread,
-            "mfpt": _mat(r.mfpt),
-            "h_matrix": _mat(r.h_matrix),
-            "z_matrix": _mat(r.z_matrix),
-            "theorem2_residuals": dict(r.theorem2_residuals),
-            "identity_residuals": dict(r.identity_residuals),
-            "bounds": bounds_to_dict(r.bounds),
-            "doubly_stochastic": doubly_stochastic_to_dict(r.doubly_stochastic),
-            "ordering": ordering_to_dict(r.ordering),
-            "condition_estimate": r.condition_estimate,
-            "condition_warning": r.condition_warning,
-        }
-    )
-    return out

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import rng
 from .analysis import ChainSolution, bounds_check, identity_residuals, solve_chain
-from .chain import TransitionMatrix, is_irreducible, validate
-from .errors import GenerationFailed
+from .chain import TransitionMatrix, validate
+from .errors import GenerationFailed, NotIrreducible
 
 #: |x - y| below this counts as a tie; ties never violate a relation.
 SIGN_TIE_TOL = 1e-12
@@ -123,10 +123,10 @@ def random_chain(m: int, seed: int, sparsity: float = 0.0) -> TransitionMatrix:
         sums = raw.sum(axis=1)
         if (sums == 0.0).any():
             continue
-        p = raw / sums[:, None]
-        if not is_irreducible(p):
+        try:
+            return validate(raw / sums[:, None])
+        except NotIrreducible:
             continue
-        return validate(p)
     raise GenerationFailed(
         f"no irreducible {m}-state chain in 100 attempts (sparsity={sparsity})"
     )

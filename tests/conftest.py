@@ -57,6 +57,21 @@ def two_state(a: float, b: float) -> TransitionMatrix:
     return validate(np.array([[1.0 - a, a], [b, 1.0 - b]]))
 
 
+def two_block(m: int, coupling: float, seed: int = 0) -> np.ndarray:
+    """Two dense blocks of m/2 states each; every row sends `coupling` of its
+    mass to the other block.  At m = 2 this is [[1-eps, eps], [eps, 1-eps]]."""
+    half = m // 2
+    inside = np.zeros((m, m), dtype=bool)
+    inside[:half, :half] = True
+    inside[half:, half:] = True
+    x = np.random.default_rng(seed).exponential(size=(m, m))
+    within = np.where(inside, x, 0.0)
+    across = np.where(inside, 0.0, x)
+    return (1.0 - coupling) * within / within.sum(axis=1, keepdims=True) + (
+        coupling * across / across.sum(axis=1, keepdims=True)
+    )
+
+
 def cycle3_matrix() -> TransitionMatrix:
     return validate(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
 

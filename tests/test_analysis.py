@@ -197,7 +197,7 @@ def test_bounds_margins_recompute(fix8):
 
 
 def test_doubly_stochastic_cycle(cycle3):
-    rep = doubly_stochastic_report(cycle3)
+    rep = doubly_stochastic_report(solve_chain(cycle3))
     assert rep.applicable
     assert rep.pi_uniform_residual < 1e-12
     assert max(
@@ -214,7 +214,7 @@ def test_doubly_stochastic_cycle(cycle3):
 def test_doubly_stochastic_random_mixtures():
     for i in range(12):
         tm = random_doubly_stochastic(4, 62_000 + i)
-        rep = doubly_stochastic_report(tm)
+        rep = doubly_stochastic_report(solve_chain(tm))
         assert rep.applicable
         assert rep.pi_uniform_residual < 1e-10
         assert max(
@@ -228,7 +228,7 @@ def test_doubly_stochastic_random_mixtures():
 
 
 def test_doubly_stochastic_not_applicable(fix8):
-    rep = doubly_stochastic_report(fix8)
+    rep = doubly_stochastic_report(solve_chain(fix8))
     assert not rep.applicable
     assert rep.colsum_deviation == pytest.approx(1.326, abs=1e-12)
     assert rep.pi_uniform_residual is None

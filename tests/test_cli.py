@@ -7,7 +7,7 @@ from mcsum import io
 from mcsum.chain import validate
 from mcsum.cli import main
 from mcsum.report import analyze, report_to_dict
-from tests.conftest import FIVE_STATE_UNSORTED
+from tests.conftest import FIVE_STATE_UNSORTED, two_block
 
 
 @pytest.fixture()
@@ -55,6 +55,14 @@ def test_analyze_reducible_exits_2(tmp_path, capsys):
     io.save_matrix(path, np.array([[0.5, 0.5], [0.0, 1.0]]))
     assert main(["analyze", "--input", str(path)]) == 2
     assert "NotIrreducible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [2, 10])
+def test_analyze_numerically_singular_exits_3(m, tmp_path, capsys):
+    path = tmp_path / "two_block.csv"
+    io.save_matrix(path, two_block(m, 1e-16))
+    assert main(["analyze", "--input", str(path)]) == 3
+    assert "SingularMatrix" in capsys.readouterr().err
 
 
 def test_analyze_not_stochastic_exits_2(tmp_path, capsys):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mcsum.chain import validate
-from mcsum.report import analyze, report_to_dict
+from mcsum.errors import SingularMatrix
+from mcsum.ginv import colsum_system
+from mcsum.report import CONDITION_WARN_THRESHOLD, analyze, report_to_dict
 from tests.conftest import (
     FIVE_STATE_UNSORTED,
     FIX5_H,
@@ -12,6 +14,7 @@ from tests.conftest import (
     FIX5_M,
     FIX5_PI,
     FIX8_KEMENY,
+    two_block,
 )
 
 
@@ -86,8 +89,36 @@ def test_kemeny_variants_consistent(fix5, fix8, cycle3):
 
 
 def test_condition_warning_on_near_reducible_chain():
-    eps = 1e-10
-    tm = validate(np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
+    for m in (2, 10):  # at m = 2: [[1 - eps, eps], [eps, 1 - eps]]
+        rep = analyze(validate(two_block(m, 1e-10)))
+        assert rep.condition_warning
+        assert rep.condition_estimate > 1e8
+
+
+@pytest.mark.parametrize("m", [2, 10])
+def test_numerically_singular_two_block_refused(m):
+    with pytest.raises(SingularMatrix):
+        analyze(validate(two_block(m, 1e-16)))
+
+
+def test_condition_estimate_is_exact_1_norm(fix8):
+    rep = analyze(fix8)
+    exact = np.linalg.cond(colsum_system(fix8), 1)
+    assert rep.condition_estimate == pytest.approx(exact, rel=1e-8)
+    assert rep.condition_estimate < CONDITION_WARN_THRESHOLD
+
+
+@pytest.mark.parametrize("name", ["fix8", "cycle3"])
+def test_analyze_inverts_two_matrices(name, request, monkeypatch):
+    tm = request.getfixturevalue(name)
+    shapes = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        shapes.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     rep = analyze(tm)
-    assert rep.condition_warning
-    assert rep.condition_estimate > 1e8
+    assert shapes == [(tm.n, tm.n)] * 2  # H and Z, nothing more
+    assert rep.doubly_stochastic.applicable == (name == "cycle3")

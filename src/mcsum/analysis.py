@@ -27,6 +27,11 @@ from .ginv import (
 #: doubly stochastic.
 DOUBLY_STOCHASTIC_TOL = 1e-9
 
+#: Identity residuals above this, or bound margins below its negative, fail
+#: the verdict of ``mcsum verify`` (its default ``--tol-identity``) and are
+#: hard failures in ``scan``.
+IDENTITY_TOL = 1e-8
+
 
 def stationary_from_h(hc: ColsumInverse) -> np.ndarray:
     """Stationary vector as the column-sum combination pi^T = c^T H."""
@@ -87,14 +92,7 @@ def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> ColsumInvers
     return ColsumInverse(h=h, c=c)
 
 
-def identity_residuals(
-    tm: TransitionMatrix,
-    hc: ColsumInverse,
-    zf: FundamentalMatrix,
-    pi: np.ndarray,
-    mfpt: np.ndarray,
-    c: np.ndarray,
-) -> dict[str, float]:
+def identity_residuals(sol: ChainSolution) -> dict[str, float]:
     """Max-abs residuals of the passage-time/column-sum identity chain.
 
     The stationary-probability representations are evaluated in
@@ -102,11 +100,8 @@ def identity_residuals(
     same identity but immune to the 0/0 equality cases that the quotient
     forms hit on boundary chains.
     """
-    p, h = tm.p, hc.h
-    m = tm.n
-    pi = np.asarray(pi, dtype=np.float64)
-    mfpt = np.asarray(mfpt, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
+    p, h, pi, mfpt, c = sol.tm.p, sol.hc.h, sol.pi, sol.mfpt, sol.c
+    m = sol.tm.n
 
     m_d = mfpt.diagonal()
     col_totals = mfpt.sum(axis=0)  # sum_i m_ij
@@ -117,7 +112,7 @@ def identity_residuals(
 
     resid = {
         "(I-P)M = E - P M_d": float(
-            np.abs((np.eye(m) - p) @ mfpt - 1.0 + p @ np.diag(m_d)).max()
+            np.abs((np.eye(m) - p) @ mfpt - 1.0 + p * m_d).max()
         ),
         "m_.j - sum_i c_i m_ij = m - c_j m_jj": float(
             np.abs((col_totals - c_weighted) - (m - c * m_d)).max()
@@ -167,13 +162,23 @@ class BoundsReport:
     pi_lower_offdiag_margins: np.ndarray  # pi_j - 1/(m + sum_{i!=j} c_i m_ij)
     pi_lower_colsum_margins: np.ndarray  # pi_j - c_j/(1 + sum_i c_i m_ij)
 
+    @property
+    def worst_margin(self) -> float:
+        """The smallest margin of the suite; negative means a bound fails."""
+        return min(
+            self.kemeny_margin,
+            self.trace_h_margin,
+            self.trace_h_weak_margin,
+            float(self.pi_upper_margins.min()),
+            float(self.pi_lower_offdiag_margins.min()),
+            float(self.pi_lower_colsum_margins.min()),
+        )
 
-def bounds_check(hc: ColsumInverse, pi: np.ndarray, mfpt: np.ndarray) -> BoundsReport:
+
+def bounds_check(sol: ChainSolution) -> BoundsReport:
     """Evaluate the Kemeny, trace and stationary-probability bounds."""
-    pi = np.asarray(pi, dtype=np.float64)
-    mfpt = np.asarray(mfpt, dtype=np.float64)
+    hc, pi, mfpt, c = sol.hc, sol.pi, sol.mfpt, sol.c
     m = hc.n
-    c = hc.c
     h_d = hc.h.diagonal()
     kemeny = kemeny_from_h(hc)
     trace_h = float(hc.h.trace())

@@ -54,42 +54,18 @@ def is_irreducible(p: np.ndarray) -> bool:
     return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
 
 
-def _strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    """Kosaraju SCC decomposition; only used to build error messages."""
+def _communicating_classes(adj: np.ndarray) -> list[list[int]]:
+    """Communicating classes in order of their smallest state; the class of
+    s is every state that s reaches and that reaches s."""
     n = adj.shape[0]
-    order: list[int] = []
-    seen = np.zeros(n, dtype=bool)
+    classes: list[list[int]] = []
+    unassigned = np.ones(n, dtype=bool)
     for s in range(n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack[-1]
-            nxt = np.flatnonzero(adj[v] & ~seen)
-            if nxt.size:
-                w = int(nxt[0])
-                seen[w] = True
-                stack.append(w)
-            else:
-                order.append(v)
-                stack.pop()
-    comps: list[list[int]] = []
-    seen[:] = False
-    radj = adj.T
-    for s in reversed(order):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        frontier = [s]
-        while frontier:
-            nxt = np.flatnonzero(radj[frontier].any(axis=0) & ~seen)
-            seen[nxt] = True
-            comp.extend(int(v) for v in nxt)
-            frontier = nxt.tolist()
-        comps.append(sorted(comp))
-    return comps
+        if unassigned[s]:
+            members = _reachable(adj, s) & _reachable(adj.T, s)
+            classes.append(np.flatnonzero(members).tolist())
+            unassigned &= ~members
+    return classes
 
 
 def validate(
@@ -145,7 +121,7 @@ def validate(
             raise ValueError(f"{len(labels)} labels for {p.shape[0]} states")
 
     if not is_irreducible(p):
-        comps = _strongly_connected_components(p > 0.0)
+        comps = _communicating_classes(p > 0.0)
         names = ", ".join(
             "{" + ", ".join(labels[i] for i in comp) + "}" for comp in comps
         )

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import fixtures, io, oracle
 from .analysis import (
+    IDENTITY_TOL,
     ChainSolution,
     bounds_check,
     identity_residuals,
@@ -35,8 +36,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IDENTITY = 4
-
-DEFAULT_VERIFY_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,23 +120,13 @@ def _verify_rows(sol: ChainSolution) -> list[tuple[str, float]]:
         ("c^T H = pi^T", float(np.abs(stationary_from_h(sol.hc) - sol.pi).max())),
         ("sum_j c_j = m", float(abs(sol.c.sum() - tm.n))),
     ]
-    rows.extend(theorem2_residuals(tm, sol.hc, sol.pi, sol.zf).items())
-    rows.extend(
-        identity_residuals(tm, sol.hc, sol.zf, sol.pi, sol.mfpt, sol.c).items()
-    )
+    rows.extend(theorem2_residuals(sol).items())
+    rows.extend(identity_residuals(sol).items())
     mfpt_oracle = oracle.mfpt_direct(tm, sol.pi)
     rel = np.abs(sol.mfpt - mfpt_oracle) / np.maximum(np.abs(mfpt_oracle), 1.0)
     rows.append(("M from H = M from elimination (relative)", float(rel.max())))
-    b = bounds_check(sol.hc, sol.pi, sol.mfpt)
-    worst_margin = min(
-        b.kemeny_margin,
-        b.trace_h_margin,
-        b.trace_h_weak_margin,
-        float(b.pi_upper_margins.min()),
-        float(b.pi_lower_offdiag_margins.min()),
-        float(b.pi_lower_colsum_margins.min()),
-    )
-    rows.append(("inequality margins (negative part)", float(max(0.0, -worst_margin))))
+    worst_margin = bounds_check(sol).worst_margin
+    rows.append(("inequality margins (negative part)", max(0.0, -worst_margin)))
     return rows
 
 
@@ -211,28 +200,28 @@ def _print_matrix(name: str, a: np.ndarray) -> None:
         print("  " + "  ".join(f"{x:>12.6f}" for x in row))
 
 
-def _closed_form_crosscheck(p, closed) -> float:
-    sol = solve_chain(validate(p))
-    return max(
-        float(np.abs(sol.pi - closed.pi).max()),
-        float(np.abs(sol.hc.h - closed.h).max()),
-        float(np.abs(sol.zf.z - closed.z).max()),
-        float(np.abs(sol.mfpt - closed.mfpt).max()),
-        abs(float(sol.zf.z.trace()) - closed.kemeny),
-    )
-
-
-def _cmd_closed_form_two(args) -> int:
-    form = oracle.two_state_closed_form(args.a, args.b)
-    print(f"parameters: a={args.a!r} b={args.b!r} (d = {form.d!r})")
+def _print_closed_form(p, form) -> None:
+    """Print a closed form's quantities and its deviation from the pipeline."""
     print("stationary:", " ".join(f"{x:.6f}" for x in form.pi))
     _print_matrix("M", form.mfpt)
     _print_matrix("H", form.h)
     _print_matrix("Z", form.z)
     print(f"kemeny constant: {form.kemeny:.6f}")
-    p = np.array([[1.0 - args.a, args.a], [args.b, 1.0 - args.b]])
-    deviation = _closed_form_crosscheck(p, form)
+    sol = solve_chain(validate(p))
+    deviation = max(
+        float(np.abs(sol.pi - form.pi).max()),
+        float(np.abs(sol.hc.h - form.h).max()),
+        float(np.abs(sol.zf.z - form.z).max()),
+        float(np.abs(sol.mfpt - form.mfpt).max()),
+        abs(float(sol.zf.z.trace()) - form.kemeny),
+    )
     print(f"max deviation from pipeline: {deviation:.3e}")
+
+
+def _cmd_closed_form_two(args) -> int:
+    form = oracle.two_state_closed_form(args.a, args.b)
+    print(f"parameters: a={args.a!r} b={args.b!r} (d = {form.d!r})")
+    _print_closed_form(np.array([[1.0 - args.a, args.a], [args.b, 1.0 - args.b]]), form)
     return EXIT_OK
 
 
@@ -248,13 +237,7 @@ def _cmd_closed_form_three(args) -> int:
         "subdeterminants:",
         f"{form.delta1!r} {form.delta2!r} {form.delta3!r} (total {form.delta!r})",
     )
-    print("stationary:", " ".join(f"{x:.6f}" for x in form.pi))
-    _print_matrix("M", form.mfpt)
-    _print_matrix("H", form.h)
-    _print_matrix("Z", form.z)
-    print(f"kemeny constant: {form.kemeny:.6f}")
-    deviation = _closed_form_crosscheck(form.p, form)
-    print(f"max deviation from pipeline: {deviation:.3e}")
+    _print_closed_form(form.p, form)
     return EXIT_OK
 
 
@@ -292,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--tol-identity",
         type=float,
-        default=DEFAULT_VERIFY_TOL,
+        default=IDENTITY_TOL,
         help="maximum acceptable residual (default 1e-8)",
     )
     p_ver.add_argument(

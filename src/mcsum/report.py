@@ -88,11 +88,9 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         mfpt=sol.mfpt,
         h_matrix=sol.hc.h,
         z_matrix=sol.zf.z,
-        theorem2_residuals=theorem2_residuals(tm, sol.hc, sol.pi, sol.zf),
-        identity_residuals=identity_residuals(
-            tm, sol.hc, sol.zf, sol.pi, sol.mfpt, sol.c
-        ),
-        bounds=bounds_check(sol.hc, sol.pi, sol.mfpt),
+        theorem2_residuals=theorem2_residuals(sol),
+        identity_residuals=identity_residuals(sol),
+        bounds=bounds_check(sol),
         doubly_stochastic=doubly_stochastic_report(sol),
         ordering=ordering_from_solution(sol),
         condition_estimate=sol.hc.cond,

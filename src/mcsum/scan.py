@@ -5,7 +5,9 @@ pairwise comparison among the column sums, stationary probabilities,
 diagonal entries of H and Z, and the passage-time row/column totals, and
 tallies violations of candidate order implications.  Relations proved for
 every chain (or for every two-state chain) are asserted; the rest are
-conjectures whose violation rates are simply measured.
+conjectures whose violation rates are simply measured.  Each trial also
+re-checks the identity suite and the bounds against ``analysis.IDENTITY_TOL``,
+the tolerance ``mcsum verify`` uses by default.
 """
 from __future__ import annotations
 
@@ -15,15 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .analysis import ChainSolution, bounds_check, identity_residuals, solve_chain
+from .analysis import (
+    IDENTITY_TOL,
+    ChainSolution,
+    bounds_check,
+    identity_residuals,
+    solve_chain,
+)
 from .chain import TransitionMatrix, validate
 from .errors import GenerationFailed, NotIrreducible
 
 #: |x - y| below this counts as a tie; ties never violate a relation.
 SIGN_TIE_TOL = 1e-12
-
-#: Residuals above this on any trial are implementation bugs, not findings.
-HARD_FAILURE_TOL = 1e-8
 
 #: Comparison vectors recorded per chain, keyed by name.
 SIGN_VECTORS = (
@@ -214,9 +219,10 @@ def scan(config: ScanConfig) -> ScanResult:
     """Run the ensemble scan described by `config`.
 
     Every trial also re-evaluates the identity suite and the bounds; any
-    residual beyond HARD_FAILURE_TOL (or a violated theorem-backed relation)
-    is recorded as a hard failure, since those are theorems for every
-    accepted chain.
+    residual beyond IDENTITY_TOL, any bound margin below -IDENTITY_TOL, or a
+    violated theorem-backed relation is recorded as a hard failure: those
+    are theorems for every accepted chain, so a miss is an implementation
+    bug, not a finding.
     """
     counts: dict[tuple[str, int], list[int]] = {
         (name, m): [0, 0] for name in config.relations for m in config.state_counts
@@ -248,21 +254,14 @@ def scan(config: ScanConfig) -> ScanResult:
                     Counterexample(m=m, trial=trial, seed=chain_seed, p=tm.p, record=record)
                 )
 
-            resid = identity_residuals(sol.tm, sol.hc, sol.zf, sol.pi, sol.mfpt, sol.c)
+            resid = identity_residuals(sol)
             worst = max(resid.items(), key=lambda kv: kv[1])
-            if worst[1] > HARD_FAILURE_TOL:
+            if worst[1] > IDENTITY_TOL:
                 hard_failures.append(
                     f"m={m} trial={trial}: identity residual {worst[0]!r} = {worst[1]:.3e}"
                 )
-            bounds = bounds_check(sol.hc, sol.pi, sol.mfpt)
-            margins = min(
-                bounds.kemeny_margin,
-                bounds.trace_h_margin,
-                float(bounds.pi_upper_margins.min()),
-                float(bounds.pi_lower_offdiag_margins.min()),
-                float(bounds.pi_lower_colsum_margins.min()),
-            )
-            if margins < -HARD_FAILURE_TOL:
+            margins = bounds_check(sol).worst_margin
+            if margins < -IDENTITY_TOL:
                 hard_failures.append(
                     f"m={m} trial={trial}: bound margin {margins:.3e} negative"
                 )

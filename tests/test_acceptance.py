@@ -148,8 +148,8 @@ def test_criterion_05_identity_suite():
                 np.abs(h_from_mfpt(sol.mfpt, pi, c).h - h).max()
             ),
         }
-        resid.update(theorem2_residuals(sol.tm, sol.hc, pi, sol.zf))
-        resid.update(identity_residuals(sol.tm, sol.hc, sol.zf, pi, sol.mfpt, c))
+        resid.update(theorem2_residuals(sol))
+        resid.update(identity_residuals(sol))
         name, value = max(resid.items(), key=lambda kv: kv[1])
         if value > worst:
             worst_name, worst = name, value
@@ -180,7 +180,7 @@ def test_criterion_07_bound_suite(chain_suite):
     worst = np.inf
     strict_ok = True
     for sol in chain_suite:
-        b = bounds_check(sol.hc, sol.pi, sol.mfpt)
+        b = bounds_check(sol)
         worst = min(
             worst,
             b.kemeny_margin,
@@ -189,13 +189,9 @@ def test_criterion_07_bound_suite(chain_suite):
             float(b.pi_lower_colsum_margins.min()),
         )
         strict_ok &= bool((b.pi_upper_margins > 0).all())
-    minimal2 = bounds_check(
-        solve_chain(two_state(1.0, 1.0)).hc,
-        solve_chain(two_state(1.0, 1.0)).pi,
-        solve_chain(two_state(1.0, 1.0)).mfpt,
-    )
+    minimal2 = bounds_check(solve_chain(two_state(1.0, 1.0)))
     cyc_sol = solve_chain(cycle3_matrix())
-    minimal3 = bounds_check(cyc_sol.hc, cyc_sol.pi, cyc_sol.mfpt)
+    minimal3 = bounds_check(cyc_sol)
     equality_ok = (
         abs(minimal2.kemeny_margin) < 1e-12
         and abs(minimal2.trace_h_margin) < 1e-12

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from mcsum.analysis import (
 from mcsum.chain import validate
 from mcsum.ginv import compute_h
 from mcsum.oracle import stationary_direct, two_state_closed_form
+from mcsum.report import report_to_dict
 from mcsum.scan import random_chain
 from tests.conftest import (
     FIX5_KEMENY,
@@ -149,7 +152,7 @@ def test_rank_one_colsum_identities(fix5):
 def test_identity_residuals_fixtures(fix5, fix8):
     for tm in (fix5, fix8):
         sol = solve_chain(tm)
-        resid = identity_residuals(tm, sol.hc, sol.zf, sol.pi, sol.mfpt, sol.c)
+        resid = identity_residuals(sol)
         assert len(resid) == 10
         assert max(resid.values()) < 1e-8
 
@@ -158,28 +161,44 @@ def test_identity_residuals_random():
     for i in range(25):
         tm = random_chain(2 + (i % 9), 61_000 + i)
         sol = solve_chain(tm)
-        resid = identity_residuals(tm, sol.hc, sol.zf, sol.pi, sol.mfpt, sol.c)
+        resid = identity_residuals(sol)
         assert max(resid.values()) < 1e-8
 
 
 def test_bounds_equality_two_state():
     sol = solve_chain(two_state(1.0, 1.0))
-    b = bounds_check(sol.hc, sol.pi, sol.mfpt)
+    b = bounds_check(sol)
     assert b.kemeny_margin == pytest.approx(0.0, abs=1e-12)
     assert b.trace_h_margin == pytest.approx(0.0, abs=1e-12)
     assert (b.pi_upper_margins > 0).all()
 
 
+def test_bounds_worst_margin():
+    for tm in (two_state(1.0, 1.0), two_state(0.3, 0.1), random_chain(6, 61_500)):
+        b = bounds_check(solve_chain(tm))
+        margins = [
+            np.min(getattr(b, f.name))
+            for f in fields(b)
+            if f.name.endswith(("_margin", "_margins"))
+        ]
+        assert len(margins) == 6
+        assert b.worst_margin == min(margins)
+        assert "worst_margin" not in report_to_dict(b)
+    assert bounds_check(solve_chain(two_state(1.0, 1.0))).worst_margin == pytest.approx(
+        0.0, abs=1e-12
+    )
+
+
 def test_bounds_equality_cycle(cycle3):
     sol = solve_chain(cycle3)
-    b = bounds_check(sol.hc, sol.pi, sol.mfpt)
+    b = bounds_check(sol)
     assert b.kemeny_margin == pytest.approx(0.0, abs=1e-12)
     assert b.trace_h_margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bounds_fix5(fix5):
     sol = solve_chain(fix5)
-    b = bounds_check(sol.hc, sol.pi, sol.mfpt)
+    b = bounds_check(sol)
     assert b.kemeny_margin == pytest.approx(FIX5_KEMENY - 3.0, abs=5e-3)
     assert b.trace_h_weak_margin > 0
     assert (b.pi_lower_offdiag_margins > 0).all()
@@ -188,7 +207,7 @@ def test_bounds_fix5(fix5):
 
 def test_bounds_margins_recompute(fix8):
     sol = solve_chain(fix8)
-    b = bounds_check(sol.hc, sol.pi, sol.mfpt)
+    b = bounds_check(sol)
     assert b.kemeny_margin == pytest.approx(b.kemeny - b.kemeny_lower, abs=1e-12)
     assert b.trace_h_margin == pytest.approx(b.trace_h - b.trace_h_lower, abs=1e-12)
     np.testing.assert_allclose(

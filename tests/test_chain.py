@@ -26,6 +26,23 @@ def test_absorbing_state_rejected():
     assert "{1}" in str(exc.value) and "{2}" in str(exc.value)
 
 
+def test_communicating_classes_named_in_order_of_smallest_state():
+    p = np.array(
+        [
+            [0.5, 0.0, 0.0, 0.5, 0.0],  # a -> d -> a: transient class {a, d}
+            [0.0, 0.5, 0.5, 0.0, 0.0],  # b <-> c: closed class
+            [0.0, 0.5, 0.5, 0.0, 0.0],
+            [0.5, 0.0, 0.0, 0.0, 0.5],
+            [0.0, 0.0, 0.0, 0.0, 1.0],  # e absorbing
+        ]
+    )
+    with pytest.raises(NotIrreducible) as exc:
+        validate(p, labels=["a", "b", "c", "d", "e"])
+    assert str(exc.value) == (
+        "chain is not irreducible; communicating classes: {a, d}, {b, c}, {e}"
+    )
+
+
 def test_bad_row_sum_rejected():
     with pytest.raises(NotStochastic, match="row 1"):
         validate(np.array([[0.6, 0.3], [0.5, 0.5]]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcsum.analysis import solve_chain
 from mcsum.chain import validate
 from mcsum.ginv import (
     compute_h,
@@ -126,16 +127,30 @@ def test_round_trips_on_random_chains():
 
 def test_theorem2_residuals_fixtures(fix5, fix8):
     for tm in (fix5, fix8):
-        pi = stationary_direct(tm)
-        resid = theorem2_residuals(tm, compute_h(tm), pi)
-        assert len(resid) == 7
+        resid = theorem2_residuals(solve_chain(tm))
+        assert len(resid) == 5
         assert max(resid.values()) < 1e-9
 
 
 def test_theorem2_residuals_two_state():
     tm = two_state(0.3, 0.1)
-    resid = theorem2_residuals(tm, compute_h(tm), stationary_direct(tm))
+    resid = theorem2_residuals(solve_chain(tm))
     assert max(resid.values()) < 1e-12
+
+
+def test_stationary_combination_explicit_sums(fix5, fix8):
+    """The elementwise (1+m) pi_j = m sum_k pi_k h_kj + sum_k c_k z_kj,
+    written with explicit sums, agrees with the vector row that is kept."""
+    row = "(1+m) pi^T = m pi^T H + c^T Z"
+    chains = [fix5, fix8] + [random_chain(2 + i % 9, 52_000 + i) for i in range(20)]
+    for tm in chains:
+        sol = solve_chain(tm)
+        m, pi, c, h, z = tm.n, sol.pi, sol.c, sol.hc.h, sol.zf.z
+        explicit = m * np.einsum("k,kj->j", pi, h) + np.einsum("k,kj->j", c, z)
+        np.testing.assert_allclose(explicit, m * (pi @ h) + c @ z, rtol=0, atol=1e-12)
+        resid = float(np.abs((1 + m) * pi - explicit).max())
+        assert resid == pytest.approx(theorem2_residuals(sol)[row], abs=1e-12)
+        assert resid < 1e-9
 
 
 def test_stationary_recovery_and_row_sums():

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mcsum import fixtures
 from mcsum.chain import validate
 from mcsum.errors import SingularMatrix
 from mcsum.ginv import colsum_system
@@ -122,3 +125,55 @@ def test_analyze_inverts_two_matrices(name, request, monkeypatch):
     rep = analyze(tm)
     assert shapes == [(tm.n, tm.n)] * 2  # H and Z, nothing more
     assert rep.doubly_stochastic.applicable == (name == "cycle3")
+
+
+GOLDEN = Path(__file__).with_name("golden")
+
+
+def _assert_matches_golden(got, want, path="report"):
+    """Same key paths in the same order, same shapes, equal strings, ints and
+    booleans, and floats within 1e-12 relative (1e-12 absolute for the
+    round-off residuals near zero): BLAS last bits differ across machines."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_matches_golden(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_golden(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("name", ["fix5", "fix8"])
+def test_report_matches_golden_file(name):
+    got = json.loads(json.dumps(report_to_dict(analyze(getattr(fixtures, name)()))))
+    want = json.loads((GOLDEN / f"report_{name}.json").read_text())
+    _assert_matches_golden(got, want)
+
+
+def test_readme_library_snippet():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    namespace = {}
+    exec(snippet, namespace)
+    report = namespace["report"]
+    np.testing.assert_allclose(report.stationary, [0.25, 0.75], atol=1e-14)
+    assert report.kemeny == pytest.approx(3.5, abs=1e-13)
+    np.testing.assert_allclose(
+        report.mfpt, [[4.0, 10 / 3], [10.0, 4 / 3]], rtol=1e-13
+    )
+
+
+if __name__ == "__main__":
+    # Rewrite the golden files after an intended change to the report:
+    #   PYTHONPATH=src python -m tests.test_report
+    for name in ("fix5", "fix8"):
+        with open(GOLDEN / f"report_{name}.json", "w") as fh:
+            json.dump(report_to_dict(analyze(getattr(fixtures, name)())), fh, indent=2)
+            fh.write("\n")

@@ -56,16 +56,19 @@ def is_irreducible(p: np.ndarray) -> bool:
 
 def _communicating_classes(adj: np.ndarray) -> list[list[int]]:
     """Communicating classes in order of their smallest state; the class of
-    s is every state that s reaches and that reaches s."""
+    s is every state that s reaches and that reaches s.
+
+    Reachability is the transitive closure of ``adj | I``: each squaring
+    doubles the path length covered, so (n - 1).bit_length() squarings
+    cover every path of at most n - 1 steps.
+    """
     n = adj.shape[0]
-    classes: list[list[int]] = []
-    unassigned = np.ones(n, dtype=bool)
-    for s in range(n):
-        if unassigned[s]:
-            members = _reachable(adj, s) & _reachable(adj.T, s)
-            classes.append(np.flatnonzero(members).tolist())
-            unassigned &= ~members
-    return classes
+    reach = adj | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = (reach @ reach.astype(np.float64)) > 0.0
+    mutual = reach & reach.T
+    leaders = np.flatnonzero(mutual.argmax(axis=1) == np.arange(n))
+    return [np.flatnonzero(mutual[s]).tolist() for s in leaders]
 
 
 def validate(

@@ -13,31 +13,30 @@ from pathlib import Path
 import numpy as np
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def parse_csv(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Parse the CSV matrix format; returns (matrix, labels or None)."""
     labels: tuple[str, ...] | None = None
-    rows: list[list[float]] = []
+    lines: list[tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             body = line[1:].strip()
             if body.lower().startswith("states:"):
                 labels = tuple(s.strip() for s in body[len("states:"):].split(","))
-            continue
+        elif line:
+            lines.append((lineno, line))
+    if not lines:
+        raise ValueError("no matrix rows found")
+    try:  # numpy's C reader parses a field as float() does, or refuses it
+        return np.loadtxt([ln for _, ln in lines], delimiter=",", comments=None, ndmin=2), labels
+    except ValueError:  # float() also takes underscores and non-ASCII digits; it names the line
+        rows: list[list[float]] = []
+    for lineno, line in lines:
         try:
             rows.append([float(f) for f in line.split(",")])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    if not rows:
-        raise ValueError("no matrix rows found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if len({len(r) for r in rows}) > 1:
         raise ValueError("rows have inconsistent lengths")
     return np.array(rows, dtype=np.float64), labels
 
@@ -47,7 +46,7 @@ def render_csv(p: np.ndarray, labels: tuple[str, ...] | None = None) -> str:
     if labels is not None:
         lines.append("# states: " + ",".join(labels))
     for row in np.asarray(p, dtype=np.float64):
-        lines.append(",".join(_format_float(x) for x in row))
+        lines.append(",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -150,7 +150,8 @@ def _relation_violations(
 ) -> list[tuple[int, int]]:
     left, right = signs[rel.left], signs[rel.right]
     bad = (left != 0) & (right != 0) & (left != rel.direction * right)
-    return [(int(i), int(j)) for i, j in np.argwhere(np.triu(bad, k=1))]
+    i, j = np.nonzero(np.triu(bad, k=1))
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def ordering_from_solution(sol: ChainSolution) -> OrderingRecord:

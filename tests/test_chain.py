@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsum.analysis import solve_chain
 from mcsum.chain import (
+    _communicating_classes,
+    _reachable,
     column_sums,
     is_irreducible,
     period,
@@ -41,6 +45,22 @@ def test_communicating_classes_named_in_order_of_smallest_state():
     assert str(exc.value) == (
         "chain is not irreducible; communicating classes: {a, d}, {b, c}, {e}"
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=0, max_value=2**32),
+    st.floats(min_value=0.0, max_value=0.5),
+)
+def test_communicating_classes_match_reachability_definition(n, seed, density):
+    adj = np.random.default_rng(seed).random((n, n)) < density
+    want: list[list[int]] = []
+    for s in range(n):  # first seen at its smallest state
+        members = np.flatnonzero(_reachable(adj, s) & _reachable(adj.T, s)).tolist()
+        if members not in want:
+            want.append(members)
+    assert _communicating_classes(adj) == want
 
 
 def test_bad_row_sum_rejected():

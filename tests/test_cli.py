@@ -50,6 +50,14 @@ def test_analyze_output_round_trips(fix8_csv, tmp_path, fix8):
     np.testing.assert_array_equal(np.array(report["p"]), fix8.p)
 
 
+@pytest.mark.parametrize("reorder", [[], ["--reorder-by-colsum"]])
+def test_analyze_output_is_indent2_dump(fix5_csv, tmp_path, reorder):
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--input", str(fix5_csv), "--output", str(out), *reorder]) == 0
+    rep = analyze(validate(*io.load_matrix(fix5_csv)), reorder=bool(reorder))
+    assert out.read_text() == json.dumps(report_to_dict(rep), indent=2) + "\n"
+
+
 def test_analyze_reducible_exits_2(tmp_path, capsys):
     path = tmp_path / "reducible.csv"
     io.save_matrix(path, np.array([[0.5, 0.5], [0.0, 1.0]]))

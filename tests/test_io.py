@@ -69,3 +69,25 @@ def test_blank_lines_and_comments_skipped():
     p, labels = io.parse_csv("# states: x,y\n\n0.5,0.5\n\n0.25,0.75\n")
     assert labels == ("x", "y")
     np.testing.assert_array_equal(p, [[0.5, 0.5], [0.25, 0.75]])
+
+
+def test_csv_fields_parse_as_float_does():
+    # Plain decimal fields go through numpy's reader; a field only float()
+    # takes (underscores, non-ASCII digits) sends the whole file to float().
+    p, labels = io.parse_csv("# states: a,b\n 0.25 , 7.5e-1\n1_0,٣\n")
+    assert labels == ("a", "b")
+    assert p.tolist() == [[0.25, 0.75], [10.0, 3.0]]
+    with pytest.raises(ValueError, match="line 3: could not convert string to float: 'x'"):
+        io.parse_csv("# states: a,b\n1,2\n3,x\n")
+
+
+def test_csv_parse_matches_float_bit_for_bit():
+    rng = np.random.default_rng(5)
+    values = np.concatenate([
+        rng.random(50), rng.standard_normal(50) * 1e-300, rng.standard_normal(50) * 1e300,
+    ]).tolist()
+    fields = [repr(x) for x in values] + ["%.25e" % x for x in values] + ["5e-324", "-0.0"]
+    text = "\n".join(",".join(fields[i:i + 151]) for i in range(0, len(fields), 151))
+    p, _ = io.parse_csv(text)
+    want = np.array([float(f) for f in fields])
+    assert np.array_equal(p.ravel().view(np.int64), want.view(np.int64))

@@ -1,15 +1,21 @@
+import io
 import json
 import re
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcsum import fixtures
 from mcsum.chain import validate
 from mcsum.errors import SingularMatrix
 from mcsum.ginv import colsum_system
-from mcsum.report import CONDITION_WARN_THRESHOLD, analyze, report_to_dict
+from mcsum.report import CONDITION_WARN_THRESHOLD, analyze, report_to_dict, write_json
+from mcsum.scan import random_chain
 from tests.conftest import (
     FIVE_STATE_UNSORTED,
     FIX5_H,
@@ -17,7 +23,9 @@ from tests.conftest import (
     FIX5_M,
     FIX5_PI,
     FIX8_KEMENY,
+    cycle3_matrix,
     two_block,
+    two_state,
 )
 
 
@@ -156,6 +164,85 @@ def test_report_matches_golden_file(name):
     _assert_matches_golden(got, want)
 
 
+def _assert_written_as_indent2(rep):
+    buf = io.StringIO()
+    write_json(rep, buf)
+    assert buf.getvalue() == json.dumps(report_to_dict(rep), indent=2)
+
+
+WRITER_CASES = {
+    "fix5": fixtures.fix5,
+    "fix8": fixtures.fix8,
+    "cycle3": cycle3_matrix,  # doubly stochastic: row_total_margins present
+    "two_state": lambda: two_state(0.3, 0.6),  # every violation list empty
+    "non_ascii_labels": lambda: validate(FIVE_STATE_UNSORTED, labels=list("αβγδé")),
+}
+
+
+@pytest.mark.parametrize("reorder", [False, True])
+@pytest.mark.parametrize("name", WRITER_CASES)
+def test_write_json_matches_indent2_dump(name, reorder):
+    rep = analyze(WRITER_CASES[name](), reorder=reorder)
+    if name == "cycle3":
+        assert rep.doubly_stochastic.row_total_margins is not None
+    if name == "two_state":
+        assert not any(rep.ordering.violations.values())
+    _assert_written_as_indent2(rep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([0.0, 0.5]),
+    st.booleans(),
+)
+def test_write_json_matches_indent2_dump_random(m, seed, sparsity, reorder):
+    _assert_written_as_indent2(analyze(random_chain(m, seed, sparsity), reorder=reorder))
+
+
+@dataclass
+class _Holder:
+    value: object
+
+
+_Pair = namedtuple("_Pair", "i j")
+
+ARRAY_VALUES = {
+    "sign_matrix": np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=np.int8),
+    "sign_row": np.array([1, -1, 0, 0], dtype=np.int8),
+    "int8_beyond_signs": np.array([[-128, 2], [0, 127]], dtype=np.int8),
+    "int8_0d": np.array(-1, dtype=np.int8),
+    "int8_empty": np.zeros(0, dtype=np.int8),
+    "int64_signs": np.array([[1, -1], [0, 1]]),
+    "numpy_scalar_rows": [(np.float64(0.5), True), (1, None)],
+    "named_tuple_rows": [_Pair(1, 2), _Pair(3, 4)],
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_VALUES)
+def test_write_json_matches_indent2_dump_on_arrays(name):
+    _assert_written_as_indent2(_Holder(ARRAY_VALUES[name]))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example([["],\n    [", 1], [2.5, None], (True, "x")])  # row-break text in a string
+def test_write_json_matches_indent2_dump_on_any_json_value(value):
+    buf = io.StringIO()
+    write_json(value, buf)
+    assert buf.getvalue() == json.dumps(value, indent=2)
+
+
 def test_readme_library_snippet():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     library = readme.split("## Library", 1)[1]
@@ -175,5 +262,5 @@ if __name__ == "__main__":
     #   PYTHONPATH=src python -m tests.test_report
     for name in ("fix5", "fix8"):
         with open(GOLDEN / f"report_{name}.json", "w") as fh:
-            json.dump(report_to_dict(analyze(getattr(fixtures, name)())), fh, indent=2)
+            write_json(analyze(getattr(fixtures, name)()), fh)
             fh.write("\n")

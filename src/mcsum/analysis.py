@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .chain import TransitionMatrix, column_sums
+from .chain import TransitionMatrix
 from .ginv import (
     ColsumInverse,
     FundamentalMatrix,
@@ -42,7 +42,7 @@ def mfpt_from_h(hc: ColsumInverse, pi: np.ndarray) -> np.ndarray:
     """Passage times from H:  m_ij = (h_jj - h_ij + delta_ij) / pi_j."""
     pi = np.asarray(pi, dtype=np.float64)
     h = hc.h
-    return (h.diagonal()[None, :] - h + np.eye(hc.n)) / pi[None, :]
+    return (h.diagonal(axis1=-2, axis2=-1)[..., None, :] - h + np.eye(hc.n)) / pi[..., None, :]
 
 
 def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -59,9 +59,9 @@ def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return core / pi[None, :]
 
 
-def kemeny_from_h(hc: ColsumInverse) -> float:
+def kemeny_from_h(hc: ColsumInverse) -> float | np.ndarray:
     """K = 1 - 1/m + tr(H)."""
-    return float(1.0 - 1.0 / hc.n + hc.h.trace())
+    return 1.0 - 1.0 / hc.n + hc.h.trace(axis1=-2, axis2=-1)
 
 
 def kemeny_from_z(zf: FundamentalMatrix) -> float:
@@ -103,44 +103,44 @@ def identity_residuals(sol: ChainSolution) -> dict[str, float]:
     p, h, pi, mfpt, c = sol.tm.p, sol.hc.h, sol.pi, sol.mfpt, sol.c
     m = sol.tm.n
 
-    m_d = mfpt.diagonal()
-    col_totals = mfpt.sum(axis=0)  # sum_i m_ij
-    c_weighted = c @ mfpt  # sum_i c_i m_ij
+    m_d = mfpt.diagonal(axis1=-2, axis2=-1)
+    col_totals = mfpt.sum(axis=-2)  # sum_i m_ij
+    c_weighted = (c[..., None, :] @ mfpt)[..., 0, :]  # sum_i c_i m_ij
     off_totals = col_totals - m_d  # sum_{i != j} m_ij
     c_off = c_weighted - c * m_d  # sum_{i != j} c_i m_ij
-    h_d = h.diagonal()
+    h_d = h.diagonal(axis1=-2, axis2=-1)
 
     resid = {
-        "(I-P)M = E - P M_d": float(
-            np.abs((np.eye(m) - p) @ mfpt - 1.0 + p * m_d).max()
-        ),
-        "m_.j - sum_i c_i m_ij = m - c_j m_jj": float(
-            np.abs((col_totals - c_weighted) - (m - c * m_d)).max()
-        ),
-        "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj": float(
-            np.abs(c_weighted - (c * m_d - 1.0 + m * h_d * m_d)).max()
-        ),
-        "m_.j = m - 1 + m h_jj m_jj": float(
-            np.abs(col_totals - (m - 1.0 + m * h_d * m_d)).max()
-        ),
-        "pi_j (m - m_.j + sum_i c_i m_ij) = c_j": float(
-            np.abs(pi * (m - col_totals + c_weighted) - c).max()
-        ),
-        "pi_j (m - sum_i!=j m_ij + sum_i!=j c_i m_ij) = 1": float(
-            np.abs(pi * (m - off_totals + c_off) - 1.0).max()
-        ),
-        "pi_j (1 + sum_i c_i m_ij) = c_j + m h_jj": float(
-            np.abs(pi * (1.0 + c_weighted) - (c + m * h_d)).max()
-        ),
-        "pi_j (1 + sum_i!=j c_i m_ij) = m h_jj": float(
-            np.abs(pi * (1.0 + c_off) - m * h_d).max()
-        ),
-        "pi_j (1 + m_.j - m) = m h_jj": float(
-            np.abs(pi * (1.0 + col_totals - m) - m * h_d).max()
-        ),
-        "pi_j (1 + sum_i!=j m_ij - m) = m h_jj - 1": float(
-            np.abs(pi * (1.0 + off_totals - m) - (m * h_d - 1.0)).max()
-        ),
+        "(I-P)M = E - P M_d": np.abs(
+            (np.eye(m) - p) @ mfpt - 1.0 + p * m_d[..., None, :]
+        ).max(axis=(-2, -1)),
+        "m_.j - sum_i c_i m_ij = m - c_j m_jj": np.abs(
+            (col_totals - c_weighted) - (m - c * m_d)
+        ).max(axis=-1),
+        "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj": np.abs(
+            c_weighted - (c * m_d - 1.0 + m * h_d * m_d)
+        ).max(axis=-1),
+        "m_.j = m - 1 + m h_jj m_jj": np.abs(
+            col_totals - (m - 1.0 + m * h_d * m_d)
+        ).max(axis=-1),
+        "pi_j (m - m_.j + sum_i c_i m_ij) = c_j": np.abs(
+            pi * (m - col_totals + c_weighted) - c
+        ).max(axis=-1),
+        "pi_j (m - sum_i!=j m_ij + sum_i!=j c_i m_ij) = 1": np.abs(
+            pi * (m - off_totals + c_off) - 1.0
+        ).max(axis=-1),
+        "pi_j (1 + sum_i c_i m_ij) = c_j + m h_jj": np.abs(
+            pi * (1.0 + c_weighted) - (c + m * h_d)
+        ).max(axis=-1),
+        "pi_j (1 + sum_i!=j c_i m_ij) = m h_jj": np.abs(
+            pi * (1.0 + c_off) - m * h_d
+        ).max(axis=-1),
+        "pi_j (1 + m_.j - m) = m h_jj": np.abs(
+            pi * (1.0 + col_totals - m) - m * h_d
+        ).max(axis=-1),
+        "pi_j (1 + sum_i!=j m_ij - m) = m h_jj - 1": np.abs(
+            pi * (1.0 + off_totals - m) - (m * h_d - 1.0)
+        ).max(axis=-1),
     }
     return resid
 
@@ -148,7 +148,7 @@ def identity_residuals(sol: ChainSolution) -> dict[str, float]:
 @dataclass(frozen=True)
 class BoundsReport:
     """Margins of the inequality suite; every margin is left minus right of
-    a claimed >= (or > for the strict per-state bound)."""
+    a claimed >= (or > for the strict per-state bound), per chain of a stack."""
 
     kemeny: float
     kemeny_lower: float
@@ -163,27 +163,27 @@ class BoundsReport:
     pi_lower_colsum_margins: np.ndarray  # pi_j - c_j/(1 + sum_i c_i m_ij)
 
     @property
-    def worst_margin(self) -> float:
+    def worst_margin(self) -> float | np.ndarray:
         """The smallest margin of the suite; negative means a bound fails."""
-        return min(
+        return np.min((
             self.kemeny_margin,
             self.trace_h_margin,
             self.trace_h_weak_margin,
-            float(self.pi_upper_margins.min()),
-            float(self.pi_lower_offdiag_margins.min()),
-            float(self.pi_lower_colsum_margins.min()),
-        )
+            self.pi_upper_margins.min(axis=-1),
+            self.pi_lower_offdiag_margins.min(axis=-1),
+            self.pi_lower_colsum_margins.min(axis=-1),
+        ), axis=0)
 
 
 def bounds_check(sol: ChainSolution) -> BoundsReport:
     """Evaluate the Kemeny, trace and stationary-probability bounds."""
     hc, pi, mfpt, c = sol.hc, sol.pi, sol.mfpt, sol.c
     m = hc.n
-    h_d = hc.h.diagonal()
+    h_d = hc.h.diagonal(axis1=-2, axis2=-1)
     kemeny = kemeny_from_h(hc)
-    trace_h = float(hc.h.trace())
-    c_weighted = c @ mfpt
-    c_off = c_weighted - c * mfpt.diagonal()
+    trace_h = hc.h.trace(axis1=-2, axis2=-1)
+    c_weighted = (c[..., None, :] @ mfpt)[..., 0, :]
+    c_off = c_weighted - c * mfpt.diagonal(axis1=-2, axis2=-1)
     return BoundsReport(
         kemeny=kemeny,
         kemeny_lower=(m + 1) / 2.0,
@@ -277,9 +277,8 @@ def solve_chain(tm: TransitionMatrix) -> ChainSolution:
     The stationary vector fed to Z comes from the direct solver rather than
     from c^T H, keeping the H and Z routes independent of each other.
     """
-    c = column_sums(tm)
     pi = oracle.stationary_direct(tm)
     hc = compute_h(tm)
     zf = compute_z(tm, pi)
     mfpt = mfpt_from_h(hc, pi)
-    return ChainSolution(tm=tm, c=c, pi=pi, hc=hc, zf=zf, mfpt=mfpt)
+    return ChainSolution(tm=tm, c=hc.c, pi=pi, hc=hc, zf=zf, mfpt=mfpt)

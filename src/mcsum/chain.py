@@ -7,7 +7,6 @@ holds for irreducible periodic chains.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ DEFAULT_ROW_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Validated row-stochastic matrix with state labels."""
+    """Validated row-stochastic matrix, or (..., m, m) stack of them, with labels."""
 
     p: np.ndarray
     labels: tuple[str, ...] = ()
@@ -27,47 +26,35 @@ class TransitionMatrix:
     @property
     def n(self) -> int:
         """Number of states."""
-        return self.p.shape[0]
+        return self.p.shape[-1]
 
 
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    """Boolean reachability vector from `start` (breadth-first)."""
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = np.flatnonzero(nxt).tolist()
-    return seen
+def _closure(adj: np.ndarray) -> np.ndarray:
+    """Transitive closure of ``adj | I`` over the last two axes: each squaring
+    doubles the path length covered, so (n - 1).bit_length() squarings cover
+    every path of up to n - 1 steps; they stop once all states reach all."""
+    n = adj.shape[-1]
+    reach = adj | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        if reach.all():
+            break
+        reach = (reach @ reach.astype(np.float64)) > 0.0
+    return reach
 
 
-def is_irreducible(p: np.ndarray) -> bool:
-    """True iff the graph on positive entries is strongly connected.
-
-    Forward and reverse reachability from state 0 suffice: both cover all
-    states exactly when there is a single strongly connected component.
-    """
-    p = np.asarray(p)
-    adj = p > 0.0
-    return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
+def is_irreducible(p: np.ndarray) -> bool | np.ndarray:
+    """True iff the graph on positive entries is strongly connected; one
+    verdict per matrix of a stack."""
+    strong = _closure(np.asarray(p) > 0.0).all(axis=(-2, -1))
+    return strong if strong.ndim else bool(strong)
 
 
 def _communicating_classes(adj: np.ndarray) -> list[list[int]]:
     """Communicating classes in order of their smallest state; the class of
-    s is every state that s reaches and that reaches s.
-
-    Reachability is the transitive closure of ``adj | I``: each squaring
-    doubles the path length covered, so (n - 1).bit_length() squarings
-    cover every path of at most n - 1 steps.
-    """
-    n = adj.shape[0]
-    reach = adj | np.eye(n, dtype=bool)
-    for _ in range((n - 1).bit_length()):
-        reach = (reach @ reach.astype(np.float64)) > 0.0
+    s is every state that s reaches and that reaches s."""
+    reach = _closure(adj)
     mutual = reach & reach.T
-    leaders = np.flatnonzero(mutual.argmax(axis=1) == np.arange(n))
+    leaders = np.flatnonzero(mutual.argmax(axis=1) == np.arange(adj.shape[0]))
     return [np.flatnonzero(mutual[s]).tolist() for s in leaders]
 
 
@@ -136,7 +123,7 @@ def validate(
 
 def column_sums(tm: TransitionMatrix) -> np.ndarray:
     """Column-sum vector; its entries total the state count."""
-    return tm.p.sum(axis=0)
+    return tm.p.sum(axis=-2)
 
 
 def reorder_by_column_sums(tm: TransitionMatrix) -> tuple[TransitionMatrix, np.ndarray]:
@@ -161,19 +148,11 @@ def period(tm: TransitionMatrix) -> int:
     graph.
     """
     adj = tm.p > 0.0
-    n = tm.n
-    level = np.full(n, -1)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(adj[u]):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u, v in np.argwhere(adj):
-        g = math.gcd(g, int(level[u] + 1 - level[v]))
-    return abs(g) if g else 1
+    level = np.full(tm.n, -1)
+    frontier, depth = np.array([0]), 0
+    while frontier.size:
+        level[frontier] = depth
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0))
+        depth += 1
+    u, v = np.nonzero(adj)
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1

@@ -37,6 +37,10 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IDENTITY = 4
 
+#: Ordering-violation pairs printed per relation by ``analyze``; the report
+#: written with ``--output`` lists them all.
+SHOWN_PAIRS = 5
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with code 1, not 2."""
@@ -104,8 +108,9 @@ def _cmd_analyze(args) -> int:
     }
     if flagged:
         for name, pairs in flagged.items():
-            shown = ", ".join(f"({i + 1},{j + 1})" for i, j in pairs)
-            print(f"ordering violation [{name}]: pairs {shown}")
+            shown = ", ".join(f"({i + 1},{j + 1})" for i, j in pairs[:SHOWN_PAIRS])
+            more = ", ..." if len(pairs) > SHOWN_PAIRS else ""
+            print(f"ordering violation [{name}]: {len(pairs)} pair(s) {shown}{more}")
     else:
         print("no ordering violations among the tracked relations")
     if rep.condition_warning:

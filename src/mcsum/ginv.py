@@ -36,11 +36,11 @@ class ColsumInverse:
 
     h: np.ndarray
     c: np.ndarray
-    cond: float | None = None
+    cond: float | np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return self.h.shape[0]
+        return self.h.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -52,29 +52,29 @@ class FundamentalMatrix:
 
     @property
     def n(self) -> int:
-        return self.z.shape[0]
+        return self.z.shape[-1]
 
 
 def colsum_system(tm: TransitionMatrix) -> np.ndarray:
     """The nonsingular matrix I - P + e c^T whose inverse is H."""
     c = column_sums(tm)
-    return np.eye(tm.n) - tm.p + np.tile(c, (tm.n, 1))
+    return np.eye(tm.n) - tm.p + c[..., None, :]
 
 
-def _invert(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """LAPACK inverse of `a` and its 1-norm condition number.
+def _invert(a: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """LAPACK inverse of `a` and its 1-norm condition number, per matrix.
 
-    Raises SingularMatrix when LAPACK meets an exact zero pivot, or when
-    the condition number is non-finite or reaches CONDITION_LIMIT.
+    Raises SingularMatrix when LAPACK meets an exact zero pivot, or when a
+    condition number is non-finite or reaches CONDITION_LIMIT.
     """
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix is singular: {exc}") from None
-    cond = float(np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
-    if not cond < CONDITION_LIMIT:  # written so that NaN is refused too
+    cond = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+    if not np.all(cond < CONDITION_LIMIT):  # written so that NaN is refused too
         raise SingularMatrix(
-            f"condition number {cond:.3e} is not below {CONDITION_LIMIT:.0e}; "
+            f"condition number {np.max(cond):.3e} is not below {CONDITION_LIMIT:.0e}; "
             "matrix is numerically singular"
         )
     return inv, cond
@@ -94,13 +94,13 @@ def compute_h(tm: TransitionMatrix) -> ColsumInverse:
 def compute_z(tm: TransitionMatrix, pi: np.ndarray) -> FundamentalMatrix:
     """Invert I - P + e pi^T for a stationary vector from an independent solver."""
     pi = np.asarray(pi, dtype=np.float64)
-    z, _ = _invert(np.eye(tm.n) - tm.p + np.tile(pi, (tm.n, 1)))
+    z, _ = _invert(np.eye(tm.n) - tm.p + pi[..., None, :])
     return FundamentalMatrix(z=z, pi=pi)
 
 
 def group_inverse(zf: FundamentalMatrix) -> np.ndarray:
     """The group inverse of I - P: Z minus the rank-one stationary projector."""
-    return zf.z - np.tile(zf.pi, (zf.n, 1))
+    return zf.z - zf.pi[..., None, :]
 
 
 def z_from_h(hc: ColsumInverse, pi: np.ndarray) -> FundamentalMatrix:

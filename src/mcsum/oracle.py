@@ -25,16 +25,15 @@ def stationary_direct(tm: TransitionMatrix) -> np.ndarray:
     The last (redundant) balance equation is replaced by the normalization
     row, giving a nonsingular system that is exact for periodic chains.
     """
-    n = tm.n
-    a = (np.eye(n) - tm.p).T
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
+    a = np.swapaxes(np.eye(tm.n) - tm.p, -2, -1)
+    a[..., -1, :] = 1.0
+    b = np.zeros(a.shape[:-1] + (1,))  # (..., m, 1): one column per chain
+    b[..., -1, 0] = 1.0
     try:
         pi = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"stationary system is singular: {exc}") from None
-    return pi
+    return pi[..., 0]
 
 
 def stationary_power(
@@ -104,13 +103,11 @@ def mc_estimate(tm: TransitionMatrix, seed: int, walks_per_pair: int) -> McEstim
     cum[:, -1] = 1.0  # guard against rounding: u < 1 always lands in a bin
     mfpt = np.empty((n, n))
     se = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            base = (i * n + j) * walks_per_pair
-            states = rng.seed_streams(seed, base, walks_per_pair)
-            lengths = _walk_lengths(cum, i, j, states)
-            mfpt[i, j] = lengths.mean()
-            se[i, j] = lengths.std(ddof=1) / math.sqrt(walks_per_pair) if walks_per_pair > 1 else 0.0
+    streams = rng.derive_stream(seed, np.arange(n * n * walks_per_pair)).reshape(n, n, -1)
+    for i, j in np.ndindex(n, n):
+        lengths = _walk_lengths(cum, i, j, streams[i, j])
+        mfpt[i, j] = lengths.mean()
+        se[i, j] = lengths.std(ddof=1) / math.sqrt(walks_per_pair) if walks_per_pair > 1 else 0.0
     recip = 1.0 / mfpt.diagonal()
     return McEstimate(
         mfpt=mfpt,

@@ -104,7 +104,7 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         doubly_stochastic=doubly_stochastic_report(sol),
         ordering=ordering_from_solution(sol),
         condition_estimate=sol.hc.cond,
-        condition_warning=sol.hc.cond >= CONDITION_WARN_THRESHOLD,
+        condition_warning=bool(sol.hc.cond >= CONDITION_WARN_THRESHOLD),
     )
 
 

@@ -5,6 +5,7 @@ Carlo walks) draws from splitmix64 streams derived here, so identical seeds
 produce identical output bits on any platform.  The generator advances its
 64-bit state by a fixed odd constant and finalizes with an avalanche mix;
 stream k of a master seed starts from ``mix64(master + (k+1)*GOLDEN)``.
+``mix64`` and ``SplitMix64`` are the pure-Python reference of the array code.
 """
 from __future__ import annotations
 
@@ -29,49 +30,45 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_stream(master: int, *indices: int) -> int:
+def _mix_vec(z: np.ndarray) -> np.ndarray:
+    # splitmix64's finalizer on uint64 arrays; callers run it under
+    # np.errstate(over="ignore"), since the products wrap modulo 2^64 by design
+    z = (z ^ (z >> np.uint64(30))) * _MIX1_U64
+    z = (z ^ (z >> np.uint64(27))) * _MIX2_U64
+    return z ^ (z >> np.uint64(31))
+
+
+def _u64(x: int | np.ndarray) -> np.ndarray:
+    """An int of any size, or an integer array, modulo 2^64 as uint64."""
+    return np.asarray(x & _MASK if isinstance(x, int) else x).astype(np.uint64)
+
+
+def derive_stream(master: int | np.ndarray, *indices: int | np.ndarray) -> int | np.ndarray:
     """Fold integer indices into a master seed, one mix per index.
 
     Used to give each (chain, trial, walk, ...) coordinate its own
-    decorrelated stream seed.
+    decorrelated stream seed; integer arrays broadcast to uint64 seeds, ints
+    give an int.
     """
-    s = master & _MASK
-    for ix in indices:
-        s = mix64((s + ((ix + 1) * _GOLDEN)) & _MASK)
-    return s
-
-
-def _mix_vec(z: np.ndarray) -> np.ndarray:
+    s = _u64(master)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1_U64
-        z = (z ^ (z >> np.uint64(27))) * _MIX2_U64
-        return z ^ (z >> np.uint64(31))
+        for ix in indices:
+            s = _mix_vec(s + _u64(ix) * _GOLDEN_U64 + _GOLDEN_U64)  # + (ix + 1) * GOLDEN
+    return s if np.ndim(s) else int(s)
 
 
-def uniform_block(stream_seed: int, count: int) -> np.ndarray:
-    """First `count` uniforms in [0, 1) of the stream, as one vector."""
+def uniform_block(stream_seed: int | np.ndarray, count: int) -> np.ndarray:
+    """First `count` uniforms in [0, 1) of each stream, on the last axis."""
     with np.errstate(over="ignore"):
         ctr = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN_U64
-        z = _mix_vec(np.uint64(stream_seed & _MASK) + ctr)
+        z = _mix_vec(_u64(stream_seed)[..., None] + ctr)
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-
-def seed_streams(master: int, first_index: int, count: int) -> np.ndarray:
-    """Stream seeds for indices [first_index, first_index+count), vectorized.
-
-    Matches ``derive_stream(master, k)`` for each k.
-    """
-    with np.errstate(over="ignore"):
-        k = np.arange(first_index + 1, first_index + count + 1, dtype=np.uint64)
-        return _mix_vec(np.uint64(master & _MASK) + k * _GOLDEN_U64)
 
 
 def advance(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Advance an array of stream states one step; return (states, uniforms)."""
     with np.errstate(over="ignore"):
-        states = states + _GOLDEN_U64
-        z = _mix_vec(states)
-    return states, (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return states + _GOLDEN_U64, uniform_block(states, 1)[..., 0]
 
 
 class SplitMix64:

@@ -8,6 +8,9 @@ every chain (or for every two-state chain) are asserted; the rest are
 conjectures whose violation rates are simply measured.  Each trial also
 re-checks the identity suite and the bounds against ``analysis.IDENTITY_TOL``,
 the tolerance ``mcsum verify`` uses by default.
+
+``scan`` draws and solves each state count's trials as (T, m, m) stacks,
+through the same functions that solve one chain.
 """
 from __future__ import annotations
 
@@ -24,11 +27,16 @@ from .analysis import (
     identity_residuals,
     solve_chain,
 )
-from .chain import TransitionMatrix, validate
-from .errors import GenerationFailed, NotIrreducible
+from .chain import TransitionMatrix, is_irreducible
+from .errors import GenerationFailed
 
 #: |x - y| below this counts as a tie; ties never violate a relation.
 SIGN_TIE_TOL = 1e-12
+
+#: Matrix entries per stack of chains that ``scan`` solves at once (m^2 per
+#: chain, and at least one chain): each stacked float array of a block then
+#: takes at most 512 kB for m <= 256.
+BLOCK_ENTRIES = 1 << 16
 
 #: Comparison vectors recorded per chain, keyed by name.
 SIGN_VECTORS = (
@@ -57,6 +65,10 @@ class Relation:
     direction: int
     proven_scope: str  # "all" | "m2" | "none"
 
+    def proven_for(self, m: int) -> bool:
+        """Whether the relation is a theorem for m-state chains."""
+        return self.proven_scope == "all" or (self.proven_scope == "m2" and m == 2)
+
 
 RELATIONS: dict[str, Relation] = {
     # m_jj = 1/pi_j makes this exact for every chain
@@ -70,13 +82,8 @@ RELATIONS: dict[str, Relation] = {
     "c_vs_m_col_total": Relation("colsum", "m_col_total", -1, "m2"),
 }
 
-#: Relations proved for every chain.
-THEOREM_RELATIONS = tuple(k for k, r in RELATIONS.items() if r.proven_scope == "all")
-
 #: Relations proved for two-state chains (including the universal ones).
-M2_THEOREM_RELATIONS = tuple(
-    k for k, r in RELATIONS.items() if r.proven_scope in ("all", "m2")
-)
+M2_THEOREM_RELATIONS = tuple(k for k, r in RELATIONS.items() if r.proven_for(2))
 
 
 @dataclass(frozen=True)
@@ -109,74 +116,91 @@ class OrderingRecord:
     violations: dict[str, list[tuple[int, int]]]
 
 
-def random_chain(m: int, seed: int, sparsity: float = 0.0) -> TransitionMatrix:
-    """Sample an irreducible chain with flat-Dirichlet rows.
+def random_chains(m: int, seeds: np.ndarray, sparsity: float = 0.0) -> np.ndarray:
+    """Irreducible chains with flat-Dirichlet rows, one (m, m) matrix per seed.
 
     Rows are normalized unit-exponential variates; entries whose raw variate
     falls below the sparsity quantile of Exp(1) are zeroed before
     renormalization, so the expected zero fraction equals `sparsity`.
-    Reducible draws are retried with fresh derived streams.
+    Reducible draws alone are retried, each with its next derived stream.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     cutoff = -np.log1p(-sparsity)  # Exp(1) quantile at the sparsity level
+    p = np.empty((len(seeds), m, m))
+    todo = np.arange(len(seeds))
     for attempt in range(100):
-        u = rng.uniform_block(rng.derive_stream(seed, attempt), m * m)
-        raw = -np.log1p(-u.reshape(m, m))
-        if cutoff > 0.0:
-            raw[raw < cutoff] = 0.0
-        sums = raw.sum(axis=1)
-        if (sums == 0.0).any():
-            continue
-        try:
-            return validate(raw / sums[:, None])
-        except NotIrreducible:
-            continue
+        u = rng.uniform_block(rng.derive_stream(seeds[todo], attempt), m * m)
+        raw = -np.log1p(-u.reshape(-1, m, m))
+        raw[raw < cutoff] = 0.0
+        ok = is_irreducible(raw)  # also false for a draw with an all-zero row
+        # divide by the row sums, then renormalize exactly as validate() does
+        q = raw[ok] / raw[ok].sum(axis=-1, keepdims=True)
+        p[todo[ok]] = q / q.sum(axis=-1, keepdims=True)
+        todo = todo[~ok]
+        if not todo.size:
+            return p
     raise GenerationFailed(
         f"no irreducible {m}-state chain in 100 attempts (sparsity={sparsity})"
     )
 
 
-def _sign_matrix(v: np.ndarray) -> np.ndarray:
-    """Antisymmetric matrix of pairwise comparison signs with tie tolerance."""
-    diff = v[:, None] - v[None, :]
-    s = np.sign(diff).astype(np.int8)
-    s[np.abs(diff) < SIGN_TIE_TOL] = 0
-    return s
+def random_chain(m: int, seed: int, sparsity: float = 0.0) -> TransitionMatrix:
+    """The chain ``random_chains`` draws for one seed (any int, modulo 2^64)."""
+    p = random_chains(m, np.array([seed % 2**64]), sparsity)[0]
+    p.flags.writeable = False
+    return TransitionMatrix(p=p, labels=tuple(str(i + 1) for i in range(m)))
 
 
-def _relation_violations(
-    signs: dict[str, np.ndarray], rel: Relation
-) -> list[tuple[int, int]]:
-    left, right = signs[rel.left], signs[rel.right]
-    bad = (left != 0) & (right != 0) & (left != rel.direction * right)
-    i, j = np.nonzero(np.triu(bad, k=1))
-    return list(zip(i.tolist(), j.tolist()))
+def ordering_masks(sol: ChainSolution) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Sign matrices of the comparison vectors (0 for a tie) and, per relation,
+    the mask of the pairs i < j that violate it; for one chain or a stack."""
+    vectors = {
+        "colsum": sol.c,
+        "pi": sol.pi,
+        "h_diag": sol.hc.h.diagonal(axis1=-2, axis2=-1),
+        "z_diag": sol.zf.z.diagonal(axis1=-2, axis2=-1),
+        "m_col_total": sol.mfpt.sum(axis=-2),
+        "m_row_total": sol.mfpt.sum(axis=-1),
+        "m_recurrence": sol.mfpt.diagonal(axis1=-2, axis2=-1),
+    }
+    signs = {}
+    for name, v in vectors.items():
+        diff = v[..., :, None] - v[..., None, :]
+        signs[name] = np.where(np.abs(diff) < SIGN_TIE_TOL, 0, np.sign(diff)).astype(np.int8)
+    upper = np.triu(np.ones((sol.tm.n, sol.tm.n), dtype=bool), k=1)
+    # signs in {-1, 0, 1}: the product is -direction exactly when both are
+    # nonzero and their order breaks the relation
+    masks = {
+        name: upper & (signs[r.left] * signs[r.right] == -r.direction)
+        for name, r in RELATIONS.items()
+    }
+    return signs, masks
+
+
+def _records(p, signs, masks, chains=slice(None)) -> list[OrderingRecord]:
+    """Ordering records of `chains` of the stacked p, signs and masks (one chain
+    is a stack of one), gathered so that no record keeps the stack alive."""
+    m = p.shape[-1]
+    p = p.reshape(-1, m, m)[chains]
+    signs = {name: signs[name].reshape(-1, m, m)[chains] for name in SIGN_VECTORS}
+    pairs = {}
+    for name, mask in masks.items():
+        t, i, j = mask.reshape(-1, m, m)[chains].nonzero()  # by chain, then row-major
+        cuts = np.searchsorted(t, np.arange(len(p) + 1)).tolist()
+        ij = list(zip(i.tolist(), j.tolist()))
+        pairs[name] = [ij[a:b] for a, b in zip(cuts, cuts[1:])]
+    return [
+        OrderingRecord(hashlib.sha256(p[k].tobytes()).hexdigest(), m,
+                       {name: s[k] for name, s in signs.items()},
+                       {name: found[k] for name, found in pairs.items()})
+        for k in range(len(p))
+    ]
 
 
 def ordering_from_solution(sol: ChainSolution) -> OrderingRecord:
     """Ordering record computed from an existing pipeline solution."""
-    vectors = {
-        "colsum": sol.c,
-        "pi": sol.pi,
-        "h_diag": sol.hc.h.diagonal(),
-        "z_diag": sol.zf.z.diagonal(),
-        "m_col_total": sol.mfpt.sum(axis=0),
-        "m_row_total": sol.mfpt.sum(axis=1),
-        "m_recurrence": sol.mfpt.diagonal(),
-    }
-    signs = {name: _sign_matrix(v) for name, v in vectors.items()}
-    violations = {
-        name: _relation_violations(signs, rel) for name, rel in RELATIONS.items()
-    }
-    digest = hashlib.sha256(np.ascontiguousarray(sol.tm.p).tobytes()).hexdigest()
-    public_signs = {name: signs[name] for name in SIGN_VECTORS}
-    return OrderingRecord(digest=digest, m=sol.tm.n, signs=public_signs, violations=violations)
-
-
-def ordering_report(tm: TransitionMatrix) -> OrderingRecord:
-    """Pairwise sign relations and implication violations for one chain."""
-    return ordering_from_solution(solve_chain(tm))
+    return _records(sol.tm.p, *ordering_masks(sol))[0]
 
 
 @dataclass(frozen=True)
@@ -232,40 +256,45 @@ def scan(config: ScanConfig) -> ScanResult:
     hard_failures: list[str] = []
 
     for m in sorted(config.state_counts):
-        for trial in range(config.trials):
-            chain_seed = rng.derive_stream(config.seed, m, trial)
-            tm = random_chain(m, chain_seed, config.sparsity)
-            sol = solve_chain(tm)
-            record = ordering_from_solution(sol)
-
-            violated = False
+        step = max(1, BLOCK_ENTRIES // (m * m))
+        for trials in np.split(np.arange(config.trials), range(step, config.trials, step)):
+            seeds = rng.derive_stream(config.seed, m, trials)
+            sol = solve_chain(TransitionMatrix(p=random_chains(m, seeds, config.sparsity)))
+            signs, masks = ordering_masks(sol)
+            violated = np.zeros(len(trials), dtype=bool)
             for name in config.relations:
-                pairs = record.violations[name]
-                if pairs:
-                    counts[(name, m)][0] += 1
-                    counts[(name, m)][1] += len(pairs)
-                    violated = True
-                    scope = RELATIONS[name].proven_scope
-                    if scope == "all" or (scope == "m2" and m == 2):
-                        hard_failures.append(
-                            f"m={m} trial={trial}: theorem relation {name} violated on {pairs}"
-                        )
-            if violated:
-                counterexamples.append(
-                    Counterexample(m=m, trial=trial, seed=chain_seed, p=tm.p, record=record)
-                )
-
+                pairs = masks[name].sum(axis=(-2, -1))
+                counts[(name, m)][0] += int(np.count_nonzero(pairs))
+                counts[(name, m)][1] += int(pairs.sum())
+                violated |= pairs > 0
             resid = identity_residuals(sol)
-            worst = max(resid.items(), key=lambda kv: kv[1])
-            if worst[1] > IDENTITY_TOL:
-                hard_failures.append(
-                    f"m={m} trial={trial}: identity residual {worst[0]!r} = {worst[1]:.3e}"
-                )
+            names, table = list(resid), np.array(list(resid.values()))
+            worst = table.argmax(axis=0)  # the first of equal largest residuals
             margins = bounds_check(sol).worst_margin
-            if margins < -IDENTITY_TOL:
-                hard_failures.append(
-                    f"m={m} trial={trial}: bound margin {margins:.3e} negative"
-                )
+            failed = (table.max(axis=0) > IDENTITY_TOL) | (margins < -IDENTITY_TOL)
+            records = iter(_records(sol.tm.p, signs, masks, np.flatnonzero(violated)))
+            for t in np.flatnonzero(violated | failed).tolist():
+                trial = int(trials[t])
+                if violated[t]:
+                    record = next(records)
+                    counterexamples.append(
+                        Counterexample(m, trial, int(seeds[t]), sol.tm.p[t].copy(), record)
+                    )
+                    for name in config.relations:
+                        if record.violations[name] and RELATIONS[name].proven_for(m):
+                            hard_failures.append(
+                                f"m={m} trial={trial}: theorem relation {name} violated on "
+                                f"{record.violations[name]}"
+                            )
+                if table[worst[t], t] > IDENTITY_TOL:
+                    hard_failures.append(
+                        f"m={m} trial={trial}: identity residual {names[worst[t]]!r} = "
+                        f"{table[worst[t], t]:.3e}"
+                    )
+                if margins[t] < -IDENTITY_TOL:
+                    hard_failures.append(
+                        f"m={m} trial={trial}: bound margin {margins[t]:.3e} negative"
+                    )
 
     summaries = [
         RelationSummary(

@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcsum.analysis import solve_chain
 from mcsum.chain import (
     _communicating_classes,
-    _reachable,
     column_sums,
     is_irreducible,
     period,
@@ -55,9 +56,11 @@ def test_communicating_classes_named_in_order_of_smallest_state():
 )
 def test_communicating_classes_match_reachability_definition(n, seed, density):
     adj = np.random.default_rng(seed).random((n, n)) < density
+    # (adj | I)^(n-1) counts the walks of up to n - 1 steps
+    reach = np.linalg.matrix_power((adj | np.eye(n, dtype=bool)).astype(float), n - 1) > 0
     want: list[list[int]] = []
     for s in range(n):  # first seen at its smallest state
-        members = np.flatnonzero(_reachable(adj, s) & _reachable(adj.T, s)).tolist()
+        members = np.flatnonzero(reach[s] & reach[:, s]).tolist()
         if members not in want:
             want.append(members)
     assert _communicating_classes(adj) == want
@@ -102,6 +105,32 @@ def test_is_irreducible_cases(fix8):
     assert not is_irreducible(np.eye(3))
     assert is_irreducible(fix8.p)
     assert is_irreducible(np.ones((1, 1)))
+
+
+def test_is_irreducible_on_a_stack():
+    cyc = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
+    chain_to_sink = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+    stack = np.stack([cyc, np.eye(3), chain_to_sink, cyc.T, np.ones((3, 3))])
+    verdicts = is_irreducible(stack)
+    assert verdicts.shape == (5,)
+    assert verdicts.tolist() == [True, False, False, True, True]
+    assert is_irreducible(np.ones((4, 1, 1))).tolist() == [True] * 4  # 1-state graphs
+    assert is_irreducible(np.ones((1, 1))) is True
+    assert is_irreducible(np.eye(2)) is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_is_irreducible_stack_matches_each_matrix(n, t, seed):
+    adj = np.random.default_rng(seed).random((t, n, n)) < 0.3
+    eye = np.eye(n, dtype=bool)
+    want = [(np.linalg.matrix_power((a | eye).astype(float), n - 1) > 0).all() for a in adj]
+    assert is_irreducible(adj).tolist() == want
+    assert [is_irreducible(a) for a in adj] == want
 
 
 def test_column_sums_fix8(fix8):
@@ -167,3 +196,24 @@ def test_period():
     assert period(cycle3_matrix()) == 3
     assert period(two_state(1.0, 1.0)) == 2
     assert period(two_state(0.3, 0.1)) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_period_is_gcd_of_closed_walk_lengths(n, classes, seed):
+    # edges only from cyclic class k to class k + 1 (mod `classes`), so
+    # periods other than 1 occur; keep the strongly connected draws
+    g = np.random.default_rng(seed)
+    cls = np.arange(n) % classes
+    adj = (cls[None, :] == (cls[:, None] + 1) % classes) & (g.random((n, n)) < 0.6)
+    assume(adj.any(axis=1).all() and is_irreducible(adj))  # a 1-state graph needs its loop
+    lengths = [
+        k for k in range(1, n + 1)
+        if np.trace(np.linalg.matrix_power(adj.astype(float), k)) > 0
+    ]
+    p = adj / adj.sum(axis=1, keepdims=True)
+    assert period(validate(p)) == math.gcd(*lengths)

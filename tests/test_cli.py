@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -138,6 +139,49 @@ def test_scan_cli_byte_identical(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert out1 == out2
     assert log1.read_bytes() == log2.read_bytes()
+
+
+def test_scan_cli_output_pinned(tmp_path, capsys):
+    # sha256 of the stdout and the --log file of this scan, recorded when each
+    # chain was still drawn and solved one trial at a time
+    log = tmp_path / "scan.jsonl"
+    argv = "scan --states 2,3,5,10 --trials 300 --sparsity 0.4 --seed 5 --log".split()
+    assert main([*argv, str(log)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0b082fb07f8e73e9221ddc9512f0f7628c75618f8ee1974bfe82cbd9a7a09d75"
+    )
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+        "7b718fe4fdfefcc4b44fcd12218ab0f17f1031d95a35b2f14a7a39167d0a099d"
+    )
+
+
+def test_analyze_prints_pair_counts_and_first_pairs(fix8_csv, capsys):
+    assert main(["analyze", "--input", str(fix8_csv)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "ordering violation [c_vs_pi]: 9 pair(s) (1,2), (3,5), (3,6), (3,7), (4,5), ..." in lines
+
+
+def test_analyze_ordering_lines_bounded_on_dense_chain(tmp_path, capsys):
+    g = np.random.default_rng(3)
+    p = g.exponential(size=(120, 120))
+    path, out = tmp_path / "dense.csv", tmp_path / "r.json"
+    io.save_matrix(path, p / p.sum(axis=1, keepdims=True))
+    assert main(["analyze", "--input", str(path), "--output", str(out)]) == 0
+    printed = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("ordering violation")
+    ]
+    violations = json.loads(out.read_text())["ordering"]["violations"]
+    want = []
+    for name, pairs in violations.items():
+        if pairs:
+            shown = ", ".join(f"({i + 1},{j + 1})" for i, j in pairs[:5])
+            more = ", ..." if len(pairs) > 5 else ""
+            want.append(f"ordering violation [{name}]: {len(pairs)} pair(s) {shown}{more}")
+    assert printed == want
+    assert sum(map(len, violations.values())) > 1000  # the full lists stay in the file
+    assert max(map(len, printed)) < 150
 
 
 def test_scan_states_range_spec(capsys):

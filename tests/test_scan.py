@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from mcsum import scan as scan_module
+from mcsum.analysis import bounds_check, identity_residuals, solve_chain
 from mcsum.chain import validate
 from mcsum.errors import GenerationFailed
+from mcsum.rng import derive_stream
 from mcsum.scan import (
     M2_THEOREM_RELATIONS,
     RELATIONS,
+    Relation,
     ScanConfig,
-    ordering_report,
+    ordering_from_solution,
     random_chain,
     scan,
 )
@@ -54,27 +58,27 @@ def test_scan_config_validation():
 
 def test_ordering_two_state_equivalences_hold():
     for i in range(200):
-        record = ordering_report(random_chain(2, 71_000 + i))
+        record = ordering_from_solution(solve_chain(random_chain(2, 71_000 + i)))
         for name in M2_THEOREM_RELATIONS:
             assert record.violations[name] == []
 
 
 def test_ordering_fix8_flags_colsum_pi_reversal(fix8):
-    record = ordering_report(fix8)
+    record = ordering_from_solution(solve_chain(fix8))
     assert (0, 1) in record.violations["c_vs_pi"]
     assert record.violations["pi_vs_recurrence"] == []
 
 
 def test_ordering_fix5_clean(fix5):
-    record = ordering_report(fix5)
+    record = ordering_from_solution(solve_chain(fix5))
     assert record.violations["c_vs_pi"] == []
     assert record.violations["c_vs_m_col_total"] == []
     assert record.violations["pi_vs_recurrence"] == []
 
 
 def test_ordering_record_recomputes(fix8):
-    a = ordering_report(fix8)
-    b = ordering_report(fix8)
+    a = ordering_from_solution(solve_chain(fix8))
+    b = ordering_from_solution(solve_chain(fix8))
     assert a.digest == b.digest
     assert a.m == 8
     for name in a.signs:
@@ -83,14 +87,14 @@ def test_ordering_record_recomputes(fix8):
 
 
 def test_ordering_signs_antisymmetric(fix5):
-    record = ordering_report(fix5)
+    record = ordering_from_solution(solve_chain(fix5))
     for name, s in record.signs.items():
         assert np.array_equal(s, -s.T), name
         assert set(np.unique(s)) <= {-1, 0, 1}
 
 
 def test_sign_ties_never_violate(cycle3):
-    record = ordering_report(cycle3)  # fully tied: uniform everything
+    record = ordering_from_solution(solve_chain(cycle3))  # fully tied: uniform everything
     assert all(v == [] for v in record.violations.values())
     assert (record.signs["colsum"] == 0).all()
 
@@ -124,8 +128,55 @@ def test_scan_m3_finds_colsum_pi_counterexample():
     assert flagged
     # counterexamples persist enough to recompute the violation
     ce = flagged[0]
-    record = ordering_report(validate(ce.p))
+    record = ordering_from_solution(solve_chain(validate(ce.p)))
     assert record.violations["c_vs_pi"] == ce.record.violations["c_vs_pi"]
+
+
+def test_scan_result_does_not_depend_on_block_size(monkeypatch):
+    config = ScanConfig(state_counts=(2, 3, 5, 10), trials=40, seed=4, sparsity=0.5)
+    whole = scan(config)
+    # 50 entries: blocks of 12, 5, 2 and 1 chains
+    monkeypatch.setattr(scan_module, "BLOCK_ENTRIES", 50)
+    cut = scan(config)
+    assert [s.__dict__ for s in cut.summaries] == [s.__dict__ for s in whole.summaries]
+    assert cut.hard_failures == whole.hard_failures
+    assert len(cut.counterexamples) == len(whole.counterexamples) > 0
+    for a, b in zip(cut.counterexamples, whole.counterexamples):
+        assert (a.m, a.trial, a.seed) == (b.m, b.trial, b.seed)
+        assert a.p.tobytes() == b.p.tobytes()
+        assert a.record.digest == b.record.digest
+        assert a.record.violations == b.record.violations
+        for name, s in a.record.signs.items():
+            assert np.array_equal(s, b.record.signs[name])
+
+
+def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
+    # a reversed two-state theorem and a tolerance below round-off make
+    # every kind of hard failure occur, several per trial
+    tol = 1e-15
+    monkeypatch.setattr(scan_module, "IDENTITY_TOL", tol)
+    monkeypatch.setitem(RELATIONS, "c_vs_pi", Relation("colsum", "pi", -1, "m2"))
+    config = ScanConfig(state_counts=(2, 4), trials=30, seed=3, sparsity=0.3)
+    want = []
+    for m in config.state_counts:
+        for trial in range(config.trials):
+            sol = solve_chain(random_chain(m, derive_stream(3, m, trial), 0.3))
+            violations = ordering_from_solution(sol).violations
+            for name in config.relations:
+                if violations[name] and RELATIONS[name].proven_for(m):
+                    want.append(
+                        f"m={m} trial={trial}: theorem relation {name} violated on "
+                        f"{violations[name]}"
+                    )
+            worst = max(identity_residuals(sol).items(), key=lambda kv: kv[1])
+            if worst[1] > tol:
+                want.append(f"m={m} trial={trial}: identity residual {worst[0]!r} = {worst[1]:.3e}")
+            margin = bounds_check(sol).worst_margin
+            if margin < -tol:
+                want.append(f"m={m} trial={trial}: bound margin {margin:.3e} negative")
+    assert any("theorem relation" in line for line in want)
+    assert any("identity residual" in line for line in want)
+    assert scan(config).hard_failures == want
 
 
 def test_scan_counterexamples_ordered():

@@ -53,10 +53,9 @@ def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=np.float64)
     pi = np.asarray(pi, dtype=np.float64)
-    n = g.shape[0]
-    gp = g @ np.tile(pi, (n, 1))
-    core = gp - np.tile(gp.diagonal(), (n, 1)) + np.eye(n) - g + np.tile(g.diagonal(), (n, 1))
-    return core / pi[None, :]
+    gp = g.sum(axis=1)[:, None] * pi  # G Pi = (G e) pi^T, rank one
+    core = gp - gp.diagonal() + np.eye(len(g)) - g + g.diagonal()
+    return core / pi
 
 
 def kemeny_from_h(hc: ColsumInverse) -> float | np.ndarray:
@@ -88,7 +87,7 @@ def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> ColsumInvers
     c = np.asarray(c, dtype=np.float64)
     m = mfpt.shape[0]
     off = mfpt - np.diag(mfpt.diagonal())
-    h = np.tile(pi, (m, 1)) / m + (np.tile(c, (m, 1)) @ off / m - off) * pi[None, :]
+    h = pi / m + ((c @ off) / m - off) * pi  # every row of C (M - M_d) is c^T (M - M_d)
     return ColsumInverse(h=h, c=c)
 
 

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import NotIrreducible, NotStochastic
 
+#: Rows whose sum deviates from 1 by less than this are renormalized by
+#: ``validate``; larger deviations are rejected.
 DEFAULT_ROW_TOL = 1e-9
 
 
@@ -61,7 +63,6 @@ def _communicating_classes(adj: np.ndarray) -> list[list[int]]:
 def validate(
     raw: np.ndarray,
     labels: list[str] | tuple[str, ...] | None = None,
-    row_tol: float = DEFAULT_ROW_TOL,
 ) -> TransitionMatrix:
     """Check stochasticity and irreducibility; return an immutable chain.
 
@@ -71,14 +72,14 @@ def validate(
         Candidate transition matrix.
     labels : sequence of str, optional
         State names; defaults to "1".."m".
-    row_tol : float
-        Rows whose sum deviates from 1 by less than this are renormalized;
-        larger deviations are rejected.
+
+    Rows whose sum deviates from 1 by less than ``DEFAULT_ROW_TOL`` are
+    renormalized; larger deviations are rejected.
 
     Raises
     ------
     NotStochastic
-        On a negative entry or a row sum off by at least `row_tol`.
+        On a negative entry or a row sum off by at least ``DEFAULT_ROW_TOL``.
     NotIrreducible
         When the positive-entry graph is not strongly connected; the message
         names the communicating classes.
@@ -97,7 +98,7 @@ def validate(
         raise NotStochastic(f"negative entry p[{i + 1},{j + 1}] = {p[i, j]!r}")
 
     sums = p.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) >= row_tol)
+    bad = np.flatnonzero(np.abs(sums - 1.0) >= DEFAULT_ROW_TOL)
     if bad.size:
         i = int(bad[0])
         raise NotStochastic(f"row {i + 1} sums to {sums[i]!r}, expected 1")

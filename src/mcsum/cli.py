@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage, 2 validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -40,6 +41,10 @@ EXIT_IDENTITY = 4
 #: Ordering-violation pairs printed per relation by ``analyze``; the report
 #: written with ``--output`` lists them all.
 SHOWN_PAIRS = 5
+
+#: States listed in ``analyze``'s per-state table; the report written with
+#: ``--output`` holds every state.
+SHOWN_STATES = 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,9 +82,11 @@ def _load_chain(args):
 def _print_vector_table(labels, columns: dict[str, np.ndarray]) -> None:
     header = f"{'state':>8}" + "".join(f"{name:>16}" for name in columns)
     print(header)
-    for i, label in enumerate(labels):
+    for i, label in enumerate(labels[:SHOWN_STATES]):
         row = f"{label:>8}" + "".join(f"{v[i]:>16.6f}" for v in columns.values())
         print(row)
+    if len(labels) > SHOWN_STATES:
+        print(f"... {len(labels) - SHOWN_STATES} more state(s); --output writes them all")
 
 
 def _cmd_analyze(args) -> int:
@@ -175,25 +182,18 @@ def _cmd_scan(args) -> int:
         seed=args.seed,
         sparsity=args.sparsity,
     )
-    result = run_scan(config)
+    with open(args.log, "w") if args.log else contextlib.nullcontext() as fh:
+        found = None if fh is None else lambda ce: fh.write(
+            json.dumps(report_to_dict(ce), separators=(",", ":")) + "\n"
+        )
+        result = run_scan(config, found)
     print(f"{'relation':<24}{'m':>4}{'trials':>10}{'violations':>12}{'rate':>10}")
     for s in result.summaries:
         print(
             f"{s.relation:<24}{s.m:>4}{s.trials:>10}{s.violating_trials:>12}"
             f"{s.rate:>10.4f}"
         )
-    print(f"counterexamples: {len(result.counterexamples)}")
-    if args.log:
-        with open(args.log, "w") as fh:
-            for ce in result.counterexamples:
-                entry = {
-                    "m": ce.m,
-                    "trial": ce.trial,
-                    "seed": ce.seed,
-                    "p": ce.p.tolist(),
-                    "ordering": report_to_dict(ce.record),
-                }
-                fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+    print(f"counterexamples: {result.counterexamples}")
     if result.hard_failures:
         for line in result.hard_failures:
             print(f"HARD FAILURE: {line}", file=sys.stderr)

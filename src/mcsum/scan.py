@@ -15,6 +15,7 @@ through the same functions that solve one chain.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,6 @@ class ScanConfig:
     trials: int
     seed: int
     sparsity: float = 0.0
-    relations: tuple[str, ...] = tuple(RELATIONS)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -101,9 +101,6 @@ class ScanConfig:
             raise ValueError("state counts must all be at least 2")
         if not 0.0 <= self.sparsity <= 0.8:
             raise ValueError("sparsity must lie in [0, 0.8]")
-        unknown = set(self.relations) - set(RELATIONS)
-        if unknown:
-            raise ValueError(f"unknown relations: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -218,18 +215,21 @@ class RelationSummary:
 
 @dataclass(frozen=True)
 class Counterexample:
+    """A trial that violates at least one relation; ``report_to_dict`` of it
+    is one ``scan --log`` line."""
+
     m: int
     trial: int
     seed: int
     p: np.ndarray
-    record: OrderingRecord
+    ordering: OrderingRecord
 
 
 @dataclass(frozen=True)
 class ScanResult:
     config: ScanConfig
     summaries: list[RelationSummary]
-    counterexamples: list[Counterexample]
+    counterexamples: int  # trials that violate at least one relation
     hard_failures: list[str] = field(default_factory=list)
 
     def violations(self, relation: str, m: int | None = None) -> int:
@@ -240,52 +240,56 @@ class ScanResult:
         )
 
 
-def scan(config: ScanConfig) -> ScanResult:
+def scan(
+    config: ScanConfig, found: Callable[[Counterexample], object] | None = None
+) -> ScanResult:
     """Run the ensemble scan described by `config`.
 
-    Every trial also re-evaluates the identity suite and the bounds; any
-    residual beyond IDENTITY_TOL, any bound margin below -IDENTITY_TOL, or a
-    violated theorem-backed relation is recorded as a hard failure: those
-    are theorems for every accepted chain, so a miss is an implementation
-    bug, not a finding.
+    Each trial that violates a relation is handed to `found`, in trial
+    order, as its block is solved; none is kept, so memory does not grow
+    with the trial count.  Every trial also re-evaluates the identity suite
+    and the bounds; any residual beyond IDENTITY_TOL, any bound margin below
+    -IDENTITY_TOL, or a violated theorem-backed relation is recorded as a
+    hard failure: those are theorems for every accepted chain, so a miss is
+    an implementation bug, not a finding.
     """
-    counts: dict[tuple[str, int], list[int]] = {
-        (name, m): [0, 0] for name in config.relations for m in config.state_counts
-    }
-    counterexamples: list[Counterexample] = []
+    counts = {(name, m): [0, 0] for name in RELATIONS for m in config.state_counts}
+    counterexamples = 0
     hard_failures: list[str] = []
 
     for m in sorted(config.state_counts):
         step = max(1, BLOCK_ENTRIES // (m * m))
-        for trials in np.split(np.arange(config.trials), range(step, config.trials, step)):
+        theorems = [name for name, r in RELATIONS.items() if r.proven_for(m)]
+        for start in range(0, config.trials, step):
+            trials = np.arange(start, min(start + step, config.trials))
             seeds = rng.derive_stream(config.seed, m, trials)
-            sol = solve_chain(TransitionMatrix(p=random_chains(m, seeds, config.sparsity)))
+            p = random_chains(m, seeds, config.sparsity)
+            sol = solve_chain(TransitionMatrix(p=p))
             signs, masks = ordering_masks(sol)
-            violated = np.zeros(len(trials), dtype=bool)
-            for name in config.relations:
-                pairs = masks[name].sum(axis=(-2, -1))
+            per_trial = {name: mask.sum(axis=(-2, -1)) for name, mask in masks.items()}
+            for name, pairs in per_trial.items():
                 counts[(name, m)][0] += int(np.count_nonzero(pairs))
                 counts[(name, m)][1] += int(pairs.sum())
-                violated |= pairs > 0
+            violated = np.flatnonzero(np.any(list(per_trial.values()), axis=0))
+            counterexamples += len(violated)
+            if found is not None:
+                for t, record in zip(violated.tolist(), _records(p, signs, masks, violated)):
+                    found(Counterexample(m, int(trials[t]), int(seeds[t]), p[t].copy(), record))
             resid = identity_residuals(sol)
             names, table = list(resid), np.array(list(resid.values()))
             worst = table.argmax(axis=0)  # the first of equal largest residuals
             margins = bounds_check(sol).worst_margin
             failed = (table.max(axis=0) > IDENTITY_TOL) | (margins < -IDENTITY_TOL)
-            records = iter(_records(sol.tm.p, signs, masks, np.flatnonzero(violated)))
-            for t in np.flatnonzero(violated | failed).tolist():
+            failed |= np.any([per_trial[name] for name in theorems], axis=0)
+            for t in np.flatnonzero(failed).tolist():
                 trial = int(trials[t])
-                if violated[t]:
-                    record = next(records)
-                    counterexamples.append(
-                        Counterexample(m, trial, int(seeds[t]), sol.tm.p[t].copy(), record)
-                    )
-                    for name in config.relations:
-                        if record.violations[name] and RELATIONS[name].proven_for(m):
-                            hard_failures.append(
-                                f"m={m} trial={trial}: theorem relation {name} violated on "
-                                f"{record.violations[name]}"
-                            )
+                for name in theorems:
+                    i, j = masks[name][t].nonzero()
+                    if i.size:
+                        hard_failures.append(
+                            f"m={m} trial={trial}: theorem relation {name} violated on "
+                            f"{list(zip(i.tolist(), j.tolist()))}"
+                        )
                 if table[worst[t], t] > IDENTITY_TOL:
                     hard_failures.append(
                         f"m={m} trial={trial}: identity residual {names[worst[t]]!r} = "
@@ -297,19 +301,8 @@ def scan(config: ScanConfig) -> ScanResult:
                     )
 
     summaries = [
-        RelationSummary(
-            relation=name,
-            m=m,
-            trials=config.trials,
-            violating_trials=counts[(name, m)][0],
-            violating_pairs=counts[(name, m)][1],
-        )
-        for name in config.relations
+        RelationSummary(name, m, config.trials, *counts[(name, m)])
+        for name in RELATIONS
         for m in sorted(config.state_counts)
     ]
-    return ScanResult(
-        config=config,
-        summaries=summaries,
-        counterexamples=counterexamples,
-        hard_failures=hard_failures,
-    )
+    return ScanResult(config, summaries, counterexamples, hard_failures)

@@ -252,23 +252,14 @@ def test_criterion_09_oracle_independence(chain_suite, fix5):
 
 
 def _scan_artifacts(config: ScanConfig) -> tuple[bytes, "ScanResult"]:
-    result = scan(config)
+    log_lines = []
+    result = scan(
+        config,
+        lambda ce: log_lines.append(json.dumps(report_to_dict(ce), separators=(",", ":"))),
+    )
     summary = json.dumps(
         [s.__dict__ for s in result.summaries], separators=(",", ":")
     ).encode()
-    log_lines = [
-        json.dumps(
-            {
-                "m": ce.m,
-                "trial": ce.trial,
-                "seed": ce.seed,
-                "p": [[float(x) for x in row] for row in ce.p],
-                "ordering": report_to_dict(ce.record),
-            },
-            separators=(",", ":"),
-        )
-        for ce in result.counterexamples
-    ]
     return summary + b"\n" + "\n".join(log_lines).encode(), result
 
 

@@ -124,10 +124,35 @@ def test_scan_cli_runs_and_logs(tmp_path, capsys):
     assert "c_vs_pi" in out
     lines = log.read_text().splitlines()
     assert lines
+    assert f"counterexamples: {len(lines)}" in out.splitlines()
     entry = json.loads(lines[0])
     assert entry["m"] == 3
     tm = validate(np.array(entry["p"]))
     assert tm.n == 3
+
+
+def test_scan_cli_generation_failed_truncates_no_log_line(tmp_path, capsys):
+    log = tmp_path / "cx.jsonl"
+    argv = "scan --states 2 --trials 300 --sparsity 0.8 --seed 50 --log".split()
+    assert main([*argv, str(log)]) == 2
+    assert "GenerationFailed" in capsys.readouterr().err
+    text = log.read_text()
+    assert text == "" or text.endswith("\n")
+    for line in text.splitlines():
+        json.loads(line)
+
+
+def test_scan_cli_failure_keeps_the_lines_logged_before_it(tmp_path, capsys):
+    # m = 10, seed 3: the first block of chains is solved and logged (every
+    # m = 10 trial violates a relation), then a later block fails to draw
+    failed, done = tmp_path / "failed.jsonl", tmp_path / "done.jsonl"
+    argv = "scan --states 10 --sparsity 0.8 --seed 3 --log".split()
+    assert main([*argv, str(failed), "--trials", "1310"]) == 2
+    assert "GenerationFailed" in capsys.readouterr().err
+    logged = failed.read_bytes().count(b"\n")
+    assert logged > 0
+    assert main([*argv, str(done), "--trials", str(logged)]) == 0
+    assert failed.read_bytes() == done.read_bytes()
 
 
 def test_scan_cli_byte_identical(tmp_path, capsys):
@@ -168,10 +193,12 @@ def test_analyze_ordering_lines_bounded_on_dense_chain(tmp_path, capsys):
     path, out = tmp_path / "dense.csv", tmp_path / "r.json"
     io.save_matrix(path, p / p.sum(axis=1, keepdims=True))
     assert main(["analyze", "--input", str(path), "--output", str(out)]) == 0
-    printed = [
-        line for line in capsys.readouterr().out.splitlines()
-        if line.startswith("ordering violation")
-    ]
+    lines = capsys.readouterr().out.splitlines()
+    printed = [line for line in lines if line.startswith("ordering violation")]
+    # the per-state table lists the first 20 states, then says how many it left out
+    table = lines[lines.index(f"{'state':>8}{'colsum':>16}{'stationary':>16}") + 1:][:21]
+    assert [line.split()[0] for line in table[:20]] == [str(k) for k in range(1, 21)]
+    assert table[20] == "... 100 more state(s); --output writes them all"
     violations = json.loads(out.read_text())["ordering"]["violations"]
     want = []
     for name, pairs in violations.items():

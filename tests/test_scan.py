@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,8 +54,6 @@ def test_scan_config_validation():
         ScanConfig(state_counts=(3,), trials=0, seed=0)
     with pytest.raises(ValueError):
         ScanConfig(state_counts=(3,), trials=10, seed=0, sparsity=0.9)
-    with pytest.raises(ValueError):
-        ScanConfig(state_counts=(3,), trials=10, seed=0, relations=("nope",))
 
 
 def test_ordering_two_state_equivalences_hold():
@@ -101,11 +101,12 @@ def test_sign_ties_never_violate(cycle3):
 
 def test_scan_deterministic():
     config = ScanConfig(state_counts=(3,), trials=200, seed=7)
-    a = scan(config)
-    b = scan(config)
+    found_a, found_b = [], []
+    a = scan(config, found_a.append)
+    b = scan(config, found_b.append)
     assert [s.__dict__ for s in a.summaries] == [s.__dict__ for s in b.summaries]
-    assert len(a.counterexamples) == len(b.counterexamples)
-    for ca, cb in zip(a.counterexamples, b.counterexamples):
+    assert a.counterexamples == b.counterexamples == len(found_a) == len(found_b)
+    for ca, cb in zip(found_a, found_b):
         assert ca.m == cb.m and ca.trial == cb.trial and ca.seed == cb.seed
         assert np.array_equal(ca.p, cb.p)
 
@@ -118,36 +119,38 @@ def test_scan_m2_no_equivalence_violations():
 
 
 def test_scan_m3_finds_colsum_pi_counterexample():
-    result = scan(ScanConfig(state_counts=(3,), trials=500, seed=7))
+    found = []
+    result = scan(ScanConfig(state_counts=(3,), trials=500, seed=7), found.append)
     assert result.violations("c_vs_pi") >= 1
     assert result.violations("pi_vs_recurrence") == 0
     assert result.hard_failures == []
     flagged = [
-        ce for ce in result.counterexamples if ce.record.violations["c_vs_pi"]
+        ce for ce in found if ce.ordering.violations["c_vs_pi"]
     ]
     assert flagged
     # counterexamples persist enough to recompute the violation
     ce = flagged[0]
     record = ordering_from_solution(solve_chain(validate(ce.p)))
-    assert record.violations["c_vs_pi"] == ce.record.violations["c_vs_pi"]
+    assert record.violations["c_vs_pi"] == ce.ordering.violations["c_vs_pi"]
 
 
 def test_scan_result_does_not_depend_on_block_size(monkeypatch):
     config = ScanConfig(state_counts=(2, 3, 5, 10), trials=40, seed=4, sparsity=0.5)
-    whole = scan(config)
+    found_whole, found_cut = [], []
+    whole = scan(config, found_whole.append)
     # 50 entries: blocks of 12, 5, 2 and 1 chains
     monkeypatch.setattr(scan_module, "BLOCK_ENTRIES", 50)
-    cut = scan(config)
+    cut = scan(config, found_cut.append)
     assert [s.__dict__ for s in cut.summaries] == [s.__dict__ for s in whole.summaries]
     assert cut.hard_failures == whole.hard_failures
-    assert len(cut.counterexamples) == len(whole.counterexamples) > 0
-    for a, b in zip(cut.counterexamples, whole.counterexamples):
+    assert len(found_cut) == len(found_whole) == cut.counterexamples > 0
+    for a, b in zip(found_cut, found_whole):
         assert (a.m, a.trial, a.seed) == (b.m, b.trial, b.seed)
         assert a.p.tobytes() == b.p.tobytes()
-        assert a.record.digest == b.record.digest
-        assert a.record.violations == b.record.violations
-        for name, s in a.record.signs.items():
-            assert np.array_equal(s, b.record.signs[name])
+        assert a.ordering.digest == b.ordering.digest
+        assert a.ordering.violations == b.ordering.violations
+        for name, s in a.ordering.signs.items():
+            assert np.array_equal(s, b.ordering.signs[name])
 
 
 def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
@@ -162,7 +165,7 @@ def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
         for trial in range(config.trials):
             sol = solve_chain(random_chain(m, derive_stream(3, m, trial), 0.3))
             violations = ordering_from_solution(sol).violations
-            for name in config.relations:
+            for name in RELATIONS:
                 if violations[name] and RELATIONS[name].proven_for(m):
                     want.append(
                         f"m={m} trial={trial}: theorem relation {name} violated on "
@@ -180,9 +183,25 @@ def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
 
 
 def test_scan_counterexamples_ordered():
-    result = scan(ScanConfig(state_counts=(2, 3), trials=100, seed=9))
-    keys = [(ce.m, ce.trial) for ce in result.counterexamples]
+    found = []
+    scan(ScanConfig(state_counts=(2, 3), trials=100, seed=9), found.append)
+    keys = [(ce.m, ce.trial) for ce in found]
     assert keys == sorted(keys)
+
+
+def test_scan_memory_does_not_grow_with_trials():
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            scan(ScanConfig((10,), trials, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # blocks of 655 chains at m = 10; keeping ~6 kB per violating trial (all
+    # of them at m = 10) would add about 40 MB between the two
+    small, large = peak(1000), peak(8000)
+    assert large < 1.5 * small, (small, large)
 
 
 def test_scan_sparsity_hard_failures_empty():

@@ -1,6 +1,9 @@
 """Stationary distributions, mean first passage times, Kemeny's constant,
 and the identity/inequality suite connecting them to the column sums.
 
+Read-offs and conversions take and return plain arrays, for one chain or
+a (..., m, m) stack; ``solve_chain`` computes each array once.
+
 Conventions: M stores the mean recurrence time 1/pi_j on the diagonal, so
 Kemeny's constant K = sum_j pi_j m_ij includes the diagonal term, equals
 tr(Z), and is bounded below by (m+1)/2.  Column totals of M always mean
@@ -14,14 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .chain import TransitionMatrix
-from .ginv import (
-    ColsumInverse,
-    FundamentalMatrix,
-    compute_h,
-    compute_z,
-    group_inverse,
-)
+from .chain import TransitionMatrix, column_sums
+from .ginv import compute_h, compute_z
 
 #: Chains whose column sums deviate from 1 by less than this are treated as
 #: doubly stochastic.
@@ -33,16 +30,16 @@ DOUBLY_STOCHASTIC_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 
 
-def stationary_from_h(hc: ColsumInverse) -> np.ndarray:
+def stationary_from_h(h: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Stationary vector as the column-sum combination pi^T = c^T H."""
-    return hc.c @ hc.h
+    return (np.asarray(c)[..., None, :] @ h)[..., 0, :]
 
 
-def mfpt_from_h(hc: ColsumInverse, pi: np.ndarray) -> np.ndarray:
+def mfpt_from_h(h: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Passage times from H:  m_ij = (h_jj - h_ij + delta_ij) / pi_j."""
     pi = np.asarray(pi, dtype=np.float64)
-    h = hc.h
-    return (h.diagonal(axis1=-2, axis2=-1)[..., None, :] - h + np.eye(hc.n)) / pi[..., None, :]
+    eye = np.eye(h.shape[-1])
+    return (h.diagonal(axis1=-2, axis2=-1)[..., None, :] - h + eye) / pi[..., None, :]
 
 
 def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -58,14 +55,14 @@ def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return core / pi
 
 
-def kemeny_from_h(hc: ColsumInverse) -> float | np.ndarray:
+def kemeny_from_h(h: np.ndarray) -> float | np.ndarray:
     """K = 1 - 1/m + tr(H)."""
-    return 1.0 - 1.0 / hc.n + hc.h.trace(axis1=-2, axis2=-1)
+    return 1.0 - 1.0 / h.shape[-1] + h.trace(axis1=-2, axis2=-1)
 
 
-def kemeny_from_z(zf: FundamentalMatrix) -> float:
+def kemeny_from_z(z: np.ndarray) -> float | np.ndarray:
     """K = tr(Z)."""
-    return float(zf.z.trace())
+    return z.trace(axis1=-2, axis2=-1)
 
 
 def kemeny_general(g: np.ndarray, pi: np.ndarray) -> float:
@@ -75,7 +72,7 @@ def kemeny_general(g: np.ndarray, pi: np.ndarray) -> float:
     return float(1.0 + g.trace() - pi @ g.sum(axis=1))
 
 
-def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> ColsumInverse:
+def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Reconstruct H from the passage times and column sums.
 
     H = (1/m) Pi + ((1/m) C - I)(M - M_d) Pi_d, i.e. elementwise
@@ -83,12 +80,12 @@ def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> ColsumInvers
     h_ij = h_jj - pi_j m_ij off the diagonal.
     """
     mfpt = np.asarray(mfpt, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.float64)[..., None, :]
     c = np.asarray(c, dtype=np.float64)
-    m = mfpt.shape[0]
-    off = mfpt - np.diag(mfpt.diagonal())
-    h = pi / m + ((c @ off) / m - off) * pi  # every row of C (M - M_d) is c^T (M - M_d)
-    return ColsumInverse(h=h, c=c)
+    m = mfpt.shape[-1]
+    off = np.where(np.eye(m, dtype=bool), 0.0, mfpt)
+    c_off = (c[..., None, :] @ off) / m  # every row of C (M - M_d) is c^T (M - M_d)
+    return pi / m + (c_off - off) * pi
 
 
 def identity_residuals(sol: ChainSolution) -> dict[str, float]:
@@ -99,7 +96,7 @@ def identity_residuals(sol: ChainSolution) -> dict[str, float]:
     same identity but immune to the 0/0 equality cases that the quotient
     forms hit on boundary chains.
     """
-    p, h, pi, mfpt, c = sol.tm.p, sol.hc.h, sol.pi, sol.mfpt, sol.c
+    p, h, pi, mfpt, c = sol.tm.p, sol.h, sol.pi, sol.mfpt, sol.c
     m = sol.tm.n
 
     m_d = mfpt.diagonal(axis1=-2, axis2=-1)
@@ -109,7 +106,7 @@ def identity_residuals(sol: ChainSolution) -> dict[str, float]:
     c_off = c_weighted - c * m_d  # sum_{i != j} c_i m_ij
     h_d = h.diagonal(axis1=-2, axis2=-1)
 
-    resid = {
+    return {
         "(I-P)M = E - P M_d": np.abs(
             (np.eye(m) - p) @ mfpt - 1.0 + p * m_d[..., None, :]
         ).max(axis=(-2, -1)),
@@ -141,7 +138,6 @@ def identity_residuals(sol: ChainSolution) -> dict[str, float]:
             pi * (1.0 + off_totals - m) - (m * h_d - 1.0)
         ).max(axis=-1),
     }
-    return resid
 
 
 @dataclass(frozen=True)
@@ -176,11 +172,11 @@ class BoundsReport:
 
 def bounds_check(sol: ChainSolution) -> BoundsReport:
     """Evaluate the Kemeny, trace and stationary-probability bounds."""
-    hc, pi, mfpt, c = sol.hc, sol.pi, sol.mfpt, sol.c
-    m = hc.n
-    h_d = hc.h.diagonal(axis1=-2, axis2=-1)
-    kemeny = kemeny_from_h(hc)
-    trace_h = hc.h.trace(axis1=-2, axis2=-1)
+    h, pi, mfpt, c = sol.h, sol.pi, sol.mfpt, sol.c
+    m = sol.tm.n
+    h_d = h.diagonal(axis1=-2, axis2=-1)
+    kemeny = kemeny_from_h(h)
+    trace_h = h.trace(axis1=-2, axis2=-1)
     c_weighted = (c[..., None, :] @ mfpt)[..., 0, :]
     c_off = c_weighted - c * mfpt.diagonal(axis1=-2, axis2=-1)
     return BoundsReport(
@@ -231,23 +227,18 @@ def doubly_stochastic_report(sol: ChainSolution) -> DoublyStochasticReport:
         return DoublyStochasticReport(applicable=False, colsum_deviation=deviation)
 
     m = sol.tm.n
-    pi, hc, zf, mfpt = sol.pi, sol.hc, sol.zf, sol.mfpt
-    kemeny = kemeny_from_z(zf)
+    pi, h, z, mfpt = sol.pi, sol.h, sol.z, sol.mfpt
+    kemeny = kemeny_from_z(z)
+    h_d = h.diagonal()
     col_totals = mfpt.sum(axis=0)
     row_totals = mfpt.sum(axis=1)
     return DoublyStochasticReport(
         applicable=True,
         colsum_deviation=deviation,
         pi_uniform_residual=float(np.abs(pi - 1.0 / m).max()),
-        h_shift_residual=float(
-            np.abs(hc.h - zf.z - (1.0 - m) / m**2).max()
-        ),
-        col_total_vs_h_residual=float(
-            np.abs(col_totals - (m - 1.0 + m**2 * hc.h.diagonal())).max()
-        ),
-        col_total_vs_z_residual=float(
-            np.abs(col_totals - m**2 * zf.z.diagonal()).max()
-        ),
+        h_shift_residual=float(np.abs(h - z - (1.0 - m) / m**2).max()),
+        col_total_vs_h_residual=float(np.abs(col_totals - (m - 1.0 + m**2 * h_d)).max()),
+        col_total_vs_z_residual=float(np.abs(col_totals - m**2 * z.diagonal()).max()),
         row_total_vs_kemeny_residual=float(np.abs(row_totals - m * kemeny).max()),
         grand_total_vs_kemeny_residual=float(abs(kemeny - mfpt.sum() / m**2)),
         row_total_margins=row_totals - m * (m + 1) / 2.0,
@@ -256,28 +247,28 @@ def doubly_stochastic_report(sol: ChainSolution) -> DoublyStochasticReport:
 
 @dataclass(frozen=True)
 class ChainSolution:
-    """One chain's core quantities, computed once and shared."""
+    """One chain's (or stack's) core arrays, computed once and shared; `cond`
+    is the 1-norm condition number of I - P + e c^T."""
 
     tm: TransitionMatrix
     c: np.ndarray
     pi: np.ndarray
-    hc: ColsumInverse
-    zf: FundamentalMatrix
+    h: np.ndarray
+    z: np.ndarray
     mfpt: np.ndarray
-
-    @property
-    def group_inv(self) -> np.ndarray:
-        return group_inverse(self.zf)
+    cond: float | np.ndarray
 
 
 def solve_chain(tm: TransitionMatrix) -> ChainSolution:
     """Run the standard pipeline: column sums, pi (direct solver), H, Z, M.
 
-    The stationary vector fed to Z comes from the direct solver rather than
-    from c^T H, keeping the H and Z routes independent of each other.
+    Z is inverted on its own, from the direct solver's pi, although it
+    follows from H in O(m^2): so the ``fundamental`` Kemeny variant, the
+    (1+m) row of ``theorem2_residuals`` and ``h_shift_residual`` check H
+    against an independent route, and the Kemeny spread measures accuracy.
     """
     pi = oracle.stationary_direct(tm)
-    hc = compute_h(tm)
-    zf = compute_z(tm, pi)
-    mfpt = mfpt_from_h(hc, pi)
-    return ChainSolution(tm=tm, c=hc.c, pi=pi, hc=hc, zf=zf, mfpt=mfpt)
+    h, cond = compute_h(tm)
+    z = compute_z(tm, pi)
+    mfpt = mfpt_from_h(h, pi)
+    return ChainSolution(tm=tm, c=column_sums(tm), pi=pi, h=h, z=z, mfpt=mfpt, cond=cond)

@@ -31,6 +31,29 @@ class TransitionMatrix:
         return self.p.shape[-1]
 
 
+def _levels(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from state 0 along `adj`'s edges (-1: unreached), per
+    matrix of a stack; each step ORs the rows of every chain's frontier states."""
+    shape = adj.shape[:-1]
+    adj = adj.reshape(-1, shape[-1], shape[-1])
+    level = np.full(adj.shape[:2], -1)
+    level[:, 0] = 0
+    frontier = adj[:, 0] & (level < 0)  # one step from state 0
+    depth = 1
+    while frontier.any():
+        level[frontier] = depth
+        unreached = level < 0
+        if not unreached.any():  # so a dense graph takes no row beyond state 0's
+            break
+        t, i = np.nonzero(frontier)  # by chain, so each chain's rows are contiguous
+        chains, starts = np.unique(t, return_index=True)
+        frontier = np.zeros_like(frontier)
+        frontier[chains] = np.logical_or.reduceat(adj[t, i], starts, axis=0)
+        frontier &= unreached
+        depth += 1
+    return level.reshape(shape)
+
+
 def _closure(adj: np.ndarray) -> np.ndarray:
     """Transitive closure of ``adj | I`` over the last two axes: each squaring
     doubles the path length covered, so (n - 1).bit_length() squarings cover
@@ -45,9 +68,11 @@ def _closure(adj: np.ndarray) -> np.ndarray:
 
 
 def is_irreducible(p: np.ndarray) -> bool | np.ndarray:
-    """True iff the graph on positive entries is strongly connected; one
-    verdict per matrix of a stack."""
-    strong = _closure(np.asarray(p) > 0.0).all(axis=(-2, -1))
+    """True iff the graph on positive entries is strongly connected (state 0
+    reaches every state and every state reaches 0); one verdict per matrix."""
+    adj = np.asarray(p) > 0.0
+    strong = (_levels(adj) >= 0).all(axis=-1)
+    strong &= (_levels(np.swapaxes(adj, -2, -1)) >= 0).all(axis=-1)
     return strong if strong.ndim else bool(strong)
 
 
@@ -92,9 +117,8 @@ def validate(
     if not np.isfinite(p).all():
         raise NotStochastic("transition matrix has non-finite entries")
 
-    neg = np.argwhere(p < 0.0)
-    if neg.size:
-        i, j = neg[0]
+    if (p < 0.0).any():  # argwhere alone takes several times longer
+        i, j = np.argwhere(p < 0.0)[0]
         raise NotStochastic(f"negative entry p[{i + 1},{j + 1}] = {p[i, j]!r}")
 
     sums = p.sum(axis=1)
@@ -149,11 +173,6 @@ def period(tm: TransitionMatrix) -> int:
     graph.
     """
     adj = tm.p > 0.0
-    level = np.full(tm.n, -1)
-    frontier, depth = np.array([0]), 0
-    while frontier.size:
-        level[frontier] = depth
-        frontier = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0))
-        depth += 1
+    level = _levels(adj)
     u, v = np.nonzero(adj)
     return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1

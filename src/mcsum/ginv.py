@@ -7,13 +7,13 @@ to 1/m and c^T H recovers the stationary vector.  Z = (I - P + e pi^T)^{-1}
 is the classical fundamental matrix, and Z - e pi^T is the group inverse of
 I - P.  Each matrix determines the others through rank-one corrections.
 
-Both H and Z are inverted with LAPACK (``numpy.linalg.inv``) through one
-helper, which also takes the 1-norm condition number ||A||_1 ||A^{-1}||_1
-from the inverse in hand and refuses systems that are numerically singular.
+Every function takes and returns plain arrays, for one chain or a
+(..., m, m) stack.  H and Z are each one LAPACK inversion, which also yields
+the 1-norm condition number (``compute_h`` returns H's) and refuses systems
+that are numerically singular.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,32 +27,6 @@ if TYPE_CHECKING:
 #: Inversions whose 1-norm condition number reaches this are refused: with
 #: cond * eps above about 0.02 the inverse keeps fewer than two digits.
 CONDITION_LIMIT = 1e14
-
-
-@dataclass(frozen=True)
-class ColsumInverse:
-    """H together with the column-sum vector it was built from, and the
-    1-norm condition number of I - P + e c^T when H came from inverting it."""
-
-    h: np.ndarray
-    c: np.ndarray
-    cond: float | np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[-1]
-
-
-@dataclass(frozen=True)
-class FundamentalMatrix:
-    """Z together with the stationary vector it was built from."""
-
-    z: np.ndarray
-    pi: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.z.shape[-1]
 
 
 def colsum_system(tm: TransitionMatrix) -> np.ndarray:
@@ -80,42 +54,37 @@ def _invert(a: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     return inv, cond
 
 
-def compute_h(tm: TransitionMatrix) -> ColsumInverse:
-    """Invert I - P + e c^T, keeping its condition number.
+def compute_h(tm: TransitionMatrix) -> tuple[np.ndarray, float | np.ndarray]:
+    """H = (I - P + e c^T)^{-1} and the 1-norm condition number of I - P + e c^T.
 
     Irreducibility guarantees nonsingularity in exact arithmetic;
     SingularMatrix from here means the chain is so close to reducible that
     the condition number reaches CONDITION_LIMIT.
     """
-    h, cond = _invert(colsum_system(tm))
-    return ColsumInverse(h=h, c=column_sums(tm), cond=cond)
+    return _invert(colsum_system(tm))
 
 
-def compute_z(tm: TransitionMatrix, pi: np.ndarray) -> FundamentalMatrix:
+def compute_z(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
     """Invert I - P + e pi^T for a stationary vector from an independent solver."""
     pi = np.asarray(pi, dtype=np.float64)
-    z, _ = _invert(np.eye(tm.n) - tm.p + pi[..., None, :])
-    return FundamentalMatrix(z=z, pi=pi)
+    return _invert(np.eye(tm.n) - tm.p + pi[..., None, :])[0]
 
 
-def group_inverse(zf: FundamentalMatrix) -> np.ndarray:
+def group_inverse(z: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """The group inverse of I - P: Z minus the rank-one stationary projector."""
-    return zf.z - zf.pi[..., None, :]
+    return z - np.asarray(pi)[..., None, :]
 
 
-def z_from_h(hc: ColsumInverse, pi: np.ndarray) -> FundamentalMatrix:
+def z_from_h(h: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Convert H to Z:  Z = H + Pi - Pi H  with Pi = e pi^T."""
     pi = np.asarray(pi, dtype=np.float64)
-    correction = pi - pi @ hc.h  # one row, broadcast down the column space
-    return FundamentalMatrix(z=hc.h + np.tile(correction, (hc.n, 1)), pi=pi)
+    return h + (pi - (pi[..., None, :] @ h)[..., 0, :])[..., None, :]
 
 
-def h_from_z(zf: FundamentalMatrix, c: np.ndarray) -> ColsumInverse:
+def h_from_z(z: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Convert Z to H:  H = Z + (1/m) Pi - (1/m) e c^T Z."""
-    c = np.asarray(c, dtype=np.float64)
-    m = zf.n
-    correction = (zf.pi - c @ zf.z) / m
-    return ColsumInverse(h=zf.z + np.tile(correction, (m, 1)), c=c)
+    pi, c = np.asarray(pi, dtype=np.float64), np.asarray(c, dtype=np.float64)
+    return z + ((pi - (c[..., None, :] @ z)[..., 0, :]) / z.shape[-1])[..., None, :]
 
 
 def theorem2_residuals(sol: ChainSolution) -> dict[str, float]:
@@ -126,7 +95,7 @@ def theorem2_residuals(sol: ChainSolution) -> dict[str, float]:
     once.  Every residual is read off the chain's existing solution; callers
     judge them against ``analysis.IDENTITY_TOL``.
     """
-    p, h, z, c, pi = sol.tm.p, sol.hc.h, sol.zf.z, sol.c, sol.pi
+    p, h, z, c, pi = sol.tm.p, sol.h, sol.z, sol.c, sol.pi
     m = sol.tm.n
     eye = np.eye(m)
     return {

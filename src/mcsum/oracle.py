@@ -157,18 +157,19 @@ def two_state_closed_form(a: float, b: float) -> TwoStateClosedForm:
     """Evaluate the two-state parameter formulas.
 
     Requires 0 <= a, b <= 1; a + b = 0 leaves two isolated states and is
-    rejected as degenerate.
+    rejected as degenerate, and a = 0 or b = 0 alone makes a state absorbing.
     """
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError(f"parameters must lie in [0, 1], got a={a!r}, b={b!r}")
     s = a + b
     if s == 0.0:
         raise Degenerate("a + b = 0 gives a reducible two-state chain")
+    if a == 0.0 or b == 0.0:
+        raise NotIrreducible(f"a={a!r}, b={b!r} make a state absorbing; the chain is reducible")
     pi = np.array([b / s, a / s])
     h = np.array([[1.0 + a, -(1.0 - b)], [-(1.0 - a), 1.0 + b]]) / (2.0 * s)
     z = np.array([[b + a / s, a - a / s], [b - b / s, a + b / s]]) / s
-    with np.errstate(divide="ignore"):
-        mfpt = np.array([[s / b, 1.0 / a], [1.0 / b, s / a]])
+    mfpt = np.array([[s / b, 1.0 / a], [1.0 / b, s / a]])
     return TwoStateClosedForm(
         a=a, b=b, d=1.0 - s, pi=pi, h=h, z=z, mfpt=mfpt, kemeny=1.0 + 1.0 / s
     )

@@ -27,7 +27,7 @@ from .analysis import (
     solve_chain,
 )
 from .chain import TransitionMatrix, reorder_by_column_sums
-from .ginv import theorem2_residuals
+from .ginv import group_inverse, theorem2_residuals
 from .scan import OrderingRecord, ordering_from_solution
 
 #: Condition numbers at or above this set ``condition_warning``.
@@ -78,9 +78,9 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
 
     sol = solve_chain(tm)
     variants = {
-        "colsum_inverse": kemeny_from_h(sol.hc),
-        "fundamental": kemeny_from_z(sol.zf),
-        "group_inverse": kemeny_general(sol.group_inv, sol.pi),
+        "colsum_inverse": kemeny_from_h(sol.h),
+        "fundamental": kemeny_from_z(sol.z),
+        "group_inverse": kemeny_general(group_inverse(sol.z, sol.pi), sol.pi),
     }
     values = list(variants.values())
     spread = max(values) - min(values)
@@ -96,15 +96,15 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         kemeny_variants=variants,
         kemeny_spread=spread,
         mfpt=sol.mfpt,
-        h_matrix=sol.hc.h,
-        z_matrix=sol.zf.z,
+        h_matrix=sol.h,
+        z_matrix=sol.z,
         theorem2_residuals=theorem2_residuals(sol),
         identity_residuals=identity_residuals(sol),
         bounds=bounds_check(sol),
         doubly_stochastic=doubly_stochastic_report(sol),
         ordering=ordering_from_solution(sol),
-        condition_estimate=sol.hc.cond,
-        condition_warning=bool(sol.hc.cond >= CONDITION_WARN_THRESHOLD),
+        condition_estimate=sol.cond,
+        condition_warning=bool(sol.cond >= CONDITION_WARN_THRESHOLD),
     )
 
 

@@ -99,6 +99,9 @@ class ScanConfig:
             raise ValueError("trials must be at least 1")
         if any(m < 2 for m in self.state_counts):
             raise ValueError("state counts must all be at least 2")
+        repeated = sorted({m for m in self.state_counts if self.state_counts.count(m) > 1})
+        if repeated:
+            raise ValueError(f"state counts must be distinct; repeated: {repeated}")
         if not 0.0 <= self.sparsity <= 0.8:
             raise ValueError("sparsity must lie in [0, 0.8]")
 
@@ -155,8 +158,8 @@ def ordering_masks(sol: ChainSolution) -> tuple[dict[str, np.ndarray], dict[str,
     vectors = {
         "colsum": sol.c,
         "pi": sol.pi,
-        "h_diag": sol.hc.h.diagonal(axis1=-2, axis2=-1),
-        "z_diag": sol.zf.z.diagonal(axis1=-2, axis2=-1),
+        "h_diag": sol.h.diagonal(axis1=-2, axis2=-1),
+        "z_diag": sol.z.diagonal(axis1=-2, axis2=-1),
         "m_col_total": sol.mfpt.sum(axis=-2),
         "m_row_total": sol.mfpt.sum(axis=-1),
         "m_recurrence": sol.mfpt.diagonal(axis1=-2, axis2=-1),

@@ -19,7 +19,7 @@ from mcsum.analysis import (
     stationary_from_h,
 )
 from mcsum.chain import validate
-from mcsum.ginv import h_from_z, theorem2_residuals, z_from_h
+from mcsum.ginv import group_inverse, h_from_z, theorem2_residuals, z_from_h
 from mcsum.oracle import (
     mc_estimate,
     mfpt_direct,
@@ -91,10 +91,10 @@ def test_criterion_03_two_state_closed_forms():
             worst = max(
                 worst,
                 np.abs(sol.pi - f.pi).max(),
-                np.abs(sol.hc.h - f.h).max(),
-                np.abs(sol.zf.z - f.z).max(),
+                np.abs(sol.h - f.h).max(),
+                np.abs(sol.z - f.z).max(),
                 np.abs(sol.mfpt - f.mfpt).max(),
-                abs(kemeny_from_z(sol.zf) - f.kemeny),
+                abs(kemeny_from_z(sol.z) - f.kemeny),
             )
             if f.kemeny < kmin:
                 kmin, argmin = f.kemeny, (a, b)
@@ -110,16 +110,16 @@ def test_criterion_04_three_state_closed_forms():
         worst = max(
             worst,
             np.abs(sol.pi - f.pi).max(),
-            np.abs(sol.hc.h - f.h).max(),
-            np.abs(sol.zf.z - f.z).max(),
+            np.abs(sol.h - f.h).max(),
+            np.abs(sol.z - f.z).max(),
             np.abs(sol.mfpt - f.mfpt).max(),
-            abs(kemeny_from_z(sol.zf) - f.kemeny),
+            abs(kemeny_from_z(sol.z) - f.kemeny),
         )
     cyc = three_state_closed_form(1, 0, 0, 1, 1, 0)
     cyc_sol = solve_chain(cycle3_matrix())
     cycle_ok = (
         abs(cyc.kemeny - 2.0) < 1e-12
-        and abs(kemeny_from_z(cyc_sol.zf) - 2.0) < 1e-12
+        and abs(kemeny_from_z(cyc_sol.z) - 2.0) < 1e-12
     )
     ok = worst < 1e-10 and cycle_ok
     _report("criterion 04 (three-state closed forms)", ok, f"max dev {worst:.2e} over 500 draws")
@@ -130,22 +130,22 @@ def test_criterion_05_identity_suite():
     worst_name, worst = "", 0.0
     for m, seed in SUITE_SPECS:
         sol = solve_chain(random_chain(m, seed))
-        h, z, pi, c = sol.hc.h, sol.zf.z, sol.pi, sol.c
+        h, z, pi, c = sol.h, sol.z, sol.pi, sol.c
         elemental_z = h + pi[None, :] - np.einsum("k,kj->j", pi, h)[None, :]
         elemental_h = z + (pi - np.einsum("k,kj->j", c, z))[None, :] / m
         resid = {
             "c^T H = pi^T": float(np.abs(c @ h - pi).max()),
             "sum c_j = m": float(abs(c.sum() - m)),
             "Z from H round trip": float(
-                np.abs(z_from_h(sol.hc, pi).z - z).max()
+                np.abs(z_from_h(sol.h, pi) - z).max()
             ),
             "H from Z round trip": float(
-                np.abs(h_from_z(sol.zf, c).h - h).max()
+                np.abs(h_from_z(sol.z, pi, c) - h).max()
             ),
             "z_ij from h_ij elemental": float(np.abs(elemental_z - z).max()),
             "h_ij from z_ij elemental": float(np.abs(elemental_h - h).max()),
             "H from passage times": float(
-                np.abs(h_from_mfpt(sol.mfpt, pi, c).h - h).max()
+                np.abs(h_from_mfpt(sol.mfpt, pi, c) - h).max()
             ),
         }
         resid.update(theorem2_residuals(sol))
@@ -165,7 +165,7 @@ def test_criterion_05_identity_suite():
 def test_criterion_06_g_invariance(chain_suite):
     worst_m, worst_k = 0.0, 0.0
     for sol in chain_suite:
-        candidates = (sol.hc.h, sol.zf.z, sol.group_inv)
+        candidates = (sol.h, sol.z, group_inverse(sol.z, sol.pi))
         mfpts = [mfpt_general(g, sol.pi) for g in candidates]
         kemenys = [kemeny_general(g, sol.pi) for g in candidates]
         for other in mfpts[1:]:
@@ -231,7 +231,7 @@ def test_criterion_09_oracle_independence(chain_suite, fix5):
     worst_pi, worst_m = 0.0, 0.0
     for sol in chain_suite:
         worst_pi = max(
-            worst_pi, float(np.abs(stationary_from_h(sol.hc) - sol.pi).max())
+            worst_pi, float(np.abs(stationary_from_h(sol.h, sol.c) - sol.pi).max())
         )
         direct = mfpt_direct(sol.tm, sol.pi)
         rel = np.abs(sol.mfpt - direct) / np.abs(direct)

@@ -15,8 +15,8 @@ from mcsum.analysis import (
     solve_chain,
     stationary_from_h,
 )
-from mcsum.chain import validate
-from mcsum.ginv import compute_h
+from mcsum.chain import column_sums, validate
+from mcsum.ginv import compute_h, group_inverse
 from mcsum.oracle import stationary_direct, two_state_closed_form
 from mcsum.report import report_to_dict
 from mcsum.scan import random_chain
@@ -31,22 +31,22 @@ from tests.conftest import (
 )
 
 
+def _pi_from_h(tm):
+    return stationary_from_h(compute_h(tm)[0], column_sums(tm))
+
+
 def test_stationary_from_h_fixtures(fix5, fix8):
-    np.testing.assert_allclose(stationary_from_h(compute_h(fix5)), FIX5_PI, atol=5e-4)
-    np.testing.assert_allclose(stationary_from_h(compute_h(fix8)), FIX8_PI, atol=5e-4)
+    np.testing.assert_allclose(_pi_from_h(fix5), FIX5_PI, atol=5e-4)
+    np.testing.assert_allclose(_pi_from_h(fix8), FIX8_PI, atol=5e-4)
 
 
 def test_stationary_from_h_two_state():
-    np.testing.assert_allclose(
-        stationary_from_h(compute_h(two_state(0.3, 0.1))), [0.25, 0.75], atol=1e-14
-    )
+    np.testing.assert_allclose(_pi_from_h(two_state(0.3, 0.1)), [0.25, 0.75], atol=1e-14)
 
 
 def test_stationary_from_h_matches_direct(fix5, fix8):
     for tm in (fix5, fix8):
-        np.testing.assert_allclose(
-            stationary_from_h(compute_h(tm)), stationary_direct(tm), atol=1e-10
-        )
+        np.testing.assert_allclose(_pi_from_h(tm), stationary_direct(tm), atol=1e-10)
 
 
 def test_mfpt_from_h_fix5(fix5):
@@ -80,9 +80,9 @@ def test_mfpt_matrix_invariants(fix5, fix8):
 
 def test_mfpt_general_invariance(fix5):
     sol = solve_chain(fix5)
-    from_h = mfpt_general(sol.hc.h, sol.pi)
-    from_z = mfpt_general(sol.zf.z, sol.pi)
-    from_gi = mfpt_general(sol.group_inv, sol.pi)
+    from_h = mfpt_general(sol.h, sol.pi)
+    from_z = mfpt_general(sol.z, sol.pi)
+    from_gi = mfpt_general(group_inverse(sol.z, sol.pi), sol.pi)
     np.testing.assert_allclose(from_h, sol.mfpt, atol=1e-9)
     np.testing.assert_allclose(from_z, from_h, atol=1e-9)
     np.testing.assert_allclose(from_gi, from_h, atol=1e-9)
@@ -90,29 +90,30 @@ def test_mfpt_general_invariance(fix5):
 
 def test_kemeny_variants_fixtures(fix5, fix8):
     sol5 = solve_chain(fix5)
-    assert kemeny_from_h(sol5.hc) == pytest.approx(FIX5_KEMENY, abs=5e-3)
-    assert kemeny_from_z(sol5.zf) == pytest.approx(FIX5_KEMENY, abs=5e-3)
-    assert kemeny_general(sol5.group_inv, sol5.pi) == pytest.approx(FIX5_KEMENY, abs=5e-3)
+    assert kemeny_from_h(sol5.h) == pytest.approx(FIX5_KEMENY, abs=5e-3)
+    assert kemeny_from_z(sol5.z) == pytest.approx(FIX5_KEMENY, abs=5e-3)
+    k_group = kemeny_general(group_inverse(sol5.z, sol5.pi), sol5.pi)
+    assert k_group == pytest.approx(FIX5_KEMENY, abs=5e-3)
     sol8 = solve_chain(fix8)
-    assert kemeny_from_z(sol8.zf) == pytest.approx(FIX8_KEMENY, abs=1e-3)
+    assert kemeny_from_z(sol8.z) == pytest.approx(FIX8_KEMENY, abs=1e-3)
 
 
 def test_kemeny_two_state():
     sol = solve_chain(two_state(0.3, 0.1))
-    assert kemeny_from_h(sol.hc) == pytest.approx(3.5, abs=1e-12)
-    assert kemeny_general(sol.hc.h, sol.pi) == pytest.approx(3.5, abs=1e-12)
+    assert kemeny_from_h(sol.h) == pytest.approx(3.5, abs=1e-12)
+    assert kemeny_general(sol.h, sol.pi) == pytest.approx(3.5, abs=1e-12)
     minimal = solve_chain(two_state(1.0, 1.0))
-    assert kemeny_from_z(minimal.zf) == pytest.approx(1.5, abs=1e-14)
+    assert kemeny_from_z(minimal.z) == pytest.approx(1.5, abs=1e-14)
 
 
 def test_kemeny_cycle(cycle3):
     sol = solve_chain(cycle3)
-    assert kemeny_from_z(sol.zf) == pytest.approx(2.0, abs=1e-14)
+    assert kemeny_from_z(sol.z) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_kemeny_row_constancy(fix8):
     sol = solve_chain(fix8)
-    k = kemeny_from_z(sol.zf)
+    k = kemeny_from_z(sol.z)
     per_row = sol.mfpt @ sol.pi
     assert np.abs(per_row - k).max() < 1e-9
 
@@ -120,13 +121,13 @@ def test_kemeny_row_constancy(fix8):
 def test_h_from_mfpt_reconstructs(fix5):
     sol = solve_chain(fix5)
     rebuilt = h_from_mfpt(sol.mfpt, sol.pi, sol.c)
-    np.testing.assert_allclose(rebuilt.h, sol.hc.h, atol=1e-9)
+    np.testing.assert_allclose(rebuilt, sol.h, atol=1e-9)
 
     f = two_state_closed_form(0.3, 0.1)
     tm = two_state(0.3, 0.1)
     sol2 = solve_chain(tm)
     np.testing.assert_allclose(
-        h_from_mfpt(sol2.mfpt, sol2.pi, sol2.c).h, f.h, atol=1e-12
+        h_from_mfpt(sol2.mfpt, sol2.pi, sol2.c), f.h, atol=1e-12
     )
 
 
@@ -135,7 +136,7 @@ def test_h_from_mfpt_round_trip_random():
         tm = random_chain(2 + (i % 9), 68_000 + i)
         sol = solve_chain(tm)
         rebuilt = h_from_mfpt(sol.mfpt, sol.pi, sol.c)
-        assert np.abs(rebuilt.h - sol.hc.h).max() < 1e-9
+        assert np.abs(rebuilt - sol.h).max() < 1e-9
 
 
 def test_rank_one_colsum_identities(fix5):
@@ -144,7 +145,7 @@ def test_rank_one_colsum_identities(fix5):
     m = fix5.n
     c_mat = np.tile(sol.c, (m, 1))
     pi_mat = np.tile(sol.pi, (m, 1))
-    assert np.abs(c_mat @ sol.hc.h - pi_mat).max() < 1e-10
+    assert np.abs(c_mat @ sol.h - pi_mat).max() < 1e-10
     assert np.abs(c_mat @ pi_mat - m * pi_mat).max() < 1e-10
     assert np.abs(c_mat @ c_mat - m * c_mat).max() < 1e-10
 
@@ -211,7 +212,7 @@ def test_bounds_margins_recompute(fix8):
     assert b.kemeny_margin == pytest.approx(b.kemeny - b.kemeny_lower, abs=1e-12)
     assert b.trace_h_margin == pytest.approx(b.trace_h - b.trace_h_lower, abs=1e-12)
     np.testing.assert_allclose(
-        b.pi_upper_margins, fix8.n * sol.hc.h.diagonal() - sol.pi, atol=1e-12
+        b.pi_upper_margins, fix8.n * sol.h.diagonal() - sol.pi, atol=1e-12
     )
 
 
@@ -271,4 +272,4 @@ def test_kemeny_lower_bound_random():
     for i in range(25):
         tm = random_chain(2 + (i % 9), 66_000 + i)
         sol = solve_chain(tm)
-        assert kemeny_from_z(sol.zf) >= (tm.n + 1) / 2.0 - 1e-9
+        assert kemeny_from_z(sol.z) >= (tm.n + 1) / 2.0 - 1e-9

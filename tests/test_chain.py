@@ -66,6 +66,39 @@ def test_communicating_classes_match_reachability_definition(n, seed, density):
     assert _communicating_classes(adj) == want
 
 
+def _strongly_connected(adj: np.ndarray) -> bool:
+    """Reference verdict: (adj | I)^(n-1) in boolean arithmetic has no zero."""
+    n = adj.shape[-1]
+    return bool(np.linalg.matrix_power(adj | np.eye(n, dtype=bool), n - 1).all())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5]),
+)
+def test_is_irreducible_matches_matrix_power_on_random_graphs(seed, density):
+    adj = np.random.default_rng(seed).random((12, 8, 8)) < density
+    want = [_strongly_connected(a) for a in adj]
+    assert is_irreducible(adj).tolist() == want
+    assert [is_irreducible(a) for a in adj] == want
+
+
+def test_is_irreducible_long_cycle_and_absorbing_state():
+    m = 200
+    cycle = np.roll(np.eye(m), 1, axis=1)  # i -> i + 1: the search runs m - 1 levels deep
+    path = np.eye(m, k=1)
+    path[-1, -1] = 1.0  # state m absorbing: 0 reaches every state, none reaches 0
+    cases = [cycle, cycle.T, path, path.T]  # path.T: every state reaches 0, 0 none
+    want = [True, True, False, False]
+    assert [_strongly_connected(p > 0) for p in cases] == want
+    assert [is_irreducible(p) for p in cases] == want
+    assert is_irreducible(np.stack(cases)).tolist() == want
+    assert period(validate(cycle)) == m
+    with pytest.raises(NotIrreducible, match=r"\{199\}, \{200\}$"):
+        validate(path)
+
+
 def test_bad_row_sum_rejected():
     with pytest.raises(NotStochastic, match="row 1"):
         validate(np.array([[0.6, 0.3], [0.5, 0.5]]))
@@ -183,13 +216,13 @@ def test_reorder_preserves_chain_quantities():
     rsol = solve_chain(reordered)
     np.testing.assert_allclose(rsol.pi, sol.pi[perm], atol=1e-10)
     np.testing.assert_allclose(rsol.mfpt, sol.mfpt[np.ix_(perm, perm)], atol=1e-10)
-    assert rsol.zf.z.trace() == pytest.approx(sol.zf.z.trace(), abs=1e-10)
+    assert rsol.z.trace() == pytest.approx(sol.z.trace(), abs=1e-10)
 
 
 def test_validate_accepts_one_state_chain():
     tm = validate(np.array([[1.0]]))
-    hc = compute_h(tm)
-    np.testing.assert_allclose(hc.h, [[1.0]], atol=0)
+    h, _ = compute_h(tm)
+    np.testing.assert_allclose(h, [[1.0]], atol=0)
 
 
 def test_period():

@@ -254,6 +254,21 @@ def test_closed_form_degenerate_two_state_exits_2():
     assert main(["closed-form", "two-state", "--a", "0", "--b", "0"]) == 2
 
 
+@pytest.mark.parametrize("a, b", [("0", "0.5"), ("1", "0")])
+def test_closed_form_two_state_absorbing_exits_2(a, b, capsys):
+    assert main(["closed-form", "two-state", "--a", a, "--b", b]) == 2
+    assert "NotIrreducible" in capsys.readouterr().err
+
+
+def test_scan_repeated_state_count_exits_2(tmp_path, capsys):
+    log = tmp_path / "scan.jsonl"
+    argv = ["scan", "--states", "3,3", "--trials", "50", "--seed", "1", "--log", str(log)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "repeated: [3]" in captured.err
+    assert captured.out == ""
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["scan"]) == 1  # missing --states
     assert main(["analyze", "--badflag"]) == 1
@@ -288,3 +303,13 @@ def test_seed_env_default(monkeypatch):
         ["scan", "--states", "2", "--trials", "1", "--seed", "9"]
     )
     assert args.seed == 9
+
+
+def test_malformed_seed_env_fails_only_scan(monkeypatch, fix5_csv, capsys):
+    monkeypatch.setenv("MCSUM_SEED", "abc")
+    assert main(["verify", "--input", str(fix5_csv)]) == 0
+    assert main(["closed-form", "two-state", "--a", "1", "--b", "1"]) == 0
+    capsys.readouterr()
+    assert main(["scan", "--states", "2", "--trials", "1"]) == 1
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+    assert main(["scan", "--states", "2", "--trials", "1", "--seed", "4"]) == 0

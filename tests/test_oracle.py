@@ -137,6 +137,12 @@ def test_two_state_degenerate():
         two_state_closed_form(1.5, 0.5)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 0.5), (1.0, 0.0)])
+def test_two_state_absorbing_state_is_not_irreducible(a, b):
+    with pytest.raises(NotIrreducible, match="absorbing"):
+        two_state_closed_form(a, b)
+
+
 def test_three_state_cycle_values():
     f = three_state_closed_form(1, 0, 0, 1, 1, 0)
     assert (f.delta1, f.delta2, f.delta3) == (1.0, 1.0, 1.0)
@@ -161,10 +167,10 @@ def test_three_state_generic_matches_pipeline():
     f = three_state_closed_form(0.2, 0.3, 0.4, 0.1, 0.25, 0.35)
     sol = solve_chain(validate(f.p))
     np.testing.assert_allclose(sol.pi, f.pi, atol=1e-10)
-    np.testing.assert_allclose(sol.hc.h, f.h, atol=1e-10)
-    np.testing.assert_allclose(sol.zf.z, f.z, atol=1e-10)
-    np.testing.assert_allclose(mfpt_from_h(sol.hc, sol.pi), f.mfpt, atol=1e-10)
-    assert sol.zf.z.trace() == pytest.approx(f.kemeny, abs=1e-10)
+    np.testing.assert_allclose(sol.h, f.h, atol=1e-10)
+    np.testing.assert_allclose(sol.z, f.z, atol=1e-10)
+    np.testing.assert_allclose(mfpt_from_h(sol.h, sol.pi), f.mfpt, atol=1e-10)
+    assert sol.z.trace() == pytest.approx(f.kemeny, abs=1e-10)
 
 
 FLOATS_01 = st.floats(min_value=0.01, max_value=1.0)
@@ -176,10 +182,10 @@ def test_two_state_closed_form_matches_pipeline(a, b):
     f = two_state_closed_form(a, b)
     sol = solve_chain(two_state(a, b))
     assert np.abs(sol.pi - f.pi).max() < 1e-10
-    assert np.abs(sol.hc.h - f.h).max() < 1e-10
-    assert np.abs(sol.zf.z - f.z).max() < 1e-10
-    assert np.abs(mfpt_from_h(sol.hc, sol.pi) - f.mfpt).max() < 1e-10
-    assert abs(sol.zf.z.trace() - f.kemeny) < 1e-10
+    assert np.abs(sol.h - f.h).max() < 1e-10
+    assert np.abs(sol.z - f.z).max() < 1e-10
+    assert np.abs(mfpt_from_h(sol.h, sol.pi) - f.mfpt).max() < 1e-10
+    assert abs(sol.z.trace() - f.kemeny) < 1e-10
 
 
 def _sign(x: float, tol: float = 1e-12) -> int:
@@ -231,9 +237,9 @@ def test_three_state_random_sample_matches_pipeline():
         assert f.tau == pytest.approx(f.tau31 + f.tau32, abs=1e-14)
         sol = solve_chain(validate(f.p))
         assert np.abs(sol.pi - f.pi).max() < 1e-10
-        assert np.abs(sol.hc.h - f.h).max() < 1e-10
-        assert np.abs(sol.zf.z - f.z).max() < 1e-10
-        assert np.abs(mfpt_from_h(sol.hc, sol.pi) - f.mfpt).max() < 1e-10
+        assert np.abs(sol.h - f.h).max() < 1e-10
+        assert np.abs(sol.z - f.z).max() < 1e-10
+        assert np.abs(mfpt_from_h(sol.h, sol.pi) - f.mfpt).max() < 1e-10
 
 
 def test_two_state_500_random_match_pipeline():
@@ -247,10 +253,10 @@ def test_two_state_500_random_match_pipeline():
         worst = max(
             worst,
             np.abs(sol.pi - f.pi).max(),
-            np.abs(sol.hc.h - f.h).max(),
-            np.abs(sol.zf.z - f.z).max(),
+            np.abs(sol.h - f.h).max(),
+            np.abs(sol.z - f.z).max(),
             np.abs(sol.mfpt - f.mfpt).max(),
-            abs(sol.zf.z.trace() - f.kemeny),
+            abs(sol.z.trace() - f.kemeny),
         )
     assert worst < 1e-10
 

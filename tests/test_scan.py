@@ -56,6 +56,12 @@ def test_scan_config_validation():
         ScanConfig(state_counts=(3,), trials=10, seed=0, sparsity=0.9)
 
 
+def test_scan_config_rejects_repeated_state_counts():
+    # a repeated count would be scanned, tallied and logged twice
+    with pytest.raises(ValueError, match=r"repeated: \[3, 5\]"):
+        ScanConfig(state_counts=(5, 3, 4, 3, 5), trials=10, seed=0)
+
+
 def test_ordering_two_state_equivalences_hold():
     for i in range(200):
         record = ordering_from_solution(solve_chain(random_chain(2, 71_000 + i)))

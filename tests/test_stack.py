@@ -5,8 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsum import rng
-from mcsum.analysis import bounds_check, identity_residuals, solve_chain
+from mcsum.analysis import (
+    bounds_check,
+    h_from_mfpt,
+    identity_residuals,
+    kemeny_from_h,
+    kemeny_from_z,
+    solve_chain,
+    stationary_from_h,
+)
 from mcsum.chain import TransitionMatrix
+from mcsum.ginv import group_inverse, h_from_z, z_from_h
 from mcsum.scan import ordering_masks, random_chain, random_chains
 
 _MASK = (1 << 64) - 1
@@ -44,8 +53,8 @@ def test_stack_calls_match_single_calls(m, seeds, sparsity):
     assert worst.shape == (len(seeds),)
     for k, tm in enumerate(singles):
         one = solve_chain(tm)
-        for a, b in ((sol.pi, one.pi), (sol.hc.h, one.hc.h), (sol.zf.z, one.zf.z),
-                     (sol.mfpt, one.mfpt), (sol.hc.cond, one.hc.cond), (sol.c, one.c)):
+        for a, b in ((sol.pi, one.pi), (sol.h, one.h), (sol.z, one.z),
+                     (sol.mfpt, one.mfpt), (sol.cond, one.cond), (sol.c, one.c)):
             assert _bits(a[k]) == _bits(b)
         one_resid = identity_residuals(one)
         assert list(one_resid) == list(resid)
@@ -57,6 +66,35 @@ def test_stack_calls_match_single_calls(m, seeds, sparsity):
             assert np.array_equal(signs[name][k], one_signs[name]), name
         for name in one_masks:
             assert np.array_equal(masks[name][k], one_masks[name]), name
+
+
+def _conversions(sol) -> dict:
+    """Every read-off and conversion of the chain solution's arrays."""
+    h, z, pi, c = sol.h, sol.z, sol.pi, sol.c
+    return {
+        "stationary_from_h": stationary_from_h(h, c),
+        "kemeny_from_h": kemeny_from_h(h),
+        "kemeny_from_z": kemeny_from_z(z),
+        "group_inverse": group_inverse(z, pi),
+        "z_from_h": z_from_h(h, pi),
+        "h_from_z": h_from_z(z, pi, c),
+        "h_from_mfpt": h_from_mfpt(sol.mfpt, pi, c),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=9),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=5),
+)
+def test_conversions_broadcast_over_a_stack(m, seeds):
+    p = random_chains(m, np.array(seeds, dtype=np.uint64))
+    stack = _conversions(solve_chain(TransitionMatrix(p=p)))
+    for k, seed in enumerate(seeds):
+        one = _conversions(solve_chain(random_chain(m, seed)))
+        for name, value in one.items():
+            assert np.shape(stack[name][k]) == np.shape(value), name
+            assert _bits(stack[name][k]) == _bits(value), name
 
 
 @settings(max_examples=100, deadline=None)

@@ -42,19 +42,6 @@ def mfpt_from_h(h: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return (h.diagonal(axis1=-2, axis2=-1)[..., None, :] - h + eye) / pi[..., None, :]
 
 
-def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Passage times from any one-condition inverse G of I - P.
-
-    M = [G Pi - E (G Pi)_d + I - G + E G_d] D with D = diag(1/pi); the
-    result is the same for every valid G.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    gp = g.sum(axis=1)[:, None] * pi  # G Pi = (G e) pi^T, rank one
-    core = gp - gp.diagonal() + np.eye(len(g)) - g + g.diagonal()
-    return core / pi
-
-
 def kemeny_from_h(h: np.ndarray) -> float | np.ndarray:
     """K = 1 - 1/m + tr(H)."""
     return 1.0 - 1.0 / h.shape[-1] + h.trace(axis1=-2, axis2=-1)
@@ -63,13 +50,6 @@ def kemeny_from_h(h: np.ndarray) -> float | np.ndarray:
 def kemeny_from_z(z: np.ndarray) -> float | np.ndarray:
     """K = tr(Z)."""
     return z.trace(axis1=-2, axis2=-1)
-
-
-def kemeny_general(g: np.ndarray, pi: np.ndarray) -> float:
-    """K = 1 + tr(G) - tr(G Pi) for any one-condition inverse G of I - P."""
-    g = np.asarray(g, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    return float(1.0 + g.trace() - pi @ g.sum(axis=1))
 
 
 def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:

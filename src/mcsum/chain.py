@@ -54,19 +54,6 @@ def _levels(adj: np.ndarray) -> np.ndarray:
     return level.reshape(shape)
 
 
-def _closure(adj: np.ndarray) -> np.ndarray:
-    """Transitive closure of ``adj | I`` over the last two axes: each squaring
-    doubles the path length covered, so (n - 1).bit_length() squarings cover
-    every path of up to n - 1 steps; they stop once all states reach all."""
-    n = adj.shape[-1]
-    reach = adj | np.eye(n, dtype=bool)
-    for _ in range((n - 1).bit_length()):
-        if reach.all():
-            break
-        reach = (reach @ reach.astype(np.float64)) > 0.0
-    return reach
-
-
 def is_irreducible(p: np.ndarray) -> bool | np.ndarray:
     """True iff the graph on positive entries is strongly connected (state 0
     reaches every state and every state reaches 0); one verdict per matrix."""
@@ -77,12 +64,51 @@ def is_irreducible(p: np.ndarray) -> bool | np.ndarray:
 
 
 def _communicating_classes(adj: np.ndarray) -> list[list[int]]:
-    """Communicating classes in order of their smallest state; the class of
-    s is every state that s reaches and that reaches s."""
-    reach = _closure(adj)
-    mutual = reach & reach.T
-    leaders = np.flatnonzero(mutual.argmax(axis=1) == np.arange(adj.shape[0]))
-    return [np.flatnonzero(mutual[s]).tolist() for s in leaders]
+    """Communicating classes in order of their smallest state.
+
+    Tarjan's strongly connected components search, kept on an explicit path
+    so that a long chain needs no recursion.  Each state's successors come
+    from one ``np.nonzero`` and are read as arrays: a visit takes the first
+    unvisited one, and a finished state lowers its link to the smallest link
+    among its successors still on the stack (the lowlink form of Tarjan's
+    update, which finds the same classes).
+    """
+    n = adj.shape[0]
+    rows, cols = np.nonzero(adj)
+    succ = np.split(cols, np.searchsorted(rows, np.arange(1, n)))
+    index = np.full(n, -1)  # discovery order
+    low = np.zeros(n, dtype=int)
+    on_stack = np.zeros(n, dtype=bool)
+    stack: list[int] = []
+    classes: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        path = [root]
+        while path:
+            v = path[-1]
+            if index[v] < 0:  # first visit
+                index[v] = low[v] = count
+                count += 1
+                stack.append(v)
+                on_stack[v] = True
+            s = succ[v]
+            fresh = s[index[s] < 0]
+            if fresh.size:
+                path.append(int(fresh[0]))
+                continue
+            path.pop()
+            linked = s[on_stack[s]]
+            if linked.size:
+                low[v] = min(low[v], low[linked].min())
+            if low[v] == index[v]:  # v roots a class: pop it off the stack
+                cls = []
+                while not cls or cls[-1] != v:
+                    cls.append(stack.pop())
+                on_stack[cls] = False
+                classes.append(sorted(cls))
+    return sorted(classes)
 
 
 def validate(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -69,6 +70,17 @@ def _parse_states(expr: str) -> tuple[int, ...]:
     if not out:
         raise ValueError(f"empty state-count expression {expr!r}")
     return tuple(out)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of a tolerance: a finite number, zero or more."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _load_chain(args):
@@ -268,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_input_opts(p_ver)
     p_ver.add_argument(
         "--tol-identity",
-        type=float,
+        type=_tolerance,
         default=IDENTITY_TOL,
         help="maximum acceptable residual (default %(default)g)",
     )
     p_ver.add_argument(
         "--tol-fixture",
-        type=float,
+        type=_tolerance,
         default=5e-4,
         help=(
             "tolerance against published rounded values, applied when the "

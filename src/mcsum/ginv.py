@@ -5,7 +5,9 @@ together.
 H = (I - P + e c^T)^{-1} where c is the column-sum vector of P; its rows sum
 to 1/m and c^T H recovers the stationary vector.  Z = (I - P + e pi^T)^{-1}
 is the classical fundamental matrix, and Z - e pi^T is the group inverse of
-I - P.  Each matrix determines the others through rank-one corrections.
+I - P.  Each matrix determines the others through rank-one corrections,
+and ``mfpt_general`` and ``kemeny_general`` read the passage times and
+Kemeny's constant off any one-condition inverse G of I - P (Hunter).
 
 Every function takes and returns plain arrays, for one chain or a
 (..., m, m) stack.  H and Z are each one LAPACK inversion, which also yields
@@ -73,6 +75,26 @@ def compute_z(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
 def group_inverse(z: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """The group inverse of I - P: Z minus the rank-one stationary projector."""
     return z - np.asarray(pi)[..., None, :]
+
+
+def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Passage times from any one-condition inverse G of I - P.
+
+    M = [G Pi - E (G Pi)_d + I - G + E G_d] D with D = diag(1/pi); the
+    result is the same for every valid G.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.float64)
+    gp = g.sum(axis=1)[:, None] * pi  # G Pi = (G e) pi^T, rank one
+    core = gp - gp.diagonal() + np.eye(len(g)) - g + g.diagonal()
+    return core / pi
+
+
+def kemeny_general(g: np.ndarray, pi: np.ndarray) -> float:
+    """K = 1 + tr(G) - tr(G Pi) for any one-condition inverse G of I - P."""
+    g = np.asarray(g, dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.float64)
+    return float(1.0 + g.trace() - pi @ g.sum(axis=1))
 
 
 def z_from_h(h: np.ndarray, pi: np.ndarray) -> np.ndarray:

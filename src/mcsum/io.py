@@ -74,7 +74,7 @@ def load_matrix(
     path = Path(path)
     if fmt is None:
         fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8-sig")  # also drops a byte-order mark
     if fmt == "json":
         return parse_json(text)
     if fmt == "csv":

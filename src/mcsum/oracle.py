@@ -2,10 +2,12 @@
 
 The direct solvers share LAPACK (``numpy.linalg``) with the H/Z path; their
 independence comes from solving different systems.  Stationary vectors
-come from (I - P)^T pi = 0 with a normalization row, passage times from
-per-target elimination systems, never from I - P + e c^T, and a Monte
-Carlo estimator provides a statistical sanity check.  The 2- and 3-state
-closed forms are evaluated from explicit parameter formulas.
+come from (I - P)^T pi = 0 with a normalization row.  Passage times come
+from one elimination toward the most-visited state, I - P with that
+state's row and column deleted, read off through Hunter's one-condition
+inverse formula; neither solver forms I - P + e c^T or I - P + e pi^T.
+A Monte Carlo estimator provides a statistical sanity check.  The 2- and
+3-state closed forms are evaluated from explicit parameter formulas.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import numpy as np
 from . import rng
 from .chain import TransitionMatrix, period
 from .errors import Degenerate, NoConvergence, NotIrreducible, SingularMatrix
+from .ginv import mfpt_general
 
 
 def stationary_direct(tm: TransitionMatrix) -> np.ndarray:
@@ -56,23 +59,27 @@ def stationary_power(
 
 
 def mfpt_direct(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
-    """Mean first passage times by per-target elimination.
+    """Mean first passage times from one elimination toward the most-visited state.
 
-    For each target j the off-target system m_ij = 1 + sum_{k != j} p_ik m_kj
-    is solved directly; the diagonal stores the mean recurrence time 1/pi_j.
+    Deleting the row and column of a target t from I - P leaves the absorbing
+    chain's system, whose inverse is its fundamental matrix N (Kemeny and
+    Snell); N padded with zeros is a one-condition inverse G of I - P, and
+    Hunter's formula (``ginv.mfpt_general``) reads every passage time off G.
+    The target is t = argmax(pi) (the first on ties): N counts the visits
+    made before reaching t, so its entries, and the rounding that Hunter's
+    formula then divides by pi_j, are smallest when t is the state the
+    chain visits most.  The diagonal stores the mean recurrence time 1/pi_j.
     """
-    n = tm.n
-    m = np.empty((n, n))
-    idx_all = np.arange(n)
-    for j in range(n):
-        idx = idx_all[idx_all != j]
-        a = np.eye(n - 1) - tm.p[np.ix_(idx, idx)]
-        try:
-            sol = np.linalg.solve(a, np.ones(n - 1))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(f"passage system for target {j + 1} is singular: {exc}") from None
-        m[idx, j] = sol
-        m[j, j] = 1.0 / pi[j]
+    pi = np.asarray(pi, dtype=np.float64)
+    t = int(np.argmax(pi))
+    keep = np.arange(tm.n) != t
+    g = np.zeros((tm.n, tm.n))
+    try:
+        g[np.ix_(keep, keep)] = np.linalg.inv(np.eye(tm.n - 1) - tm.p[np.ix_(keep, keep)])
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"passage system for target {t + 1} is singular: {exc}") from None
+    m = mfpt_general(g, pi)
+    np.fill_diagonal(m, 1.0 / pi)
     return m
 
 

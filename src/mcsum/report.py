@@ -23,11 +23,10 @@ from .analysis import (
     identity_residuals,
     kemeny_from_h,
     kemeny_from_z,
-    kemeny_general,
     solve_chain,
 )
 from .chain import TransitionMatrix, reorder_by_column_sums
-from .ginv import group_inverse, theorem2_residuals
+from .ginv import group_inverse, kemeny_general, theorem2_residuals
 from .scan import OrderingRecord, ordering_from_solution
 
 #: Condition numbers at or above this set ``condition_warning``.

@@ -13,13 +13,18 @@ from mcsum.analysis import (
     h_from_mfpt,
     identity_residuals,
     kemeny_from_z,
-    kemeny_general,
-    mfpt_general,
     solve_chain,
     stationary_from_h,
 )
 from mcsum.chain import validate
-from mcsum.ginv import group_inverse, h_from_z, theorem2_residuals, z_from_h
+from mcsum.ginv import (
+    group_inverse,
+    h_from_z,
+    kemeny_general,
+    mfpt_general,
+    theorem2_residuals,
+    z_from_h,
+)
 from mcsum.oracle import (
     mc_estimate,
     mfpt_direct,

@@ -10,13 +10,11 @@ from mcsum.analysis import (
     identity_residuals,
     kemeny_from_h,
     kemeny_from_z,
-    kemeny_general,
-    mfpt_general,
     solve_chain,
     stationary_from_h,
 )
 from mcsum.chain import column_sums, validate
-from mcsum.ginv import compute_h, group_inverse
+from mcsum.ginv import compute_h, group_inverse, kemeny_general, mfpt_general
 from mcsum.oracle import stationary_direct, two_state_closed_form
 from mcsum.report import report_to_dict
 from mcsum.scan import random_chain

@@ -66,6 +66,15 @@ def test_communicating_classes_match_reachability_definition(n, seed, density):
     assert _communicating_classes(adj) == want
 
 
+def test_communicating_classes_long_path_is_all_singletons():
+    # state i -> i + 1, the last absorbing: a depth-first search 5000 deep
+    n = 5000
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n - 1), np.arange(1, n)] = True
+    adj[-1, -1] = True
+    assert _communicating_classes(adj) == [[i] for i in range(n)]
+
+
 def _strongly_connected(adj: np.ndarray) -> bool:
     """Reference verdict: (adj | I)^(n-1) in boolean arithmetic has no zero."""
     n = adj.shape[-1]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ def test_verify_perturbed_matrix_still_passes(tmp_path):
 def test_verify_absurd_tolerance_exits_4(fix5_csv, capsys):
     assert main(["verify", "--input", str(fix5_csv), "--tol-identity", "1e-20"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", ["--tol-identity", "--tol-fixture"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "abc"])
+def test_verify_tolerance_must_be_finite_and_nonnegative(fix5_csv, option, value, capsys):
+    assert main(["verify", "--input", str(fix5_csv), f"{option}={value}"]) == 1
+    assert f"{option}: expected a finite number >= 0, got '{value}'" in capsys.readouterr().err
+
+
+def test_verify_zero_tolerance_is_accepted(fix5_csv, capsys):
+    # a legal value: exact rows pass, rounding-sized residuals fail
+    assert main(["verify", "--input", str(fix5_csv), "--tol-identity", "0"]) == 4
+    out = capsys.readouterr().out
+    assert re.search(r"sum_j c_j = m +0\.000e\+00  pass", out)
+    assert "FAIL" in out
 
 
 def test_scan_cli_runs_and_logs(tmp_path, capsys):

@@ -91,3 +91,14 @@ def test_csv_parse_matches_float_bit_for_bit():
     p, _ = io.parse_csv(text)
     want = np.array([float(f) for f in fields])
     assert np.array_equal(p.ravel().view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_byte_order_mark_is_skipped(tmp_path, fmt):
+    p = np.array([[0.5, 0.5], [0.25, 0.75]])
+    path = tmp_path / f"m.{fmt}"
+    io.save_matrix(path, p, labels=("a", "b"))
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back, labels = io.load_matrix(path)
+    assert np.array_equal(back, p)
+    assert labels == ("a", "b")

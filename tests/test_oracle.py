@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from mcsum.analysis import mfpt_from_h, solve_chain
 from mcsum.chain import validate
 from mcsum.errors import Degenerate, NoConvergence, NotIrreducible
+from mcsum import ginv
 from mcsum.oracle import (
     mc_estimate,
     mfpt_direct,
@@ -16,7 +19,7 @@ from mcsum.oracle import (
 )
 from mcsum.rng import SplitMix64, derive_stream
 from mcsum.scan import random_chain
-from tests.conftest import FIX5_M, FIX5_PI, two_state
+from tests.conftest import FIX5_M, FIX5_PI, two_block, two_state
 
 
 def test_stationary_direct_cycle(cycle3):
@@ -70,6 +73,124 @@ def test_mfpt_direct_two_state():
 def test_mfpt_direct_fix5(fix5):
     pi = stationary_direct(fix5)
     np.testing.assert_allclose(mfpt_direct(fix5, pi), FIX5_M, atol=5e-4)
+
+
+def _mfpt_per_target(p: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Reference: for each target j, solve m_ij = 1 + sum_{k != j} p_ik m_kj."""
+    n = len(p)
+    m = np.empty((n, n))
+    idx_all = np.arange(n)
+    for j in range(n):
+        idx = idx_all[idx_all != j]
+        m[idx, j] = np.linalg.solve(np.eye(n - 1) - p[np.ix_(idx, idx)], np.ones(n - 1))
+        m[j, j] = 1.0 / pi[j]
+    return m
+
+
+def _mfpt_exact(p: np.ndarray) -> np.ndarray:
+    """Exact passage times of the float matrix `p`: per-target Gauss-Jordan
+    elimination in rationals, m_jj = 1 + sum_{k != j} p_jk m_kj."""
+    n = len(p)
+    q = [[Fraction(x) for x in row] for row in p.tolist()]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        idx = [i for i in range(n) if i != j]
+        a = [[int(r == c) - q[r][c] for c in idx] + [Fraction(1)] for r in idx]
+        for k in range(n - 1):
+            piv = next(r for r in range(k, n - 1) if a[r][k] != 0)
+            a[k], a[piv] = a[piv], a[k]
+            a[k] = [x / a[k][k] for x in a[k]]
+            for r in range(n - 1):
+                if r != k and a[r][k] != 0:
+                    a[r] = [x - a[r][k] * y for x, y in zip(a[r], a[k])]
+        for r, i in enumerate(idx):
+            m[i][j] = a[r][-1]
+        m[j][j] = 1 + sum(q[j][k] * m[k][j] for k in idx)
+    return np.array([[float(x) for x in row] for row in m])
+
+
+def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    """The measure of verify's "M from H = M from elimination" row."""
+    return float((np.abs(got - want) / np.maximum(np.abs(want), 1.0)).max())
+
+
+def _unit(tm, pi: np.ndarray) -> float:
+    """m * eps * cond, with cond the 1-norm condition number of I - P + e pi^T
+    times 1/(m min pi) >= 1, the largest factor by which passage times
+    divide by a stationary probability."""
+    m = tm.n
+    cond = np.linalg.cond(np.eye(m) - tm.p + pi, 1) / (m * pi.min())
+    return m * np.finfo(np.float64).eps * cond
+
+
+def _structured_chain(kind: str, m: int, seed: int, coupling: float):
+    g = np.random.default_rng(seed)
+    x = g.exponential(size=(m, m))
+    if kind == "sparse":  # half the entries zeroed; a random m-cycle keeps it irreducible
+        x[g.random((m, m)) < 0.5] = 0.0
+        order = g.permutation(m)
+        x[order, np.roll(order, -1)] += g.exponential(size=m)
+    elif kind == "periodic":  # cyclic classes: class k moves only to class k + 1
+        d = min(int(g.choice([2, 3])), m)
+        cls = g.permutation(m) % d
+        x[cls[:, None] != (cls[None, :] - 1) % d] = 0.0
+    elif kind == "two-block":
+        return validate(two_block(m, coupling, seed))
+    return validate(x / x.sum(axis=1, keepdims=True))
+
+
+CHAIN_KINDS = st.sampled_from(["random", "sparse", "periodic", "two-block"])
+COUPLINGS = st.sampled_from([1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHAIN_KINDS, st.integers(min_value=2, max_value=12), SEEDS, COUPLINGS)
+def test_mfpt_direct_matches_per_target_elimination(kind, m, seed, coupling):
+    tm = _structured_chain(kind, m, seed, coupling)
+    pi = stationary_direct(tm)
+    got = mfpt_direct(tm, pi)
+    assert np.array_equal(got.diagonal(), 1.0 / pi)
+    assert _relative_error(got, _mfpt_per_target(tm.p, pi)) <= 10.0 * _unit(tm, pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CHAIN_KINDS, st.integers(min_value=2, max_value=6), SEEDS, COUPLINGS)
+def test_mfpt_direct_matches_exact_rational_elimination(kind, m, seed, coupling):
+    tm = _structured_chain(kind, m, seed, coupling)
+    pi = stationary_direct(tm)
+    assert _relative_error(mfpt_direct(tm, pi), _mfpt_exact(tm.p)) <= 10.0 * _unit(tm, pi)
+
+
+def test_mfpt_direct_never_forms_the_colsum_or_fundamental_system(fix5, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not use the H/Z path")
+
+    for name in ("colsum_system", "compute_h", "compute_z"):
+        monkeypatch.setattr(ginv, name, forbidden)
+    np.testing.assert_allclose(mfpt_direct(fix5, stationary_direct(fix5)), FIX5_M, atol=5e-4)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mfpt_direct_rare_last_state_as_accurate_as_per_target(seed):
+    # Nine dense states each leak 1e-9 to state 10, which returns uniformly:
+    # pi_10 is about 1e-9.  Eliminating toward state 10 would lose up to a
+    # digit; the oracle eliminates toward the most-visited state instead.
+    x = np.random.default_rng(seed).exponential(size=(9, 9))
+    p = np.zeros((10, 10))
+    p[:9, :9] = (1.0 - 1e-9) * x / x.sum(axis=1, keepdims=True)
+    p[:9, 9] = 1e-9
+    p[9, :9] = 1.0 / 9.0
+    tm = validate(p)
+    pi = stationary_direct(tm)
+    exact = _mfpt_exact(tm.p)
+    reference = _relative_error(_mfpt_per_target(tm.p, pi), exact)
+    assert _relative_error(mfpt_direct(tm, pi), exact) <= 2.0 * reference
+
+
+def test_mfpt_direct_single_state():
+    tm = validate(np.ones((1, 1)))
+    assert mfpt_direct(tm, np.ones(1)).tolist() == [[1.0]]
 
 
 def test_cross_oracle_agreement():

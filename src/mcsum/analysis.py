@@ -18,15 +18,14 @@ import numpy as np
 
 from . import oracle
 from .chain import TransitionMatrix, column_sums
-from .ginv import compute_h, compute_z
+from .ginv import compute_h, compute_z, theorem2_residuals
 
 #: Chains whose column sums deviate from 1 by less than this are treated as
 #: doubly stochastic.
 DOUBLY_STOCHASTIC_TOL = 1e-9
 
-#: Identity residuals above this, or bound margins below its negative, fail
-#: the verdict of ``mcsum verify`` (its default ``--tol-identity``) and are
-#: hard failures in ``scan``.
+#: A row of ``residuals`` above this fails the verdict of ``mcsum verify``
+#: (its default ``--tol-identity``) and is a hard failure in ``scan``.
 IDENTITY_TOL = 1e-8
 
 
@@ -172,6 +171,24 @@ def bounds_check(sol: ChainSolution) -> BoundsReport:
         pi_lower_offdiag_margins=pi - 1.0 / (m + c_off),
         pi_lower_colsum_margins=pi - c / (1.0 + c_weighted),
     )
+
+
+def residuals(sol: ChainSolution) -> dict[str, float | np.ndarray]:
+    """The verdict's table: every residual that ``verify`` and ``scan`` hold
+    to IDENTITY_TOL, in ``verify``'s order, one value per chain of the stack.
+
+    The rows are pi^T = c^T H, the column-sum total, ``theorem2_residuals``,
+    ``identity_residuals`` and the negative part of the worst bound margin.
+    """
+    worst_margin = bounds_check(sol).worst_margin
+    return {
+        "c^T H = pi^T": np.abs(stationary_from_h(sol.h, sol.c) - sol.pi).max(axis=-1),
+        "sum_j c_j = m": np.abs(sol.c.sum(axis=-1) - sol.tm.n),
+        **theorem2_residuals(sol),
+        **identity_residuals(sol),
+        # 0.0, never -0.0, where no bound fails
+        "inequality margins (negative part)": np.where(worst_margin < 0, -worst_margin, 0.0),
+    }
 
 
 @dataclass(frozen=True)

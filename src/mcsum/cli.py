@@ -13,24 +13,14 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import fixtures, io, oracle
-from .analysis import (
-    IDENTITY_TOL,
-    ChainSolution,
-    bounds_check,
-    identity_residuals,
-    kemeny_from_z,
-    solve_chain,
-    stationary_from_h,
-)
+from .analysis import IDENTITY_TOL, kemeny_from_z, residuals, solve_chain
 from .chain import validate
 from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS
-from .ginv import theorem2_residuals
 from .report import analyze, report_to_dict, write_json
 from .scan import ScanConfig, scan as run_scan
 
@@ -58,17 +48,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_states(expr: str) -> tuple[int, ...]:
-    """State-count expression: '3', '3..8', or comma-separated items thereof."""
+    """argparse type of a state-count expression: '3', '3..8', or
+    comma-separated items thereof; an empty range is an error."""
     out: list[int] = []
-    for item in expr.split(","):
-        item = item.strip()
-        if ".." in item:
-            lo, hi = item.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(item))
-    if not out:
-        raise ValueError(f"empty state-count expression {expr!r}")
+    try:
+        for item in expr.split(","):
+            lo, dots, hi = item.partition("..")
+            span = range(int(lo), int(hi if dots else lo) + 1)
+            if not span:
+                raise ValueError
+            out.extend(span)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid state-count expression {expr!r}") from None
     return tuple(out)
 
 
@@ -137,35 +128,29 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _verify_rows(sol: ChainSolution) -> list[tuple[str, float]]:
-    tm = sol.tm
-    rows: list[tuple[str, float]] = [
-        ("c^T H = pi^T", float(np.abs(stationary_from_h(sol.h, sol.c) - sol.pi).max())),
-        ("sum_j c_j = m", float(abs(sol.c.sum() - tm.n))),
-    ]
-    rows.extend(theorem2_residuals(sol).items())
-    rows.extend(identity_residuals(sol).items())
-    mfpt_oracle = oracle.mfpt_direct(tm, sol.pi)
-    rel = np.abs(sol.mfpt - mfpt_oracle) / np.maximum(np.abs(mfpt_oracle), 1.0)
-    rows.append(("M from H = M from elimination (relative)", float(rel.max())))
-    worst_margin = bounds_check(sol).worst_margin
-    rows.append(("inequality margins (negative part)", max(0.0, -worst_margin)))
-    return rows
+def _published_rows(sol, reference: dict[str, tuple[str, ...]]):
+    """(name, max error, verdict) of the published values: each one must lie
+    within half a unit of its last printed decimal."""
+    computed = {"stationary vector": sol.pi, "kemeny constant": kemeny_from_z(sol.z)}
+    for name, texts in reference.items():
+        error = np.abs(computed[name] - np.array([float(t) for t in texts]))
+        half_unit = np.array([0.5 * 10.0 ** -len(t.partition(".")[2]) for t in texts])
+        yield f"published {name}", error.max(), bool(np.all(error <= half_unit))
 
 
 def _cmd_verify(args) -> int:
     sol = solve_chain(_load_chain(args))
-    rows = [(name, value, args.tol_identity) for name, value in _verify_rows(sol)]
+    table = list(residuals(sol).items())
+    mfpt_oracle = oracle.mfpt_direct(sol.tm, sol.pi)
+    rel = np.abs(sol.mfpt - mfpt_oracle) / np.maximum(np.abs(mfpt_oracle), 1.0)
+    table.insert(-1, ("M from H = M from elimination (relative)", rel.max()))
+    rows = [(name, value, value <= args.tol_identity) for name, value in table]
     reference = fixtures.reference_values(sol.tm)
     if reference is not None:
-        pi_error = np.abs(sol.pi - np.array(reference["stationary"])).max()
-        rows.append(("published stationary vector", float(pi_error), args.tol_fixture))
-        kemeny_error = abs(kemeny_from_z(sol.z) - reference["kemeny"])
-        rows.append(("published kemeny constant", kemeny_error, 10 * args.tol_fixture))
+        rows.extend(_published_rows(sol, reference))
     width = max(len(name) for name, _, _ in rows)
     failed = False
-    for name, value, tol in rows:
-        ok = value <= tol
+    for name, value, ok in rows:
         failed |= not ok
         print(f"{name:<{width}}  {value:>12.3e}  {'pass' if ok else 'FAIL'}")
     if failed:
@@ -176,7 +161,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     config = ScanConfig(
-        state_counts=_parse_states(args.states),
+        state_counts=args.states,
         trials=args.trials,
         seed=args.seed,
         sparsity=args.sparsity,
@@ -284,28 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=IDENTITY_TOL,
         help="maximum acceptable residual (default %(default)g)",
     )
-    p_ver.add_argument(
-        "--tol-fixture",
-        type=_tolerance,
-        default=5e-4,
-        help=(
-            "tolerance against published rounded values, applied when the "
-            "input matches a bundled reference chain (default 5e-4)"
-        ),
-    )
     p_ver.set_defaults(func=_cmd_verify)
 
     p_scan = sub.add_parser("scan", help="random-ensemble ordering scan")
     p_scan.add_argument(
-        "--states", required=True, help="state counts, e.g. '3', '3..8', '2,4,6'"
+        "--states",
+        type=_parse_states,
+        required=True,
+        help="state counts, e.g. '3', '3..8', '2,4,6'",
     )
     p_scan.add_argument("--trials", type=int, default=1000, help="trials per state count")
-    p_scan.add_argument(
-        "--seed",
-        type=int,  # argparse converts a string default only when scan parses
-        default=os.environ.get("MCSUM_SEED", "0"),
-        help="master seed (default: MCSUM_SEED env var, else 0)",
-    )
+    p_scan.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_scan.add_argument(
         "--sparsity", type=float, default=0.0, help="expected zero fraction in [0, 0.8]"
     )
@@ -328,10 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser reads no environment, so one serves every call of ``main``.
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -109,25 +109,26 @@ def h_from_z(z: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     return z + ((pi - (c[..., None, :] @ z)[..., 0, :]) / z.shape[-1])[..., None, :]
 
 
-def theorem2_residuals(sol: ChainSolution) -> dict[str, float]:
-    """Max-abs residuals of the structural identities of H (and its link to Z).
+def theorem2_residuals(sol: ChainSolution) -> dict[str, float | np.ndarray]:
+    """Max-abs residuals of the structural identities of H (and its link to Z),
+    one per chain of the solution's stack.
 
     Row, column and element statements of the same matrix identity coincide
     as floating-point computations, so each distinct identity is reported
-    once.  Every residual is read off the chain's existing solution; callers
-    judge them against ``analysis.IDENTITY_TOL``.
+    once.  Every residual is read off the chain's existing solution;
+    ``analysis.residuals`` judges them with the rest of the verdict's table.
     """
-    p, h, z, c, pi = sol.tm.p, sol.h, sol.z, sol.c, sol.pi
+    p, h, z = sol.tm.p, sol.h, sol.z
+    c, pi = sol.c[..., None, :], sol.pi[..., None, :]  # as row vectors
     m = sol.tm.n
     eye = np.eye(m)
-    return {
+    errors = {
         # (I - P) H = I - e pi^T: the row/column/element "stationary" forms
-        "H - PH = I - e pi^T": float(np.abs(h - p @ h - eye + pi).max()),
+        "H - PH = I - e pi^T": h - p @ h - eye + pi,
         # H (I - P) = I - e c^T / m: the row/column/element "column sum" forms
-        "H - HP = I - e c^T/m": float(np.abs(h - h @ p - eye + c / m).max()),
-        "He = e/m": float(np.abs(h.sum(axis=1) - 1.0 / m).max()),
-        "e^T H = e^T - (m-1) pi^T": float(np.abs(h.sum(axis=0) - 1.0 + (m - 1) * pi).max()),
-        "(1+m) pi^T = m pi^T H + c^T Z": float(
-            np.abs((1 + m) * pi - m * (pi @ h) - c @ z).max()
-        ),
+        "H - HP = I - e c^T/m": h - h @ p - eye + c / m,
+        "He = e/m": h.sum(axis=-1, keepdims=True) - 1.0 / m,
+        "e^T H = e^T - (m-1) pi^T": h.sum(axis=-2, keepdims=True) - 1.0 + (m - 1) * pi,
+        "(1+m) pi^T = m pi^T H + c^T Z": (1 + m) * pi - m * (pi @ h) - c @ z,
     }
+    return {name: np.abs(e).max(axis=(-2, -1)) for name, e in errors.items()}

@@ -6,8 +6,8 @@ diagonal entries of H and Z, and the passage-time row/column totals, and
 tallies violations of candidate order implications.  Relations proved for
 every chain (or for every two-state chain) are asserted; the rest are
 conjectures whose violation rates are simply measured.  Each trial also
-re-checks the identity suite and the bounds against ``analysis.IDENTITY_TOL``,
-the tolerance ``mcsum verify`` uses by default.
+re-checks the rows ``mcsum verify`` judges, ``analysis.residuals``, against
+``analysis.IDENTITY_TOL``, the tolerance ``verify`` uses by default.
 
 ``scan`` draws and solves each state count's trials as (T, m, m) stacks,
 through the same functions that solve one chain.
@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .analysis import (
-    IDENTITY_TOL,
-    ChainSolution,
-    bounds_check,
-    identity_residuals,
-    solve_chain,
-)
+from .analysis import IDENTITY_TOL, ChainSolution, residuals, solve_chain
 from .chain import TransitionMatrix, is_irreducible
 from .errors import GenerationFailed
 
@@ -209,7 +203,6 @@ class RelationSummary:
     m: int
     trials: int
     violating_trials: int
-    violating_pairs: int
 
     @property
     def rate(self) -> float:
@@ -250,13 +243,12 @@ def scan(
 
     Each trial that violates a relation is handed to `found`, in trial
     order, as its block is solved; none is kept, so memory does not grow
-    with the trial count.  Every trial also re-evaluates the identity suite
-    and the bounds; any residual beyond IDENTITY_TOL, any bound margin below
-    -IDENTITY_TOL, or a violated theorem-backed relation is recorded as a
-    hard failure: those are theorems for every accepted chain, so a miss is
-    an implementation bug, not a finding.
+    with the trial count.  Every trial also re-evaluates ``residuals``; a row
+    beyond IDENTITY_TOL or a violated theorem-backed relation is recorded as
+    a hard failure: those are theorems for every accepted chain, so a miss
+    is an implementation bug, not a finding.
     """
-    counts = {(name, m): [0, 0] for name in RELATIONS for m in config.state_counts}
+    counts = {(name, m): 0 for name in RELATIONS for m in config.state_counts}
     counterexamples = 0
     hard_failures: list[str] = []
 
@@ -269,20 +261,18 @@ def scan(
             p = random_chains(m, seeds, config.sparsity)
             sol = solve_chain(TransitionMatrix(p=p))
             signs, masks = ordering_masks(sol)
-            per_trial = {name: mask.sum(axis=(-2, -1)) for name, mask in masks.items()}
-            for name, pairs in per_trial.items():
-                counts[(name, m)][0] += int(np.count_nonzero(pairs))
-                counts[(name, m)][1] += int(pairs.sum())
+            per_trial = {name: mask.any(axis=(-2, -1)) for name, mask in masks.items()}
+            for name, hit in per_trial.items():
+                counts[(name, m)] += int(np.count_nonzero(hit))
             violated = np.flatnonzero(np.any(list(per_trial.values()), axis=0))
             counterexamples += len(violated)
             if found is not None:
                 for t, record in zip(violated.tolist(), _records(p, signs, masks, violated)):
                     found(Counterexample(m, int(trials[t]), int(seeds[t]), p[t].copy(), record))
-            resid = identity_residuals(sol)
+            resid = residuals(sol)
             names, table = list(resid), np.array(list(resid.values()))
             worst = table.argmax(axis=0)  # the first of equal largest residuals
-            margins = bounds_check(sol).worst_margin
-            failed = (table.max(axis=0) > IDENTITY_TOL) | (margins < -IDENTITY_TOL)
+            failed = table.max(axis=0) > IDENTITY_TOL
             failed |= np.any([per_trial[name] for name in theorems], axis=0)
             for t in np.flatnonzero(failed).tolist():
                 trial = int(trials[t])
@@ -298,13 +288,9 @@ def scan(
                         f"m={m} trial={trial}: identity residual {names[worst[t]]!r} = "
                         f"{table[worst[t], t]:.3e}"
                     )
-                if margins[t] < -IDENTITY_TOL:
-                    hard_failures.append(
-                        f"m={m} trial={trial}: bound margin {margins[t]:.3e} negative"
-                    )
 
     summaries = [
-        RelationSummary(name, m, config.trials, *counts[(name, m)])
+        RelationSummary(name, m, config.trials, counts[(name, m)])
         for name in RELATIONS
         for m in sorted(config.state_counts)
     ]

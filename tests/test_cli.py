@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from mcsum import io
+from mcsum import cli, fixtures, io
+from mcsum.analysis import residuals, solve_chain
 from mcsum.chain import validate
 from mcsum.cli import main
 from mcsum.report import analyze, report_to_dict
@@ -96,9 +97,22 @@ def test_verify_fixtures_pass(fix5_csv, fix8_csv, capsys):
     assert "published kemeny constant" in out
 
 
-def test_verify_fixture_tolerance_flag(fix5_csv, capsys):
-    assert main(["verify", "--input", str(fix5_csv), "--tol-fixture", "1e-12"]) == 4
-    assert "FAIL" in capsys.readouterr().out
+def test_verify_published_digit_off_by_one_unit_exits_4(fix5_csv, monkeypatch, capsys):
+    # published 16.042: a value is held to half a unit of its last decimal
+    monkeypatch.setitem(fixtures.FIX5_REFERENCE, "kemeny constant", ("16.043",))
+    assert main(["verify", "--input", str(fix5_csv)]) == 4
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert len(failed) == 1 and failed[0].startswith("published kemeny constant")
+
+
+def test_verify_prints_the_residual_table_in_order(fix5_csv, fix5, capsys):
+    assert main(["verify", "--input", str(fix5_csv)]) == 0
+    printed = [re.match(r"(.*?) +\S+  pass$", line)[1]
+               for line in capsys.readouterr().out.splitlines()]
+    table = list(residuals(solve_chain(fix5)))
+    oracle_row = "M from H = M from elimination (relative)"
+    assert printed == [*table[:-1], oracle_row, table[-1],
+                       "published stationary vector", "published kemeny constant"]
 
 
 def test_verify_perturbed_matrix_still_passes(tmp_path):
@@ -115,7 +129,7 @@ def test_verify_absurd_tolerance_exits_4(fix5_csv, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("option", ["--tol-identity", "--tol-fixture"])
+@pytest.mark.parametrize("option", ["--tol-identity"])
 @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "abc"])
 def test_verify_tolerance_must_be_finite_and_nonnegative(fix5_csv, option, value, capsys):
     assert main(["verify", "--input", str(fix5_csv), f"{option}={value}"]) == 1
@@ -227,6 +241,13 @@ def test_analyze_ordering_lines_bounded_on_dense_chain(tmp_path, capsys):
     assert max(map(len, printed)) < 150
 
 
+@pytest.mark.parametrize("states", ["x", "3..2", "3,,4"])
+def test_scan_malformed_states_is_a_usage_error(states, capsys):
+    assert main(["scan", "--states", states, "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --states: invalid state-count expression '{states}'" in err
+
+
 def test_scan_states_range_spec(capsys):
     assert main(["scan", "--states", "2..3", "--trials", "30", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -309,23 +330,16 @@ def test_json_input(tmp_path, fix8):
     assert main(["analyze", "--input", str(path)]) == 0
 
 
-def test_seed_env_default(monkeypatch):
-    from mcsum.cli import build_parser
+def test_each_call_parses_its_own_seed(monkeypatch, capsys):
+    # one parser serves every call of main: no call may see the last one's seed
+    seeds, run_scan = [], cli.run_scan
 
-    monkeypatch.setenv("MCSUM_SEED", "12345")
-    args = build_parser().parse_args(["scan", "--states", "2", "--trials", "1"])
-    assert args.seed == 12345
-    args = build_parser().parse_args(
-        ["scan", "--states", "2", "--trials", "1", "--seed", "9"]
-    )
-    assert args.seed == 9
+    def recording(config, found):
+        seeds.append(config.seed)
+        return run_scan(config, found)
 
-
-def test_malformed_seed_env_fails_only_scan(monkeypatch, fix5_csv, capsys):
-    monkeypatch.setenv("MCSUM_SEED", "abc")
-    assert main(["verify", "--input", str(fix5_csv)]) == 0
-    assert main(["closed-form", "two-state", "--a", "1", "--b", "1"]) == 0
-    capsys.readouterr()
-    assert main(["scan", "--states", "2", "--trials", "1"]) == 1
-    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "run_scan", recording)
     assert main(["scan", "--states", "2", "--trials", "1", "--seed", "4"]) == 0
+    assert main(["scan", "--states", "2", "--trials", "1"]) == 0
+    capsys.readouterr()
+    assert seeds == [4, 0]

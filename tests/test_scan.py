@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mcsum import analysis
 from mcsum import scan as scan_module
-from mcsum.analysis import bounds_check, identity_residuals, solve_chain
+from mcsum.analysis import residuals, solve_chain
 from mcsum.chain import validate
 from mcsum.errors import GenerationFailed
 from mcsum.rng import derive_stream
@@ -177,15 +178,22 @@ def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
                         f"m={m} trial={trial}: theorem relation {name} violated on "
                         f"{violations[name]}"
                     )
-            worst = max(identity_residuals(sol).items(), key=lambda kv: kv[1])
+            worst = max(residuals(sol).items(), key=lambda kv: kv[1])
             if worst[1] > tol:
                 want.append(f"m={m} trial={trial}: identity residual {worst[0]!r} = {worst[1]:.3e}")
-            margin = bounds_check(sol).worst_margin
-            if margin < -tol:
-                want.append(f"m={m} trial={trial}: bound margin {margin:.3e} negative")
     assert any("theorem relation" in line for line in want)
     assert any("identity residual" in line for line in want)
     assert scan(config).hard_failures == want
+
+
+def test_scan_judges_the_whole_residual_table(monkeypatch):
+    # Z enters only the (1+m) row of theorem 2: an error in Z must fail there
+    compute_z = analysis.compute_z
+    monkeypatch.setattr(analysis, "compute_z", lambda tm, pi: compute_z(tm, pi) + 1e-6)
+    result = scan(ScanConfig(state_counts=(3, 5), trials=20, seed=1))
+    assert len(result.hard_failures) == 40
+    row = "'(1+m) pi^T = m pi^T H + c^T Z'"
+    assert all(f"identity residual {row} = " in line for line in result.hard_failures)
 
 
 def test_scan_counterexamples_ordered():

@@ -11,6 +11,7 @@ from mcsum.analysis import (
     identity_residuals,
     kemeny_from_h,
     kemeny_from_z,
+    residuals,
     solve_chain,
     stationary_from_h,
 )
@@ -48,6 +49,7 @@ def test_stack_calls_match_single_calls(m, seeds, sparsity):
 
     sol = solve_chain(TransitionMatrix(p=stack))
     resid = identity_residuals(sol)
+    table = residuals(sol)
     worst = bounds_check(sol).worst_margin
     signs, masks = ordering_masks(sol)
     assert worst.shape == (len(seeds),)
@@ -61,6 +63,11 @@ def test_stack_calls_match_single_calls(m, seeds, sparsity):
         for name, value in one_resid.items():
             assert _bits(resid[name][k]) == _bits(value), name
         assert _bits(worst[k]) == _bits(bounds_check(one).worst_margin)
+        one_table = residuals(one)
+        assert list(one_table) == list(table)
+        for name, value in one_table.items():
+            assert np.shape(table[name][k]) == np.shape(value) == (), name
+            assert _bits(table[name][k]) == _bits(value), name
         one_signs, one_masks = ordering_masks(one)
         for name in one_signs:
             assert np.array_equal(signs[name][k], one_signs[name]), name

@@ -84,17 +84,18 @@ def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
     result is the same for every valid G.
     """
     g = np.asarray(g, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    gp = g.sum(axis=1)[:, None] * pi  # G Pi = (G e) pi^T, rank one
-    core = gp - gp.diagonal() + np.eye(len(g)) - g + g.diagonal()
+    pi = np.asarray(pi, dtype=np.float64)[..., None, :]  # as a row
+    gp = g.sum(axis=-1)[..., None] * pi  # G Pi = (G e) pi^T, rank one
+    core = (gp - gp.diagonal(axis1=-2, axis2=-1)[..., None, :] + np.eye(g.shape[-1]) - g
+            + g.diagonal(axis1=-2, axis2=-1)[..., None, :])
     return core / pi
 
 
-def kemeny_general(g: np.ndarray, pi: np.ndarray) -> float:
+def kemeny_general(g: np.ndarray, pi: np.ndarray) -> float | np.ndarray:
     """K = 1 + tr(G) - tr(G Pi) for any one-condition inverse G of I - P."""
     g = np.asarray(g, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    return float(1.0 + g.trace() - pi @ g.sum(axis=1))
+    pi = np.asarray(pi, dtype=np.float64)[..., None, :]  # as a row
+    return 1.0 + g.trace(axis1=-2, axis2=-1) - (pi @ g.sum(axis=-1)[..., None])[..., 0, 0]
 
 
 def z_from_h(h: np.ndarray, pi: np.ndarray) -> np.ndarray:

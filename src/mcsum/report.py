@@ -37,16 +37,18 @@ CONDITION_WARN_THRESHOLD = 1e8
 class ChainReport:
     """Everything the package computes for one chain.
 
-    The canonical ``kemeny`` value is the trace of the fundamental matrix;
-    all three variants and their spread are kept alongside it.  When the
-    chain was reordered, ``permutation[k]`` is the original index of state k
-    and the labels travel with their states.
+    P itself is not echoed: ``ordering.digest`` is the sha256 of the analysed
+    (possibly reordered) P's bytes, and ``ordering.violations`` lists the
+    pairs that break each relation, whose compared vectors are all in the
+    report.  The canonical ``kemeny`` value is the trace of the fundamental
+    matrix; all three variants and their spread are kept alongside it.
+    When the chain was reordered, ``permutation[k]`` is the original index
+    of state k and the labels travel with their states.
     """
 
     labels: tuple[str, ...]
     m: int
     permutation: tuple[int, ...] | None
-    p: np.ndarray
     column_sums: np.ndarray
     stationary: np.ndarray
     kemeny: float
@@ -88,7 +90,6 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         labels=tm.labels,
         m=tm.n,
         permutation=permutation,
-        p=tm.p,
         column_sums=sol.c,
         stationary=sol.pi,
         kemeny=variants["fundamental"],
@@ -158,14 +159,6 @@ def write_json(obj, fh, depth: int = 0) -> None:
     pad = "\n" + "  " * depth
     inner = pad + "  "
     flat = isinstance(obj, np.ndarray) and obj.ndim < 2
-    signs = flat and obj.ndim == 1 and obj.dtype == np.int8 and obj.size > 0
-    if signs and -1 <= obj.min() and obj.max() <= 1:
-        # A row of an ordering sign matrix, a quarter of a report's numbers:
-        # one character per sign (-1 as "m"), joined without a Python loop.
-        chars = obj.tobytes().translate(bytes.maketrans(b"\xff\x00\x01", b"m01"))
-        text = ("," + inner).join(chars.decode())
-        fh.write("[" + inner + text.replace("m", "-1") + pad + "]")
-        return
     if flat:
         obj = obj.tolist()
     if is_dataclass(obj) or isinstance(obj, dict):

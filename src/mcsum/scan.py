@@ -1,12 +1,12 @@
 """Random chain ensembles and ordering-relation scanning.
 
-The scanner samples row-Dirichlet chains, computes the sign of every
-pairwise comparison among the column sums, stationary probabilities,
-diagonal entries of H and Z, and the passage-time row/column totals, and
-tallies violations of candidate order implications.  Relations proved for
-every chain (or for every two-state chain) are asserted; the rest are
-conjectures whose violation rates are simply measured.  Each trial also
-re-checks the rows ``mcsum verify`` judges, ``analysis.residuals``, against
+The scanner samples row-Dirichlet chains, compares every pair of states on
+the column sums, stationary probabilities, diagonal entries of H, mean
+recurrence times and passage-time column totals, and tallies violations of
+candidate order implications.  Relations proved for every chain (or for
+every two-state chain) are asserted; the rest are conjectures whose
+violation rates are simply measured.  Each trial also re-checks the rows
+``mcsum verify`` judges, ``analysis.residuals``, against
 ``analysis.IDENTITY_TOL``, the tolerance ``verify`` uses by default.
 
 ``scan`` draws and solves each state count's trials as (T, m, m) stacks,
@@ -32,17 +32,6 @@ SIGN_TIE_TOL = 1e-12
 #: chain, and at least one chain): each stacked float array of a block then
 #: takes at most 512 kB for m <= 256.
 BLOCK_ENTRIES = 1 << 16
-
-#: Comparison vectors recorded per chain, keyed by name.
-SIGN_VECTORS = (
-    "colsum",          # c_j
-    "pi",              # stationary probabilities
-    "h_diag",          # diagonal of H
-    "z_diag",          # diagonal of Z
-    "m_col_total",     # sum_i m_ij: expected time into state j
-    "m_row_total",     # sum_j m_ij: expected time out of state i
-)
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -102,11 +91,11 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class OrderingRecord:
-    """Pairwise sign comparisons for one chain plus the failed implications."""
+    """The pairs (i, j), i < j, that violate each relation for one chain;
+    ``digest`` is the sha256 of the chain's P bytes."""
 
     digest: str
     m: int
-    signs: dict[str, np.ndarray]
     violations: dict[str, list[tuple[int, int]]]
 
 
@@ -146,16 +135,15 @@ def random_chain(m: int, seed: int, sparsity: float = 0.0) -> TransitionMatrix:
     return TransitionMatrix(p=p, labels=tuple(str(i + 1) for i in range(m)))
 
 
-def ordering_masks(sol: ChainSolution) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Sign matrices of the comparison vectors (0 for a tie) and, per relation,
-    the mask of the pairs i < j that violate it; for one chain or a stack."""
+def ordering_masks(sol: ChainSolution) -> dict[str, np.ndarray]:
+    """Per relation, the mask of the pairs i < j that violate it, from the
+    pairwise signs of the comparison vectors (a tie never violates); for one
+    chain or a stack."""
     vectors = {
         "colsum": sol.c,
         "pi": sol.pi,
         "h_diag": sol.h.diagonal(axis1=-2, axis2=-1),
-        "z_diag": sol.z.diagonal(axis1=-2, axis2=-1),
-        "m_col_total": sol.mfpt.sum(axis=-2),
-        "m_row_total": sol.mfpt.sum(axis=-1),
+        "m_col_total": sol.mfpt.sum(axis=-2),  # sum_i m_ij: expected time into state j
         "m_recurrence": sol.mfpt.diagonal(axis1=-2, axis2=-1),
     }
     signs = {}
@@ -165,19 +153,17 @@ def ordering_masks(sol: ChainSolution) -> tuple[dict[str, np.ndarray], dict[str,
     upper = np.triu(np.ones((sol.tm.n, sol.tm.n), dtype=bool), k=1)
     # signs in {-1, 0, 1}: the product is -direction exactly when both are
     # nonzero and their order breaks the relation
-    masks = {
+    return {
         name: upper & (signs[r.left] * signs[r.right] == -r.direction)
         for name, r in RELATIONS.items()
     }
-    return signs, masks
 
 
-def _records(p, signs, masks, chains=slice(None)) -> list[OrderingRecord]:
-    """Ordering records of `chains` of the stacked p, signs and masks (one chain
-    is a stack of one), gathered so that no record keeps the stack alive."""
+def _records(p, masks, chains=slice(None)) -> list[OrderingRecord]:
+    """Ordering records of `chains` of the stacked p and masks (one chain is a
+    stack of one), gathered so that no record keeps the stack alive."""
     m = p.shape[-1]
     p = p.reshape(-1, m, m)[chains]
-    signs = {name: signs[name].reshape(-1, m, m)[chains] for name in SIGN_VECTORS}
     pairs = {}
     for name, mask in masks.items():
         t, i, j = mask.reshape(-1, m, m)[chains].nonzero()  # by chain, then row-major
@@ -186,7 +172,6 @@ def _records(p, signs, masks, chains=slice(None)) -> list[OrderingRecord]:
         pairs[name] = [ij[a:b] for a, b in zip(cuts, cuts[1:])]
     return [
         OrderingRecord(hashlib.sha256(p[k].tobytes()).hexdigest(), m,
-                       {name: s[k] for name, s in signs.items()},
                        {name: found[k] for name, found in pairs.items()})
         for k in range(len(p))
     ]
@@ -194,7 +179,7 @@ def _records(p, signs, masks, chains=slice(None)) -> list[OrderingRecord]:
 
 def ordering_from_solution(sol: ChainSolution) -> OrderingRecord:
     """Ordering record computed from an existing pipeline solution."""
-    return _records(sol.tm.p, *ordering_masks(sol))[0]
+    return _records(sol.tm.p, ordering_masks(sol))[0]
 
 
 @dataclass(frozen=True)
@@ -260,14 +245,14 @@ def scan(
             seeds = rng.derive_stream(config.seed, m, trials)
             p = random_chains(m, seeds, config.sparsity)
             sol = solve_chain(TransitionMatrix(p=p))
-            signs, masks = ordering_masks(sol)
+            masks = ordering_masks(sol)
             per_trial = {name: mask.any(axis=(-2, -1)) for name, mask in masks.items()}
             for name, hit in per_trial.items():
                 counts[(name, m)] += int(np.count_nonzero(hit))
             violated = np.flatnonzero(np.any(list(per_trial.values()), axis=0))
             counterexamples += len(violated)
             if found is not None:
-                for t, record in zip(violated.tolist(), _records(p, signs, masks, violated)):
+                for t, record in zip(violated.tolist(), _records(p, masks, violated)):
                     found(Counterexample(m, int(trials[t]), int(seeds[t]), p[t].copy(), record))
             resid = residuals(sol)
             names, table = list(resid), np.array(list(resid.values()))

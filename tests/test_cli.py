@@ -7,7 +7,7 @@ import pytest
 
 from mcsum import cli, fixtures, io
 from mcsum.analysis import residuals, solve_chain
-from mcsum.chain import validate
+from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.cli import main
 from mcsum.report import analyze, report_to_dict
 from tests.conftest import FIVE_STATE_UNSORTED, two_block
@@ -50,7 +50,19 @@ def test_analyze_output_round_trips(fix8_csv, tmp_path, fix8):
     assert main(["analyze", "--input", str(fix8_csv), "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report == report_to_dict(analyze(fix8))
-    np.testing.assert_array_equal(np.array(report["p"]), fix8.p)
+    assert "p" not in report and "signs" not in report["ordering"]
+    assert report["ordering"]["digest"] == hashlib.sha256(fix8.p.tobytes()).hexdigest()
+    # reordered, the digest names the chain as analysed, not as read
+    unsorted = tmp_path / "unsorted.csv"
+    io.save_matrix(unsorted, FIVE_STATE_UNSORTED)
+    assert main(["analyze", "--input", str(unsorted), "--output", str(out),
+                 "--reorder-by-colsum"]) == 0
+    tm = validate(*io.load_matrix(unsorted))
+    reordered, perm = reorder_by_column_sums(tm)
+    assert perm.tolist() != list(range(5))
+    digest = json.loads(out.read_text())["ordering"]["digest"]
+    assert digest == hashlib.sha256(reordered.p.tobytes()).hexdigest()
+    assert digest != hashlib.sha256(tm.p.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("reorder", [[], ["--reorder-by-colsum"]])
@@ -159,6 +171,12 @@ def test_scan_cli_runs_and_logs(tmp_path, capsys):
     assert entry["m"] == 3
     tm = validate(np.array(entry["p"]))
     assert tm.n == 3
+    for line in lines:
+        entry = json.loads(line)
+        assert list(entry) == ["m", "trial", "seed", "p", "ordering"]
+        assert "signs" not in entry["ordering"]
+        digest = hashlib.sha256(np.array(entry["p"]).tobytes()).hexdigest()
+        assert entry["ordering"]["digest"] == digest
 
 
 def test_scan_cli_generation_failed_truncates_no_log_line(tmp_path, capsys):
@@ -197,8 +215,9 @@ def test_scan_cli_byte_identical(tmp_path, capsys):
 
 
 def test_scan_cli_output_pinned(tmp_path, capsys):
-    # sha256 of the stdout and the --log file of this scan, recorded when each
-    # chain was still drawn and solved one trial at a time
+    # sha256 of the stdout and the --log file of this scan: the stdout as
+    # recorded when each chain was still drawn and solved one trial at a
+    # time, the log as that recording with each line's ordering.signs removed
     log = tmp_path / "scan.jsonl"
     argv = "scan --states 2,3,5,10 --trials 300 --sparsity 0.4 --seed 5 --log".split()
     assert main([*argv, str(log)]) == 0
@@ -207,7 +226,7 @@ def test_scan_cli_output_pinned(tmp_path, capsys):
         "0b082fb07f8e73e9221ddc9512f0f7628c75618f8ee1974bfe82cbd9a7a09d75"
     )
     assert hashlib.sha256(log.read_bytes()).hexdigest() == (
-        "7b718fe4fdfefcc4b44fcd12218ab0f17f1031d95a35b2f14a7a39167d0a099d"
+        "15f03691a0e8b3f122426e4071b7022f41425857e1a1f685016aaed8266e412a"
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcsum import fixtures
-from mcsum.chain import validate
+from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.errors import SingularMatrix
 from mcsum.ginv import colsum_system
 from mcsum.report import CONDITION_WARN_THRESHOLD, analyze, report_to_dict, write_json
@@ -61,7 +62,9 @@ def test_analyze_reorder_records_permutation(fix5):
     rep = analyze(tm, reorder=True)
     assert rep.permutation == (4, 0, 1, 3, 2)
     assert rep.labels == ("5", "1", "2", "4", "3")
-    np.testing.assert_allclose(rep.p, fix5.p, atol=1e-15)
+    reordered, _ = reorder_by_column_sums(tm)
+    np.testing.assert_allclose(reordered.p, fix5.p, atol=1e-15)
+    assert rep.ordering.digest == hashlib.sha256(reordered.p.tobytes()).hexdigest()
     np.testing.assert_allclose(rep.stationary, FIX5_PI, atol=5e-4)
 
 
@@ -82,13 +85,12 @@ def test_report_dict_round_trips(fix5):
     back = json.loads(blob)
     assert back["m"] == 5
     assert back["labels"] == ["1", "2", "3", "4", "5"]
-    np.testing.assert_allclose(np.array(back["p"]), fix5.p, atol=0)
+    assert "p" not in back
     np.testing.assert_allclose(np.array(back["mfpt"]), FIX5_M, atol=5e-4)
     assert set(back["bounds"]) >= {"kemeny_margin", "trace_h_margin", "pi_upper_margins"}
     assert back["doubly_stochastic"]["applicable"] is False
-    assert list(back["ordering"]["signs"]) == [
-        "colsum", "pi", "h_diag", "z_diag", "m_col_total", "m_row_total",
-    ]
+    assert list(back["ordering"]) == ["digest", "m", "violations"]
+    assert back["ordering"]["digest"] == hashlib.sha256(fix5.p.tobytes()).hexdigest()
 
 
 def test_kemeny_variants_consistent(fix5, fix8, cycle3):

@@ -15,6 +15,7 @@ from mcsum.scan import (
     Relation,
     ScanConfig,
     ordering_from_solution,
+    ordering_masks,
     random_chain,
     scan,
 )
@@ -88,22 +89,22 @@ def test_ordering_record_recomputes(fix8):
     b = ordering_from_solution(solve_chain(fix8))
     assert a.digest == b.digest
     assert a.m == 8
-    for name in a.signs:
-        assert np.array_equal(a.signs[name], b.signs[name])
     assert a.violations == b.violations
 
 
-def test_ordering_signs_antisymmetric(fix5):
-    record = ordering_from_solution(solve_chain(fix5))
-    for name, s in record.signs.items():
-        assert np.array_equal(s, -s.T), name
-        assert set(np.unique(s)) <= {-1, 0, 1}
+def test_ordering_masks_lie_above_the_diagonal(fix5):
+    masks = ordering_masks(solve_chain(fix5))
+    assert list(masks) == list(RELATIONS)
+    for name, mask in masks.items():
+        assert mask.shape == (5, 5) and mask.dtype == bool, name
+        assert not np.tril(mask).any(), name
 
 
 def test_sign_ties_never_violate(cycle3):
-    record = ordering_from_solution(solve_chain(cycle3))  # fully tied: uniform everything
+    sol = solve_chain(cycle3)  # fully tied: uniform everything
+    record = ordering_from_solution(sol)
     assert all(v == [] for v in record.violations.values())
-    assert (record.signs["colsum"] == 0).all()
+    assert not any(mask.any() for mask in ordering_masks(sol).values())
 
 
 def test_scan_deterministic():
@@ -156,8 +157,6 @@ def test_scan_result_does_not_depend_on_block_size(monkeypatch):
         assert a.p.tobytes() == b.p.tobytes()
         assert a.ordering.digest == b.ordering.digest
         assert a.ordering.violations == b.ordering.violations
-        for name, s in a.ordering.signs.items():
-            assert np.array_equal(s, b.ordering.signs[name])
 
 
 def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):

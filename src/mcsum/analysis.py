@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oracle
 from .chain import TransitionMatrix, column_sums
-from .ginv import compute_h, compute_z, theorem2_residuals
+from .ginv import THEOREM2_ROWS, compute_h, compute_z, max_abs, theorem2_errors
 
 #: Chains whose column sums deviate from 1 by less than this are treated as
 #: doubly stochastic.
@@ -67,56 +67,43 @@ def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     return pi / m + (c_off - off) * pi
 
 
-def identity_residuals(sol: ChainSolution) -> dict[str, float]:
-    """Max-abs residuals of the passage-time/column-sum identity chain.
+#: The rows of ``identity_residuals``, in the order of ``identity_errors``.
+IDENTITY_ROWS = (
+    "(I-P)M = E - P M_d", "m_.j - sum_i c_i m_ij = m - c_j m_jj",
+    "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj", "m_.j = m - 1 + m h_jj m_jj",
+    "pi_j (m - m_.j + sum_i c_i m_ij) = c_j", "pi_j (m - sum_i!=j m_ij + sum_i!=j c_i m_ij) = 1",
+    "pi_j (1 + sum_i c_i m_ij) = c_j + m h_jj", "pi_j (1 + sum_i!=j c_i m_ij) = m h_jj",
+    "pi_j (1 + m_.j - m) = m h_jj", "pi_j (1 + sum_i!=j m_ij - m) = m h_jj - 1",
+)
 
-    The stationary-probability representations are evaluated in
-    cross-multiplied form (pi_j * denominator - numerator), which is the
-    same identity but immune to the 0/0 equality cases that the quotient
-    forms hit on boundary chains.
+
+def identity_errors(sol: ChainSolution) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Unreduced errors of the passage-time/column-sum identity chain: the
+    (..., m, m) matrix row, then the (..., m) vector rows.  The pi_j rows are
+    cross-multiplied (pi_j * denominator - numerator): the same identities,
+    immune to the 0/0 equality cases of the quotient forms on boundary chains.
     """
-    p, h, pi, mfpt, c = sol.tm.p, sol.h, sol.pi, sol.mfpt, sol.c
-    m = sol.tm.n
-
-    m_d = mfpt.diagonal(axis1=-2, axis2=-1)
-    col_totals = mfpt.sum(axis=-2)  # sum_i m_ij
-    c_weighted = (c[..., None, :] @ mfpt)[..., 0, :]  # sum_i c_i m_ij
+    p, pi, mfpt, c, m = sol.tm.p, sol.pi, sol.mfpt, sol.c, sol.tm.n
+    m_d, h_d, col_totals, c_weighted, c_off = (
+        sol.m_diag, sol.h_diag, sol.col_totals, sol.c_weighted, sol.c_off)
     off_totals = col_totals - m_d  # sum_{i != j} m_ij
-    c_off = c_weighted - c * m_d  # sum_{i != j} c_i m_ij
-    h_d = h.diagonal(axis1=-2, axis2=-1)
 
-    return {
-        "(I-P)M = E - P M_d": np.abs(
-            (np.eye(m) - p) @ mfpt - 1.0 + p * m_d[..., None, :]
-        ).max(axis=(-2, -1)),
-        "m_.j - sum_i c_i m_ij = m - c_j m_jj": np.abs(
-            (col_totals - c_weighted) - (m - c * m_d)
-        ).max(axis=-1),
-        "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj": np.abs(
-            c_weighted - (c * m_d - 1.0 + m * h_d * m_d)
-        ).max(axis=-1),
-        "m_.j = m - 1 + m h_jj m_jj": np.abs(
-            col_totals - (m - 1.0 + m * h_d * m_d)
-        ).max(axis=-1),
-        "pi_j (m - m_.j + sum_i c_i m_ij) = c_j": np.abs(
-            pi * (m - col_totals + c_weighted) - c
-        ).max(axis=-1),
-        "pi_j (m - sum_i!=j m_ij + sum_i!=j c_i m_ij) = 1": np.abs(
-            pi * (m - off_totals + c_off) - 1.0
-        ).max(axis=-1),
-        "pi_j (1 + sum_i c_i m_ij) = c_j + m h_jj": np.abs(
-            pi * (1.0 + c_weighted) - (c + m * h_d)
-        ).max(axis=-1),
-        "pi_j (1 + sum_i!=j c_i m_ij) = m h_jj": np.abs(
-            pi * (1.0 + c_off) - m * h_d
-        ).max(axis=-1),
-        "pi_j (1 + m_.j - m) = m h_jj": np.abs(
-            pi * (1.0 + col_totals - m) - m * h_d
-        ).max(axis=-1),
-        "pi_j (1 + sum_i!=j m_ij - m) = m h_jj - 1": np.abs(
-            pi * (1.0 + off_totals - m) - (m * h_d - 1.0)
-        ).max(axis=-1),
-    }
+    return [(np.eye(m) - p) @ mfpt - 1.0 + p * m_d[..., None, :]], [
+        (col_totals - c_weighted) - (m - c * m_d),
+        c_weighted - (c * m_d - 1.0 + m * h_d * m_d),
+        col_totals - (m - 1.0 + m * h_d * m_d),
+        pi * (m - col_totals + c_weighted) - c,
+        pi * (m - off_totals + c_off) - 1.0,
+        pi * (1.0 + c_weighted) - (c + m * h_d),
+        pi * (1.0 + c_off) - m * h_d,
+        pi * (1.0 + col_totals - m) - m * h_d,
+        pi * (1.0 + off_totals - m) - (m * h_d - 1.0),
+    ]
+
+
+def identity_residuals(sol: ChainSolution) -> dict[str, float | np.ndarray]:
+    """Max-abs residuals of ``identity_errors`` by name, one per chain."""
+    return dict(zip(IDENTITY_ROWS, max_abs(*identity_errors(sol))))
 
 
 @dataclass(frozen=True)
@@ -139,25 +126,20 @@ class BoundsReport:
     @property
     def worst_margin(self) -> float | np.ndarray:
         """The smallest margin of the suite; negative means a bound fails."""
-        return np.min((
-            self.kemeny_margin,
-            self.trace_h_margin,
-            self.trace_h_weak_margin,
-            self.pi_upper_margins.min(axis=-1),
-            self.pi_lower_offdiag_margins.min(axis=-1),
-            self.pi_lower_colsum_margins.min(axis=-1),
-        ), axis=0)
+        per_state = (self.pi_upper_margins, self.pi_lower_offdiag_margins,
+                     self.pi_lower_colsum_margins)
+        return np.minimum(
+            np.min((self.kemeny_margin, self.trace_h_margin, self.trace_h_weak_margin), axis=0),
+            np.concatenate(per_state, axis=-1).min(axis=-1),
+        )
 
 
 def bounds_check(sol: ChainSolution) -> BoundsReport:
     """Evaluate the Kemeny, trace and stationary-probability bounds."""
-    h, pi, mfpt, c = sol.h, sol.pi, sol.mfpt, sol.c
+    h, pi, c = sol.h, sol.pi, sol.c
     m = sol.tm.n
-    h_d = h.diagonal(axis1=-2, axis2=-1)
     kemeny = kemeny_from_h(h)
     trace_h = h.trace(axis1=-2, axis2=-1)
-    c_weighted = (c[..., None, :] @ mfpt)[..., 0, :]
-    c_off = c_weighted - c * mfpt.diagonal(axis1=-2, axis2=-1)
     return BoundsReport(
         kemeny=kemeny,
         kemeny_lower=(m + 1) / 2.0,
@@ -167,28 +149,37 @@ def bounds_check(sol: ChainSolution) -> BoundsReport:
         trace_h_margin=trace_h - ((m - 1) / 2.0 + 1.0 / m),
         trace_h_weak_lower=1.0 / m,
         trace_h_weak_margin=trace_h - 1.0 / m,
-        pi_upper_margins=m * h_d - pi,
-        pi_lower_offdiag_margins=pi - 1.0 / (m + c_off),
-        pi_lower_colsum_margins=pi - c / (1.0 + c_weighted),
+        pi_upper_margins=m * sol.h_diag - pi,
+        pi_lower_offdiag_margins=pi - 1.0 / (m + sol.c_off),
+        pi_lower_colsum_margins=pi - c / (1.0 + sol.c_weighted),
     )
 
 
-def residuals(sol: ChainSolution) -> dict[str, float | np.ndarray]:
-    """The verdict's table: every residual that ``verify`` and ``scan`` hold
-    to IDENTITY_TOL, in ``verify``'s order, one value per chain of the stack.
+#: The rows of ``residuals``, in ``verify``'s order.
+RESIDUAL_ROWS = ("c^T H = pi^T", "sum_j c_j = m", *THEOREM2_ROWS, *IDENTITY_ROWS,
+                 "inequality margins (negative part)")
 
-    The rows are pi^T = c^T H, the column-sum total, ``theorem2_residuals``,
-    ``identity_residuals`` and the negative part of the worst bound margin.
-    """
+
+def residuals(sol: ChainSolution) -> np.ndarray:
+    """The verdict's table: every residual that ``verify`` and ``scan`` hold
+    to IDENTITY_TOL, as one (rows, ...) array whose rows RESIDUAL_ROWS names:
+    pi^T = c^T H, the column-sum total, ``theorem2_residuals``,
+    ``identity_residuals`` and the negative part of the worst bound margin."""
+    t2_matrices, t2_vectors = theorem2_errors(sol)
+    id_matrices, id_vectors = identity_errors(sol)
+    stationary = stationary_from_h(sol.h, sol.c) - sol.pi
+    maxima = max_abs(t2_matrices + id_matrices, [stationary, *t2_vectors, *id_vectors])
+    t2, v2, mats = len(t2_matrices), 1 + len(t2_vectors), len(t2_matrices + id_matrices)
+    matrices, vectors = maxima[:mats], maxima[mats:]
     worst_margin = bounds_check(sol).worst_margin
-    return {
-        "c^T H = pi^T": np.abs(stationary_from_h(sol.h, sol.c) - sol.pi).max(axis=-1),
-        "sum_j c_j = m": np.abs(sol.c.sum(axis=-1) - sol.tm.n),
-        **theorem2_residuals(sol),
-        **identity_residuals(sol),
+    return np.concatenate([
+        vectors[:1],
+        np.abs(sol.c.sum(axis=-1) - sol.tm.n)[None],
+        matrices[:t2], vectors[1:v2],  # theorem2_residuals
+        matrices[t2:], vectors[v2:],  # identity_residuals
         # 0.0, never -0.0, where no bound fails
-        "inequality margins (negative part)": np.where(worst_margin < 0, -worst_margin, 0.0),
-    }
+        np.where(worst_margin < 0, -worst_margin, 0.0)[None],
+    ])
 
 
 @dataclass(frozen=True)
@@ -226,8 +217,7 @@ def doubly_stochastic_report(sol: ChainSolution) -> DoublyStochasticReport:
     m = sol.tm.n
     pi, h, z, mfpt = sol.pi, sol.h, sol.z, sol.mfpt
     kemeny = kemeny_from_z(z)
-    h_d = h.diagonal()
-    col_totals = mfpt.sum(axis=0)
+    h_d, col_totals = sol.h_diag, sol.col_totals
     row_totals = mfpt.sum(axis=1)
     return DoublyStochasticReport(
         applicable=True,
@@ -245,7 +235,8 @@ def doubly_stochastic_report(sol: ChainSolution) -> DoublyStochasticReport:
 @dataclass(frozen=True)
 class ChainSolution:
     """One chain's (or stack's) core arrays, computed once and shared; `cond`
-    is the 1-norm condition number of I - P + e c^T."""
+    is the 1-norm condition number of I - P + e c^T.  The last five fields
+    are derived vectors that several checks read."""
 
     tm: TransitionMatrix
     c: np.ndarray
@@ -254,6 +245,11 @@ class ChainSolution:
     z: np.ndarray
     mfpt: np.ndarray
     cond: float | np.ndarray
+    h_diag: np.ndarray  # h_jj
+    m_diag: np.ndarray  # m_jj = 1/pi_j, the mean recurrence times
+    col_totals: np.ndarray  # m_.j = sum_i m_ij: expected time into state j
+    c_weighted: np.ndarray  # c^T M: sum_i c_i m_ij
+    c_off: np.ndarray  # c^T (M - M_d): sum_{i != j} c_i m_ij
 
 
 def solve_chain(tm: TransitionMatrix) -> ChainSolution:
@@ -267,5 +263,9 @@ def solve_chain(tm: TransitionMatrix) -> ChainSolution:
     pi = oracle.stationary_direct(tm)
     h, cond = compute_h(tm)
     z = compute_z(tm, pi)
-    mfpt = mfpt_from_h(h, pi)
-    return ChainSolution(tm=tm, c=column_sums(tm), pi=pi, h=h, z=z, mfpt=mfpt, cond=cond)
+    c, mfpt = column_sums(tm), mfpt_from_h(h, pi)
+    h_diag, m_diag = h.diagonal(axis1=-2, axis2=-1), mfpt.diagonal(axis1=-2, axis2=-1)
+    c_weighted = (c[..., None, :] @ mfpt)[..., 0, :]
+    return ChainSolution(tm=tm, c=c, pi=pi, h=h, z=z, mfpt=mfpt, cond=cond, h_diag=h_diag,
+                         m_diag=m_diag, col_totals=mfpt.sum(axis=-2), c_weighted=c_weighted,
+                         c_off=c_weighted - c * m_diag)

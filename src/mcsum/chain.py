@@ -58,8 +58,10 @@ def is_irreducible(p: np.ndarray) -> bool | np.ndarray:
     """True iff the graph on positive entries is strongly connected (state 0
     reaches every state and every state reaches 0); one verdict per matrix."""
     adj = np.asarray(p) > 0.0
-    strong = (_levels(adj) >= 0).all(axis=-1)
-    strong &= (_levels(np.swapaxes(adj, -2, -1)) >= 0).all(axis=-1)
+    strong = np.asarray(adj.all(axis=(-2, -1)))  # an all-positive matrix needs no search
+    if not strong.all():  # search from state 0 along the edges and against them at once
+        both = np.stack((adj[~strong], np.swapaxes(adj[~strong], -2, -1)))
+        strong[~strong] = (_levels(both) >= 0).all(axis=(0, -1))
     return strong if strong.ndim else bool(strong)
 
 

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import fixtures, io, oracle
-from .analysis import IDENTITY_TOL, kemeny_from_z, residuals, solve_chain
+from .analysis import IDENTITY_TOL, RESIDUAL_ROWS, kemeny_from_z, residuals, solve_chain
 from .chain import validate
 from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .report import analyze, report_to_dict, write_json
@@ -140,7 +140,7 @@ def _published_rows(sol, reference: dict[str, tuple[str, ...]]):
 
 def _cmd_verify(args) -> int:
     sol = solve_chain(_load_chain(args))
-    table = list(residuals(sol).items())
+    table = list(zip(RESIDUAL_ROWS, residuals(sol)))
     mfpt_oracle = oracle.mfpt_direct(sol.tm, sol.pi)
     rel = np.abs(sol.mfpt - mfpt_oracle) / np.maximum(np.abs(mfpt_oracle), 1.0)
     table.insert(-1, ("M from H = M from elimination (relative)", rel.max()))

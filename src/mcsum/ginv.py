@@ -110,26 +110,40 @@ def h_from_z(z: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     return z + ((pi - (c[..., None, :] @ z)[..., 0, :]) / z.shape[-1])[..., None, :]
 
 
-def theorem2_residuals(sol: ChainSolution) -> dict[str, float | np.ndarray]:
-    """Max-abs residuals of the structural identities of H (and its link to Z),
-    one per chain of the solution's stack.
+#: The rows of ``theorem2_residuals``, in the order of ``theorem2_errors``.
+THEOREM2_ROWS = ("H - PH = I - e pi^T", "H - HP = I - e c^T/m", "He = e/m",
+                 "e^T H = e^T - (m-1) pi^T", "(1+m) pi^T = m pi^T H + c^T Z")
 
-    Row, column and element statements of the same matrix identity coincide
-    as floating-point computations, so each distinct identity is reported
-    once.  Every residual is read off the chain's existing solution;
-    ``analysis.residuals`` judges them with the rest of the verdict's table.
-    """
+
+def theorem2_errors(sol: ChainSolution) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Unreduced errors of the structural identities of H (and its link to Z):
+    the (..., m, m) matrix rows, then the (..., m) vector rows; row, column and
+    element forms of one matrix identity coincide in floating point, so each is one row."""
     p, h, z = sol.tm.p, sol.h, sol.z
     c, pi = sol.c[..., None, :], sol.pi[..., None, :]  # as row vectors
     m = sol.tm.n
     eye = np.eye(m)
-    errors = {
+    return [
         # (I - P) H = I - e pi^T: the row/column/element "stationary" forms
-        "H - PH = I - e pi^T": h - p @ h - eye + pi,
+        h - p @ h - eye + pi,
         # H (I - P) = I - e c^T / m: the row/column/element "column sum" forms
-        "H - HP = I - e c^T/m": h - h @ p - eye + c / m,
-        "He = e/m": h.sum(axis=-1, keepdims=True) - 1.0 / m,
-        "e^T H = e^T - (m-1) pi^T": h.sum(axis=-2, keepdims=True) - 1.0 + (m - 1) * pi,
-        "(1+m) pi^T = m pi^T H + c^T Z": (1 + m) * pi - m * (pi @ h) - c @ z,
-    }
-    return {name: np.abs(e).max(axis=(-2, -1)) for name, e in errors.items()}
+        h - h @ p - eye + c / m,
+    ], [
+        h.sum(axis=-1) - 1.0 / m,
+        h.sum(axis=-2) - 1.0 + (m - 1) * sol.pi,
+        ((1 + m) * pi - m * (pi @ h) - c @ z)[..., 0, :],
+    ]
+
+
+def max_abs(matrices: list[np.ndarray], vectors: list[np.ndarray]) -> np.ndarray:
+    """Max-abs of each (..., m, m) error, then of each (..., m) error, as one
+    (errors, ...) array: one stacked reduction per shape.  The vectors' state
+    axis goes first, as numpy reduces one long axis far faster than many short."""
+    matrices, vectors = np.array(matrices), np.moveaxis(np.array(vectors), -1, 0)
+    return np.concatenate((np.abs(matrices.reshape(*matrices.shape[:-2], -1)).max(axis=-1),
+                           np.abs(vectors, order="C").max(axis=0)))
+
+
+def theorem2_residuals(sol: ChainSolution) -> dict[str, float | np.ndarray]:
+    """Max-abs residuals of ``theorem2_errors`` by name, one per chain."""
+    return dict(zip(THEOREM2_ROWS, max_abs(*theorem2_errors(sol))))

@@ -1,16 +1,13 @@
 """Random chain ensembles and ordering-relation scanning.
 
-The scanner samples row-Dirichlet chains, compares every pair of states on
-the column sums, stationary probabilities, diagonal entries of H, mean
-recurrence times and passage-time column totals, and tallies violations of
-candidate order implications.  Relations proved for every chain (or for
-every two-state chain) are asserted; the rest are conjectures whose
-violation rates are simply measured.  Each trial also re-checks the rows
-``mcsum verify`` judges, ``analysis.residuals``, against
-``analysis.IDENTITY_TOL``, the tolerance ``verify`` uses by default.
-
-``scan`` draws and solves each state count's trials as (T, m, m) stacks,
-through the same functions that solve one chain.
+``scan`` draws each state count's row-Dirichlet chains as (T, m, m) stacks,
+solves them with the functions that solve one chain, and judges each block in
+one pass: ``ordering_masks`` flags every relation at once on the pairs i < j
+of the column sums, pi, diag H, mean recurrence times and column totals of M,
+and ``analysis.residuals`` is the table ``mcsum verify`` prints, held to
+``analysis.IDENTITY_TOL``.  Relations proved for every chain (or every
+two-state chain) are asserted; the rest are conjectures whose violation
+rates are measured.
 """
 from __future__ import annotations
 
@@ -21,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .analysis import IDENTITY_TOL, ChainSolution, residuals, solve_chain
+from .analysis import IDENTITY_TOL, RESIDUAL_ROWS, ChainSolution, residuals, solve_chain
 from .chain import TransitionMatrix, is_irreducible
 from .errors import GenerationFailed
 
@@ -118,7 +115,8 @@ def random_chains(m: int, seeds: np.ndarray, sparsity: float = 0.0) -> np.ndarra
         raw[raw < cutoff] = 0.0
         ok = is_irreducible(raw)  # also false for a draw with an all-zero row
         # divide by the row sums, then renormalize exactly as validate() does
-        q = raw[ok] / raw[ok].sum(axis=-1, keepdims=True)
+        raw = raw[ok]
+        q = raw / raw.sum(axis=-1, keepdims=True)
         p[todo[ok]] = q / q.sum(axis=-1, keepdims=True)
         todo = todo[~ok]
         if not todo.size:
@@ -135,40 +133,42 @@ def random_chain(m: int, seed: int, sparsity: float = 0.0) -> TransitionMatrix:
     return TransitionMatrix(p=p, labels=tuple(str(i + 1) for i in range(m)))
 
 
-def ordering_masks(sol: ChainSolution) -> dict[str, np.ndarray]:
-    """Per relation, the mask of the pairs i < j that violate it, from the
-    pairwise signs of the comparison vectors (a tie never violates); for one
-    chain or a stack."""
-    vectors = {
-        "colsum": sol.c,
-        "pi": sol.pi,
-        "h_diag": sol.h.diagonal(axis1=-2, axis2=-1),
-        "m_col_total": sol.mfpt.sum(axis=-2),  # sum_i m_ij: expected time into state j
-        "m_recurrence": sol.mfpt.diagonal(axis1=-2, axis2=-1),
-    }
-    signs = {}
-    for name, v in vectors.items():
-        diff = v[..., :, None] - v[..., None, :]
-        signs[name] = np.where(np.abs(diff) < SIGN_TIE_TOL, 0, np.sign(diff)).astype(np.int8)
-    upper = np.triu(np.ones((sol.tm.n, sol.tm.n), dtype=bool), k=1)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(m, 1)``, the pairs i < j in row-major order, in fewer calls."""
+    return np.nonzero(np.arange(m)[:, None] < np.arange(m))
+
+
+def ordering_masks(sol: ChainSolution) -> np.ndarray:
+    """Per relation of RELATIONS, in its order, the flags of the pairs i < j
+    (``np.triu_indices`` order) that violate it, as one (relations, ...,
+    m(m-1)/2) bool array for one chain or a stack; a tie never violates."""
+    names = ("colsum", "pi", "h_diag", "m_col_total", "m_recurrence")
+    v = np.array((sol.c, sol.pi, sol.h_diag, sol.col_totals, sol.m_diag))
+    i, j = _pairs(sol.tm.n)
+    diff = v[..., i]
+    diff -= v[..., j]  # in place: at m = 600 each of these is 7 MB
+    signs = (diff >= SIGN_TIE_TOL).view(np.int8) - (diff <= -SIGN_TIE_TOL).view(np.int8)
+    left = [names.index(r.left) for r in RELATIONS.values()]
+    right = [names.index(r.right) for r in RELATIONS.values()]
+    direction = np.array([r.direction for r in RELATIONS.values()], dtype=np.int8)
     # signs in {-1, 0, 1}: the product is -direction exactly when both are
     # nonzero and their order breaks the relation
-    return {
-        name: upper & (signs[r.left] * signs[r.right] == -r.direction)
-        for name, r in RELATIONS.items()
-    }
+    return signs[left] * signs[right] == -direction.reshape(-1, *[1] * (diff.ndim - 1))
 
 
-def _records(p, masks, chains=slice(None)) -> list[OrderingRecord]:
-    """Ordering records of `chains` of the stacked p and masks (one chain is a
-    stack of one), gathered so that no record keeps the stack alive."""
+def _records(p, flags, chains=slice(None)) -> list[OrderingRecord]:
+    """Ordering records of `chains` of the stacked p and ``ordering_masks`` flags (one
+    chain is a stack of one), gathered so that no record keeps the stack alive."""
     m = p.shape[-1]
-    p = p.reshape(-1, m, m)[chains]
+    p = p.reshape(-1, m, m)
+    flags = flags.reshape(len(flags), len(p), flags.shape[-1])[:, chains]
+    p = p[chains]
+    i, j = _pairs(m)
     pairs = {}
-    for name, mask in masks.items():
-        t, i, j = mask.reshape(-1, m, m)[chains].nonzero()  # by chain, then row-major
+    for name, f in zip(RELATIONS, flags):
+        t, k = f.nonzero()  # by chain, then pair: i < j in row-major order
         cuts = np.searchsorted(t, np.arange(len(p) + 1)).tolist()
-        ij = list(zip(i.tolist(), j.tolist()))
+        ij = list(zip(i[k].tolist(), j[k].tolist()))
         pairs[name] = [ij[a:b] for a, b in zip(cuts, cuts[1:])]
     return [
         OrderingRecord(hashlib.sha256(p[k].tobytes()).hexdigest(), m,
@@ -233,50 +233,46 @@ def scan(
     a hard failure: those are theorems for every accepted chain, so a miss
     is an implementation bug, not a finding.
     """
-    counts = {(name, m): 0 for name in RELATIONS for m in config.state_counts}
+    counts = {m: np.zeros(len(RELATIONS), dtype=np.int64) for m in config.state_counts}
     counterexamples = 0
     hard_failures: list[str] = []
 
     for m in sorted(config.state_counts):
         step = max(1, BLOCK_ENTRIES // (m * m))
-        theorems = [name for name, r in RELATIONS.items() if r.proven_for(m)]
+        theorems = [r.proven_for(m) for r in RELATIONS.values()]
         for start in range(0, config.trials, step):
             trials = np.arange(start, min(start + step, config.trials))
             seeds = rng.derive_stream(config.seed, m, trials)
             p = random_chains(m, seeds, config.sparsity)
             sol = solve_chain(TransitionMatrix(p=p))
-            masks = ordering_masks(sol)
-            per_trial = {name: mask.any(axis=(-2, -1)) for name, mask in masks.items()}
-            for name, hit in per_trial.items():
-                counts[(name, m)] += int(np.count_nonzero(hit))
-            violated = np.flatnonzero(np.any(list(per_trial.values()), axis=0))
+            flags = ordering_masks(sol)
+            hits = flags.any(axis=-1)  # (relations, trials)
+            counts[m] += np.count_nonzero(hits, axis=1)
+            violated = np.flatnonzero(hits.any(axis=0))
             counterexamples += len(violated)
             if found is not None:
-                for t, record in zip(violated.tolist(), _records(p, masks, violated)):
+                for t, record in zip(violated.tolist(), _records(p, flags, violated)):
                     found(Counterexample(m, int(trials[t]), int(seeds[t]), p[t].copy(), record))
-            resid = residuals(sol)
-            names, table = list(resid), np.array(list(resid.values()))
+            table = residuals(sol)
             worst = table.argmax(axis=0)  # the first of equal largest residuals
-            failed = table.max(axis=0) > IDENTITY_TOL
-            failed |= np.any([per_trial[name] for name in theorems], axis=0)
-            for t in np.flatnonzero(failed).tolist():
+            failed = np.flatnonzero((table.max(axis=0) > IDENTITY_TOL) | hits[theorems].any(axis=0))
+            records = _records(p, flags, failed) if failed.size else []
+            for t, record in zip(failed.tolist(), records):
                 trial = int(trials[t])
-                for name in theorems:
-                    i, j = masks[name][t].nonzero()
-                    if i.size:
-                        hard_failures.append(
-                            f"m={m} trial={trial}: theorem relation {name} violated on "
-                            f"{list(zip(i.tolist(), j.tolist()))}"
-                        )
+                hard_failures += [
+                    f"m={m} trial={trial}: theorem relation {name} violated on {pairs}"
+                    for (name, pairs), theorem in zip(record.violations.items(), theorems)
+                    if theorem and pairs
+                ]
                 if table[worst[t], t] > IDENTITY_TOL:
                     hard_failures.append(
-                        f"m={m} trial={trial}: identity residual {names[worst[t]]!r} = "
+                        f"m={m} trial={trial}: identity residual {RESIDUAL_ROWS[worst[t]]!r} = "
                         f"{table[worst[t], t]:.3e}"
                     )
 
     summaries = [
-        RelationSummary(name, m, config.trials, counts[(name, m)])
-        for name in RELATIONS
+        RelationSummary(name, m, config.trials, int(counts[m][r]))
+        for r, name in enumerate(RELATIONS)
         for m in sorted(config.state_counts)
     ]
     return ScanResult(config, summaries, counterexamples, hard_failures)

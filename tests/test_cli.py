@@ -1,15 +1,20 @@
+import contextlib
 import hashlib
 import json
 import re
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsum import cli, fixtures, io
-from mcsum.analysis import residuals, solve_chain
+from mcsum.analysis import RESIDUAL_ROWS, residuals, solve_chain
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.cli import main
 from mcsum.report import analyze, report_to_dict
+from mcsum.scan import random_chain
 from tests.conftest import FIVE_STATE_UNSORTED, two_block
 
 
@@ -121,10 +126,29 @@ def test_verify_prints_the_residual_table_in_order(fix5_csv, fix5, capsys):
     assert main(["verify", "--input", str(fix5_csv)]) == 0
     printed = [re.match(r"(.*?) +\S+  pass$", line)[1]
                for line in capsys.readouterr().out.splitlines()]
-    table = list(residuals(solve_chain(fix5)))
+    table = list(RESIDUAL_ROWS)
+    assert len(table) == len(residuals(solve_chain(fix5)))
     oracle_row = "M from H = M from elimination (relative)"
     assert printed == [*table[:-1], oracle_row, table[-1],
                        "published stationary vector", "published kemeny constant"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(min_value=2, max_value=12), seed=st.integers(min_value=0, max_value=2**32),
+       sparsity=st.sampled_from([0.0, 0.5]))
+def test_verify_prints_residual_rows_with_their_values(tmp_path_factory, m, seed, sparsity):
+    path = tmp_path_factory.mktemp("verify") / "chain.csv"
+    io.save_matrix(path, random_chain(m, seed, sparsity).p)
+    out = StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--input", str(path)]) == 0
+    printed = [re.match(r"(.*?) +(\S+)  pass$", line).groups()
+               for line in out.getvalue().splitlines()]
+    table = residuals(solve_chain(validate(*io.load_matrix(path))))
+    oracle_row = "M from H = M from elimination (relative)"
+    assert [name for name, _ in printed] == [*RESIDUAL_ROWS[:-1], oracle_row, RESIDUAL_ROWS[-1]]
+    values = [value for name, value in printed if name != oracle_row]
+    assert values == [f"{v:.3e}" for v in table]
 
 
 def test_verify_perturbed_matrix_still_passes(tmp_path):

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcsum import fixtures
+from mcsum.analysis import IDENTITY_ROWS, RESIDUAL_ROWS, residuals, solve_chain
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.errors import SingularMatrix
-from mcsum.ginv import colsum_system
+from mcsum.ginv import THEOREM2_ROWS, colsum_system
 from mcsum.report import CONDITION_WARN_THRESHOLD, analyze, report_to_dict, write_json
 from mcsum.scan import random_chain
 from tests.conftest import (
@@ -55,6 +56,20 @@ def test_analyze_cycle(cycle3):
     assert rep.doubly_stochastic.applicable
     assert rep.kemeny == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(rep.mfpt.sum(axis=1), 6.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(min_value=2, max_value=12), seed=st.integers(min_value=0, max_value=2**32),
+       sparsity=st.sampled_from([0.0, 0.5]))
+def test_report_residual_blocks_are_rows_of_the_verdict_table(m, seed, sparsity):
+    tm = random_chain(m, seed, sparsity)
+    rep = analyze(tm)
+    rows = dict(zip(RESIDUAL_ROWS, residuals(solve_chain(tm))))
+    assert list(rep.theorem2_residuals) == list(THEOREM2_ROWS)
+    assert list(rep.identity_residuals) == list(IDENTITY_ROWS)
+    for name, value in {**rep.theorem2_residuals, **rep.identity_residuals}.items():
+        assert type(value) is np.float64, name
+        assert value.tobytes() == rows[name].tobytes(), name
 
 
 def test_analyze_reorder_records_permutation(fix5):

@@ -1,17 +1,22 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsum import analysis
 from mcsum import scan as scan_module
-from mcsum.analysis import residuals, solve_chain
-from mcsum.chain import validate
+from mcsum.analysis import RESIDUAL_ROWS, residuals, solve_chain
+from mcsum.chain import TransitionMatrix, validate
 from mcsum.errors import GenerationFailed
 from mcsum.rng import derive_stream
 from mcsum.scan import (
     M2_THEOREM_RELATIONS,
     RELATIONS,
+    SIGN_TIE_TOL,
     Relation,
     ScanConfig,
     ordering_from_solution,
@@ -19,6 +24,9 @@ from mcsum.scan import (
     random_chain,
     scan,
 )
+from tests.conftest import random_doubly_stochastic
+
+GOLDEN_SCAN = Path(__file__).parents[1] / "perfbench" / "golden_scan.json"
 
 
 def test_random_chain_two_state_positive_offdiagonals():
@@ -93,18 +101,100 @@ def test_ordering_record_recomputes(fix8):
 
 
 def test_ordering_masks_lie_above_the_diagonal(fix5):
-    masks = ordering_masks(solve_chain(fix5))
-    assert list(masks) == list(RELATIONS)
-    for name, mask in masks.items():
-        assert mask.shape == (5, 5) and mask.dtype == bool, name
-        assert not np.tril(mask).any(), name
+    # one flag per relation and pair i < j, the pairs in np.triu_indices order
+    sol = solve_chain(fix5)
+    flags = ordering_masks(sol)
+    assert flags.shape == (len(RELATIONS), 10) and flags.dtype == bool
+    i, j = np.triu_indices(5, k=1)
+    violations = ordering_from_solution(sol).violations
+    assert list(violations) == list(RELATIONS)
+    for name, f in zip(RELATIONS, flags):
+        assert violations[name] == list(zip(i[f].tolist(), j[f].tolist())), name
+        assert all(a < b for a, b in violations[name]), name
 
 
 def test_sign_ties_never_violate(cycle3):
     sol = solve_chain(cycle3)  # fully tied: uniform everything
     record = ordering_from_solution(sol)
     assert all(v == [] for v in record.violations.values())
-    assert not any(mask.any() for mask in ordering_masks(sol).values())
+    assert not ordering_masks(sol).any()
+
+
+def _square_masks(sol) -> dict[str, np.ndarray]:
+    """Reference violation masks: (..., m, m) sign matrices of the compared
+    vectors, each pair i < j flagged above the diagonal."""
+    vectors = {
+        "colsum": sol.c,
+        "pi": sol.pi,
+        "h_diag": sol.h.diagonal(axis1=-2, axis2=-1),
+        "m_col_total": sol.mfpt.sum(axis=-2),
+        "m_recurrence": sol.mfpt.diagonal(axis1=-2, axis2=-1),
+    }
+    signs = {}
+    for name, v in vectors.items():
+        diff = v[..., :, None] - v[..., None, :]
+        signs[name] = np.where(np.abs(diff) < SIGN_TIE_TOL, 0, np.sign(diff)).astype(np.int8)
+    upper = np.triu(np.ones((sol.tm.n, sol.tm.n), dtype=bool), k=1)
+    return {
+        name: upper & (signs[r.left] * signs[r.right] == -r.direction)
+        for name, r in RELATIONS.items()
+    }
+
+
+def _tied_chain(kind: str, m: int, seed: int) -> np.ndarray:
+    """A chain whose compared vectors tie on all pairs ("cycle"), on the
+    column sums and pi ("doubly"), on the pair (0, 1) ("swap"), or nowhere
+    but by chance ("dense")."""
+    if kind == "cycle":
+        return np.roll(np.eye(m), 1, axis=1)
+    if kind == "doubly":
+        return random_doubly_stochastic(m, seed).p
+    p = random_chain(m, seed).p
+    if kind == "swap":  # states 0 and 1 exchangeable
+        swap = np.arange(m)
+        swap[:2] = 1, 0
+        p = (p + p[np.ix_(swap, swap)]) / 2
+    return p
+
+
+_TIED_STACKS = st.integers(min_value=2, max_value=8).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.tuples(st.sampled_from(["cycle", "doubly", "swap", "dense"]),
+                       st.integers(min_value=0, max_value=2**32)), min_size=1, max_size=6),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TIED_STACKS)
+def test_pair_flags_match_the_square_sign_matrices(stack):
+    m, kinds = stack
+    p = np.stack([_tied_chain(kind, m, seed) for kind, seed in kinds])
+    sol = solve_chain(TransitionMatrix(p=p))
+    flags = ordering_masks(sol)
+    i, j = np.triu_indices(m, k=1)
+    masks = _square_masks(sol)
+    assert flags.shape == (len(RELATIONS), len(kinds), m * (m - 1) // 2)
+    assert np.array_equal(flags, np.array([mask[..., i, j] for mask in masks.values()]))
+    assert not flags[:, [kind == "cycle" for kind, _ in kinds]].any()  # all tied
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TIED_STACKS)
+def test_ordering_record_violations_keep_their_order(stack):
+    # relations in RELATIONS order, and each one's pairs row by row
+    m, kinds = stack
+    p = np.stack([_tied_chain(kind, m, seed) for kind, seed in kinds])
+    sol = solve_chain(TransitionMatrix(p=p))
+    masks = _square_masks(sol)
+    records = scan_module._records(p, ordering_masks(sol))
+    assert len(records) == len(kinds)
+    for k, record in enumerate(records):
+        assert list(record.violations) == list(RELATIONS)
+        for name, mask in masks.items():
+            want = list(zip(*(a.tolist() for a in mask[k].nonzero())))
+            assert record.violations[name] == want, name
+        one = ordering_from_solution(solve_chain(TransitionMatrix(p=p[k])))
+        assert one.violations == record.violations and one.digest == record.digest
 
 
 def test_scan_deterministic():
@@ -177,7 +267,7 @@ def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
                         f"m={m} trial={trial}: theorem relation {name} violated on "
                         f"{violations[name]}"
                     )
-            worst = max(residuals(sol).items(), key=lambda kv: kv[1])
+            worst = max(zip(RESIDUAL_ROWS, residuals(sol)), key=lambda kv: kv[1])
             if worst[1] > tol:
                 want.append(f"m={m} trial={trial}: identity residual {worst[0]!r} = {worst[1]:.3e}")
     assert any("theorem relation" in line for line in want)
@@ -231,6 +321,16 @@ def test_relation_registry_shape():
         "c_vs_m_col_total",
     }
     assert all(RELATIONS[k].proven_scope == "m2" for k in RELATIONS if k != "pi_vs_recurrence")
+
+
+def test_scan_counts_match_the_golden_file():
+    # the benchmark's scan-small output check, on every 16th of its seeds
+    golden = json.loads(GOLDEN_SCAN.read_text())
+    for seed in sorted(golden["blocks"], key=int)[::16]:
+        result = scan(ScanConfig(tuple(golden["states"]), golden["trials"], int(seed)))
+        counts = {f"{s.relation}/{s.m}": s.violating_trials for s in result.summaries}
+        assert counts == golden["blocks"][seed], seed
+        assert result.hard_failures == []
 
 
 def test_generation_failed_at_extreme_sparsity():

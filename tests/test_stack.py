@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mcsum import rng
 from mcsum.analysis import (
+    RESIDUAL_ROWS,
     bounds_check,
     h_from_mfpt,
     identity_residuals,
@@ -17,7 +18,7 @@ from mcsum.analysis import (
 )
 from mcsum.chain import TransitionMatrix
 from mcsum.ginv import group_inverse, h_from_z, kemeny_general, mfpt_general, z_from_h
-from mcsum.scan import ordering_masks, random_chain, random_chains
+from mcsum.scan import RELATIONS, ordering_masks, random_chain, random_chains
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -51,8 +52,10 @@ def test_stack_calls_match_single_calls(m, seeds, sparsity):
     resid = identity_residuals(sol)
     table = residuals(sol)
     worst = bounds_check(sol).worst_margin
-    masks = ordering_masks(sol)
+    flags = ordering_masks(sol)
     assert worst.shape == (len(seeds),)
+    assert table.shape == (len(RESIDUAL_ROWS), len(seeds))
+    assert flags.shape == (len(RELATIONS), len(seeds), m * (m - 1) // 2)
     for k, tm in enumerate(singles):
         one = solve_chain(tm)
         for a, b in ((sol.pi, one.pi), (sol.h, one.h), (sol.z, one.z),
@@ -64,14 +67,9 @@ def test_stack_calls_match_single_calls(m, seeds, sparsity):
             assert _bits(resid[name][k]) == _bits(value), name
         assert _bits(worst[k]) == _bits(bounds_check(one).worst_margin)
         one_table = residuals(one)
-        assert list(one_table) == list(table)
-        for name, value in one_table.items():
-            assert np.shape(table[name][k]) == np.shape(value) == (), name
-            assert _bits(table[name][k]) == _bits(value), name
-        one_masks = ordering_masks(one)
-        assert list(one_masks) == list(masks)
-        for name in one_masks:
-            assert np.array_equal(masks[name][k], one_masks[name]), name
+        assert one_table.shape == (len(RESIDUAL_ROWS),)
+        assert _bits(table[:, k]) == _bits(one_table)
+        assert np.array_equal(flags[:, k], ordering_masks(one))
 
 
 def _conversions(sol) -> dict:

@@ -1,17 +1,13 @@
 """Full single-chain analysis assembled into one serializable report.
 
-``report_to_dict`` gives a report as JSON-ready dicts and lists;
-``write_json`` streams the same document to a file, byte for byte what
-``json.dump(report_to_dict(obj), fh, indent=2)`` writes, through the C
-encoder one array row at a time.
+All JSON goes through the C encoder with one ``default`` hook, ``_plain``:
+``dumps`` writes one line (a ``scan --log`` line), ``write_json`` the
+``analyze --output`` file, and ``report_to_dict`` is what both parse to.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cache
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -115,75 +111,44 @@ def _fields(obj):
             yield f.name, value
 
 
-def _encode(value):
-    if isinstance(value, (str, int, float)):  # first: most values sit in violation pairs
-        return value
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (tuple, list)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if is_dataclass(value):
-        return report_to_dict(value)
-    return value
+def _plain(obj):
+    """The encoder's ``default`` hook: an array as nested lists, a report
+    dataclass as the dict of its fields that are not None."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if is_dataclass(obj):
+        return dict(_fields(obj))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def dumps(obj) -> str:
+    """`obj`, which may hold arrays and report dataclasses, as one line of JSON."""
+    # Through the module attribute, so a wrapper on json.dumps sees each call.
+    return json.dumps(obj, default=_plain, separators=(",", ":"))
 
 
 def report_to_dict(obj) -> dict:
-    """Any report dataclass as a JSON-ready dict in field order.
-
-    Fields that are None are left out; arrays and tuples become lists, and
-    nested dicts and dataclasses are encoded the same way.
-    """
-    return {name: _encode(value) for name, value in _fields(obj)}
-
-
-#: Exact types the C encoder writes as ``json.dump`` does; subclasses
-#: (numpy scalars, named tuples) take the general path.
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-@cache
-def _leaf_encoder(depth: int):
-    """C-encoder ``encode`` for a flat list, or a table of flat rows, whose items sit at
-    `depth`: the indent=2 line break and indent are built into the item separator."""
-    # Scalars and rows of scalars hold no reference cycle to look for.
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), check_circular=False).encode
+    """What `dumps` and `write_json` of `obj` parse to: dicts in field order,
+    lists and scalars, with the fields that are None left out."""
+    return json.loads(dumps(obj))
 
 
 def write_json(obj, fh, depth: int = 0) -> None:
-    """Write `obj` (a report dataclass, or any value ``report_to_dict``
-    encodes, with string dict keys) to `fh` as ``json.dump(..., indent=2)``
-    would, one array row at a time, without building the document; `depth`
-    is the indent level `obj` sits at."""
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    flat = isinstance(obj, np.ndarray) and obj.ndim < 2
-    if flat:
-        obj = obj.tolist()
+    """Write `obj` to `fh` at indent level `depth`: a report dataclass or dict
+    (string keys) one key per line, a matrix one row per line, row by row,
+    and every other value on one line through `dumps`."""
     if is_dataclass(obj) or isinstance(obj, dict):
         pairs = _fields(obj) if is_dataclass(obj) else obj.items()
-        items, brackets = ((encode_basestring_ascii(k) + ": ", v) for k, v in pairs), "{}"
-    elif not isinstance(obj, (np.ndarray, list, tuple)):
-        fh.write(_leaf_encoder(depth)(obj))
-        return
-    elif len(obj) and (flat or set(map(type, obj)) <= _SCALARS):
-        fh.write("[" + inner + _leaf_encoder(depth + 1)(obj)[1:-1] + pad + "]")
-        return
-    elif (len(obj) and set(map(type, obj)) <= {list, tuple} and all(obj)
-          and set(map(type, itertools.chain.from_iterable(obj))) <= _SCALARS):
-        # A table of short rows (violation pairs) in one call: encoded
-        # scalars hold no raw newline, so "],<newline>[" only ends a row.
-        row = inner + "  "
-        text = _leaf_encoder(depth + 2)(obj)[2:-2]
-        text = text.replace("]," + row + "[", inner + "]," + inner + "[" + row)
-        fh.write("[" + inner + "[" + row + text + inner + "]" + pad + "]")
-        return
+        items, brackets = ((dumps(k) + ": ", v) for k, v in pairs), "{}"
+    elif isinstance(obj, np.ndarray) and obj.ndim > 1:
+        items, brackets = (("", row) for row in obj), "[]"
     else:
-        items, brackets = (("", v) for v in obj), "[]"
-    sep = brackets[0] + inner
+        fh.write(dumps(obj))
+        return
+    pad = "\n" + "  " * depth
+    sep = brackets[0] + pad + "  "
     for prefix, value in items:
         fh.write(sep + prefix)
         write_json(value, fh, depth + 1)
-        sep = "," + inner
+        sep = "," + pad + "  "
     fh.write(brackets if sep[0] == brackets[0] else pad + brackets[1])

@@ -196,7 +196,7 @@ class RelationSummary:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A trial that violates at least one relation; ``report_to_dict`` of it
+    """A trial that violates at least one relation; ``report.dumps`` of it
     is one ``scan --log`` line."""
 
     m: int

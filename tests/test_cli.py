@@ -13,8 +13,8 @@ from mcsum import cli, fixtures, io
 from mcsum.analysis import RESIDUAL_ROWS, residuals, solve_chain
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.cli import main
-from mcsum.report import analyze, report_to_dict
-from mcsum.scan import random_chain
+from mcsum.report import analyze, dumps, report_to_dict
+from mcsum.scan import ScanConfig, random_chain, scan as run_scan
 from tests.conftest import FIVE_STATE_UNSORTED, two_block
 
 
@@ -75,7 +75,10 @@ def test_analyze_output_is_indent2_dump(fix5_csv, tmp_path, reorder):
     out = tmp_path / "r.json"
     assert main(["analyze", "--input", str(fix5_csv), "--output", str(out), *reorder]) == 0
     rep = analyze(validate(*io.load_matrix(fix5_csv)), reorder=bool(reorder))
-    assert out.read_text() == json.dumps(report_to_dict(rep), indent=2) + "\n"
+    text = out.read_text()
+    assert text.endswith("\n}\n")
+    # the JSON value of json.dumps(report_to_dict(rep), indent=2), key order included
+    assert json.dumps(json.loads(text)) == json.dumps(report_to_dict(rep))
 
 
 def test_analyze_reducible_exits_2(tmp_path, capsys):
@@ -201,6 +204,20 @@ def test_scan_cli_runs_and_logs(tmp_path, capsys):
         assert "signs" not in entry["ordering"]
         digest = hashlib.sha256(np.array(entry["p"]).tobytes()).hexdigest()
         assert entry["ordering"]["digest"] == digest
+
+
+def test_scan_log_line_is_dumps_of_counterexample(tmp_path):
+    log = tmp_path / "cx.jsonl"
+    argv = "scan --states 2,3,5 --trials 200 --sparsity 0.4 --seed 5 --log".split()
+    assert main([*argv, str(log)]) == 0
+    found = []
+    run_scan(ScanConfig(state_counts=(2, 3, 5), trials=200, seed=5, sparsity=0.4), found.append)
+    assert found
+    assert log.read_text().splitlines() == [dumps(ce) for ce in found]
+    for ce in found:
+        entry = report_to_dict(ce)
+        assert list(entry) == ["m", "trial", "seed", "p", "ordering"]
+        assert list(entry["ordering"]) == ["digest", "m", "violations"]
 
 
 def test_scan_cli_generation_failed_truncates_no_log_line(tmp_path, capsys):

@@ -181,10 +181,22 @@ def test_report_matches_golden_file(name):
     _assert_matches_golden(got, want)
 
 
-def _assert_written_as_indent2(rep):
+def _assert_same_json(text, want):
+    """`text` parses to the JSON value `want`, key order included; compared
+    through the encoder, so NaN equals NaN."""
+    assert json.dumps(json.loads(text)) == json.dumps(want)
+
+
+def _written(value) -> str:
     buf = io.StringIO()
-    write_json(rep, buf)
-    assert buf.getvalue() == json.dumps(report_to_dict(rep), indent=2)
+    write_json(value, buf)
+    return buf.getvalue()
+
+
+def _assert_written_as_indent2(rep):
+    """The written report parses to its dict, the value that
+    ``json.dumps(..., indent=2)`` of the dict holds; only the layout differs."""
+    _assert_same_json(_written(rep), report_to_dict(rep))
 
 
 WRITER_CASES = {
@@ -253,11 +265,26 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(JSON_VALUES)
-@example([["],\n    [", 1], [2.5, None], (True, "x")])  # row-break text in a string
+@example([["],\n    [", 1], [2.5, None], (True, "x")])  # JSON punctuation and a newline in a string
 def test_write_json_matches_indent2_dump_on_any_json_value(value):
-    buf = io.StringIO()
-    write_json(value, buf)
-    assert buf.getvalue() == json.dumps(value, indent=2)
+    _assert_same_json(_written(value), json.loads(json.dumps(value, indent=2)))
+
+
+@pytest.mark.parametrize("name", ["fix8", "cycle3"])
+def test_write_json_layout(name):
+    rep = analyze(WRITER_CASES[name]())
+    lines = _written(rep).splitlines()
+    top = [line for line in lines if re.match(r'  "', line)]
+    assert [line.split('"')[1] for line in top] == list(report_to_dict(rep))
+    assert all(re.match(r'  "\w+": ', line) for line in top)
+    for key in ("mfpt", "h_matrix", "z_matrix"):
+        start = lines.index(f'  "{key}": [')
+        rows = lines[start + 1:start + 1 + rep.m]
+        assert [json.loads(row.strip().rstrip(",")) for row in rows] == getattr(rep, key).tolist()
+        assert lines[start + 1 + rep.m] == "  ],"
+    for relation, pairs in rep.ordering.violations.items():
+        line = f'      "{relation}": {json.dumps(pairs, separators=(",", ":"))}'
+        assert line in lines or line + "," in lines
 
 
 def test_readme_library_snippet():

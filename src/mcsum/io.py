@@ -1,9 +1,11 @@
-"""Matrix file formats used by the CLI and the bundled fixtures.
+"""Matrix file formats used by the CLI and the bundled fixtures, and the
+JSON encoding of arrays.
 
 CSV: m lines of m comma-separated decimal fields, with an optional leading
 header line ``# states: a,b,c``.  JSON: an object with an optional "states"
-array and a "p" array of m rows.  Floats are written with ``repr``, the
-shortest decimal that round-trips, so read(write(M)) preserves matrix bits.
+array and a "p" array of m rows, one row per line.  Floats are written as
+the shortest decimal that round-trips (``repr`` in CSV, orjson's Ryu writer
+in JSON, through `array_json`), so read(write(M)) preserves matrix bits.
 """
 from __future__ import annotations
 
@@ -11,6 +13,34 @@ import json
 from pathlib import Path
 
 import numpy as np
+import orjson
+
+
+def _tolist(obj):
+    """orjson's ``default`` hook: the arrays it does not encode itself (0-d,
+    non-contiguous, other dtypes) as nested lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def array_json(a: np.ndarray) -> str:
+    """`a` as compact JSON nested lists, through orjson's numpy encoder.
+
+    Each float is the shortest decimal that parses back to the same float64,
+    the value ``repr`` gives, spelled ``0.00001`` for ``1e-05`` and ``1e22``
+    for ``1e+22``.  A float array holding NaN or infinity raises ValueError:
+    JSON has no spelling for them and orjson would write ``null``.
+    """
+    if a.dtype.kind == "f":
+        if not np.isfinite(a).all():
+            raise ValueError("cannot write a non-finite array as JSON")
+        # orjson writes float32 in its own shortest form, which parses to
+        # another float64 than the float32 holds.
+        a = a.astype(np.float64, copy=False)
+    # orjson 3.8 reads a byte-swapped array's entries in native order.
+    a = a.astype(a.dtype.newbyteorder("="), copy=False)
+    return orjson.dumps(a, default=_tolist, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def parse_csv(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
@@ -60,11 +90,10 @@ def parse_json(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
 
 
 def render_json(p: np.ndarray, labels: tuple[str, ...] | None = None) -> str:
-    obj: dict = {}
-    if labels is not None:
-        obj["states"] = list(labels)
-    obj["p"] = [[float(x) for x in row] for row in np.asarray(p, dtype=np.float64)]
-    return json.dumps(obj, indent=2) + "\n"
+    """The JSON matrix format: one key per line, one row of `p` per line."""
+    head = "" if labels is None else f'  "states": {json.dumps(list(labels))},\n'
+    rows = ",\n    ".join(map(array_json, np.asarray(p, dtype=np.float64)))
+    return "{\n" + head + '  "p": [\n    ' + rows + "\n  ]\n}\n"
 
 
 def load_matrix(

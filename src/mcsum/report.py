@@ -1,8 +1,13 @@
 """Full single-chain analysis assembled into one serializable report.
 
-All JSON goes through the C encoder with one ``default`` hook, ``_plain``:
-``dumps`` writes one line (a ``scan --log`` line), ``write_json`` the
-``analyze --output`` file, and ``report_to_dict`` is what both parse to.
+``dumps`` writes one line (a ``scan --log`` line) through the standard
+library's C encoder with one ``default`` hook, ``_plain``; ``report_to_dict``
+is what it parses to.  ``write_json`` writes the ``analyze --output`` file,
+which parses to the same dict: each array (vector or matrix row) through
+orjson's numpy encoder, `io.array_json`, and every other value (labels,
+scalars, residual dicts, violation-pair lists) through ``dumps``.  Floats are
+the shortest decimal that round-trips in both, and an array holding NaN or
+infinity is refused.
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ from .analysis import (
 )
 from .chain import TransitionMatrix, reorder_by_column_sums
 from .ginv import group_inverse, kemeny_general, theorem2_residuals
+from .io import array_json
 from .scan import OrderingRecord, ordering_from_solution
 
 #: Condition numbers at or above this set ``condition_warning``.
@@ -135,15 +141,17 @@ def report_to_dict(obj) -> dict:
 
 def write_json(obj, fh, depth: int = 0) -> None:
     """Write `obj` to `fh` at indent level `depth`: a report dataclass or dict
-    (string keys) one key per line, a matrix one row per line, row by row,
-    and every other value on one line through `dumps`."""
+    (string keys) one key per line, a matrix one row per line, row by row.
+    A vector or row goes on one line through `array_json` (ValueError if it
+    holds NaN or infinity), and every other value on one line through
+    `dumps`."""
     if is_dataclass(obj) or isinstance(obj, dict):
         pairs = _fields(obj) if is_dataclass(obj) else obj.items()
         items, brackets = ((dumps(k) + ": ", v) for k, v in pairs), "{}"
     elif isinstance(obj, np.ndarray) and obj.ndim > 1:
         items, brackets = (("", row) for row in obj), "[]"
     else:
-        fh.write(dumps(obj))
+        fh.write(array_json(obj) if isinstance(obj, np.ndarray) else dumps(obj))
         return
     pad = "\n" + "  " * depth
     sep = brackets[0] + pad + "  "

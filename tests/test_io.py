@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,21 @@ def test_json_labels(tmp_path):
     io.save_matrix(path, np.eye(2), labels=("a", "b"))
     back, labels = io.load_matrix(path)
     assert labels == ("a", "b")
+
+
+def test_json_matrix_one_row_per_line():
+    p = np.array([[0.25, 0.75], [1e-5, 1 - 1e-5]])
+    lines = io.render_json(p, labels=("a", "b")).splitlines()
+    assert lines[:3] == ["{", '  "states": ["a", "b"],', '  "p": [']
+    rows = [json.loads(line.strip().rstrip(",")) for line in lines[3:5]]
+    assert np.array_equal(np.array(rows), p)
+    assert lines[5:] == ["  ]", "}"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_json_refuses_non_finite_matrix(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        io.render_json(np.array([[0.5, 0.5], [bad, 0.5]]))
 
 
 def test_format_override(tmp_path):

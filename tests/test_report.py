@@ -242,6 +242,11 @@ ARRAY_VALUES = {
     "sign_row": np.array([1, -1, 0, 0], dtype=np.int8),
     "int8_beyond_signs": np.array([[-128, 2], [0, 127]], dtype=np.int8),
     "int8_0d": np.array(-1, dtype=np.int8),
+    "bool_row": np.array([True, False, True]),
+    "transposed_matrix": np.array([[0.1, 1e-5, 2.0], [1e22, -0.0, 5e-324]]).T,
+    "float32_row": np.array([0.1, 1 / 3], dtype=np.float32),
+    "big_endian_floats": np.array([[0.1, -2.5], [1e300, 3.0]], dtype=">f8"),
+    "big_endian_ints": np.array([[1, -2], [300, 2**31 - 1]], dtype=">i4"),
     "int8_empty": np.zeros(0, dtype=np.int8),
     "int64_signs": np.array([[1, -1], [0, 1]]),
     "numpy_scalar_rows": [(np.float64(0.5), True), (1, None)],
@@ -252,6 +257,34 @@ ARRAY_VALUES = {
 @pytest.mark.parametrize("name", ARRAY_VALUES)
 def test_write_json_matches_indent2_dump_on_arrays(name):
     _assert_written_as_indent2(_Holder(ARRAY_VALUES[name]))
+
+
+FINITE_MATRICES = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FINITE_MATRICES)
+@example([[0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e22, 1e23]])
+def test_write_json_round_trips_float_bits(rows):
+    """Each float64 of a written matrix, ±0.0 and subnormals included, parses
+    back to the same bits, also from a transposed (non-contiguous) matrix."""
+    a = np.array(rows, dtype=np.float64)
+    for matrix in (a, a.T):
+        back = np.array(json.loads(_written(_Holder(matrix)))["value"], dtype=np.float64)
+        assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_json_refuses_non_finite_arrays(bad):
+    for value in (np.array([0.5, bad]), np.array([[0.5], [bad]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            _written(_Holder(value))
 
 
 JSON_VALUES = st.recursive(

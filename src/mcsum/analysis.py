@@ -67,7 +67,7 @@ def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     return pi / m + (c_off - off) * pi
 
 
-#: The rows of ``identity_residuals``, in the order of ``identity_errors``.
+#: The names of the ``identity_errors`` rows, in order, as ``residuals`` lists them.
 IDENTITY_ROWS = (
     "(I-P)M = E - P M_d", "m_.j - sum_i c_i m_ij = m - c_j m_jj",
     "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj", "m_.j = m - 1 + m h_jj m_jj",
@@ -99,11 +99,6 @@ def identity_errors(sol: ChainSolution) -> tuple[list[np.ndarray], list[np.ndarr
         pi * (1.0 + col_totals - m) - m * h_d,
         pi * (1.0 + off_totals - m) - (m * h_d - 1.0),
     ]
-
-
-def identity_residuals(sol: ChainSolution) -> dict[str, float | np.ndarray]:
-    """Max-abs residuals of ``identity_errors`` by name, one per chain."""
-    return dict(zip(IDENTITY_ROWS, max_abs(*identity_errors(sol))))
 
 
 @dataclass(frozen=True)
@@ -161,10 +156,11 @@ RESIDUAL_ROWS = ("c^T H = pi^T", "sum_j c_j = m", *THEOREM2_ROWS, *IDENTITY_ROWS
 
 
 def residuals(sol: ChainSolution) -> np.ndarray:
-    """The verdict's table: every residual that ``verify`` and ``scan`` hold
-    to IDENTITY_TOL, as one (rows, ...) array whose rows RESIDUAL_ROWS names:
-    pi^T = c^T H, the column-sum total, ``theorem2_residuals``,
-    ``identity_residuals`` and the negative part of the worst bound margin."""
+    """The verdict's table and the report's residual blocks: every residual
+    that ``verify`` and ``scan`` hold to IDENTITY_TOL, as one (rows, ...) array
+    whose rows RESIDUAL_ROWS names: pi^T = c^T H, the column-sum total, the
+    max-abs of each ``theorem2_errors`` and ``identity_errors`` row, and the
+    negative part of the worst bound margin.  No other path reduces them."""
     t2_matrices, t2_vectors = theorem2_errors(sol)
     id_matrices, id_vectors = identity_errors(sol)
     stationary = stationary_from_h(sol.h, sol.c) - sol.pi
@@ -175,8 +171,8 @@ def residuals(sol: ChainSolution) -> np.ndarray:
     return np.concatenate([
         vectors[:1],
         np.abs(sol.c.sum(axis=-1) - sol.tm.n)[None],
-        matrices[:t2], vectors[1:v2],  # theorem2_residuals
-        matrices[t2:], vectors[v2:],  # identity_residuals
+        matrices[:t2], vectors[1:v2],  # THEOREM2_ROWS
+        matrices[t2:], vectors[v2:],  # IDENTITY_ROWS
         # 0.0, never -0.0, where no bound fails
         np.where(worst_margin < 0, -worst_margin, 0.0)[None],
     ])
@@ -257,7 +253,7 @@ def solve_chain(tm: TransitionMatrix) -> ChainSolution:
 
     Z is inverted on its own, from the direct solver's pi, although it
     follows from H in O(m^2): so the ``fundamental`` Kemeny variant, the
-    (1+m) row of ``theorem2_residuals`` and ``h_shift_residual`` check H
+    (1+m) row of ``residuals`` and ``h_shift_residual`` check H
     against an independent route, and the Kemeny spread measures accuracy.
     """
     pi = oracle.stationary_direct(tm)

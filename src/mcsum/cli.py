@@ -109,9 +109,7 @@ def _cmd_analyze(args) -> int:
     print(f"min per-state margin m*h_jj-pi: {b.pi_upper_margins.min():.6f}")
     if rep.doubly_stochastic.applicable:
         print("column sums are all one: uniform-stationary checks applied")
-    flagged = {
-        name: pairs for name, pairs in rep.ordering.violations.items() if pairs
-    }
+    flagged = {name: pairs for name, pairs in rep.ordering.violations.items() if len(pairs)}
     if flagged:
         for name, pairs in flagged.items():
             shown = ", ".join(f"({i + 1},{j + 1})" for i, j in pairs[:SHOWN_PAIRS])

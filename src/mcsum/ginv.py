@@ -110,7 +110,7 @@ def h_from_z(z: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     return z + ((pi - (c[..., None, :] @ z)[..., 0, :]) / z.shape[-1])[..., None, :]
 
 
-#: The rows of ``theorem2_residuals``, in the order of ``theorem2_errors``.
+#: The names of the ``theorem2_errors`` rows, in order, as ``analysis.residuals`` lists them.
 THEOREM2_ROWS = ("H - PH = I - e pi^T", "H - HP = I - e c^T/m", "He = e/m",
                  "e^T H = e^T - (m-1) pi^T", "(1+m) pi^T = m pi^T H + c^T Z")
 
@@ -142,8 +142,3 @@ def max_abs(matrices: list[np.ndarray], vectors: list[np.ndarray]) -> np.ndarray
     matrices, vectors = np.array(matrices), np.moveaxis(np.array(vectors), -1, 0)
     return np.concatenate((np.abs(matrices.reshape(*matrices.shape[:-2], -1)).max(axis=-1),
                            np.abs(vectors, order="C").max(axis=0)))
-
-
-def theorem2_residuals(sol: ChainSolution) -> dict[str, float | np.ndarray]:
-    """Max-abs residuals of ``theorem2_errors`` by name, one per chain."""
-    return dict(zip(THEOREM2_ROWS, max_abs(*theorem2_errors(sol))))

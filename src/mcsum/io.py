@@ -3,9 +3,10 @@ JSON encoding of arrays.
 
 CSV: m lines of m comma-separated decimal fields, with an optional leading
 header line ``# states: a,b,c``.  JSON: an object with an optional "states"
-array and a "p" array of m rows, one row per line.  Floats are written as
-the shortest decimal that round-trips (``repr`` in CSV, orjson's Ryu writer
-in JSON, through `array_json`), so read(write(M)) preserves matrix bits.
+array and a "p" array of m rows of JSON numbers, one row per line.  Floats
+are written as the shortest decimal that round-trips (``repr`` in CSV,
+orjson's Ryu writer in JSON, through `array_json`), so read(write(M))
+preserves matrix bits.
 """
 from __future__ import annotations
 
@@ -84,6 +85,12 @@ def parse_json(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "p" not in obj:
         raise ValueError('expected a JSON object with a "p" field')
+    # numpy would take true, false and quoted numbers as floats; refuse them
+    # as the CSV reader does (a null would become NaN)
+    for i, row in enumerate(obj["p"] if isinstance(obj["p"], list) else ()):
+        if isinstance(row, list) and not set(map(type, row)) <= {int, float}:
+            j, x = next((j, x) for j, x in enumerate(row) if type(x) not in (int, float))
+            raise ValueError(f'"p" row {i + 1}, column {j + 1}: {json.dumps(x)} is not a number')
     p = np.array(obj["p"], dtype=np.float64)
     labels = tuple(str(s) for s in obj["states"]) if obj.get("states") else None
     return p, labels

@@ -1,13 +1,16 @@
 """Full single-chain analysis assembled into one serializable report.
 
+``analyze`` reads the residual blocks off the rows of ``analysis.residuals``
+and the violation pairs off ``scan.ordering_masks``, computing neither again.
+
 ``dumps`` writes one line (a ``scan --log`` line) through the standard
 library's C encoder with one ``default`` hook, ``_plain``; ``report_to_dict``
 is what it parses to.  ``write_json`` writes the ``analyze --output`` file,
-which parses to the same dict: each array (vector or matrix row) through
-orjson's numpy encoder, `io.array_json`, and every other value (labels,
-scalars, residual dicts, violation-pair lists) through ``dumps``.  Floats are
-the shortest decimal that round-trips in both, and an array holding NaN or
-infinity is refused.
+which parses to the same dict: each array (vector, float matrix row, or
+(k, 2) violation-pair array) through orjson's numpy encoder, `io.array_json`,
+and every other value (labels, scalars, residual dicts) through ``dumps``.
+Floats are the shortest decimal that round-trips in both, and an array
+holding NaN or infinity is refused.
 """
 from __future__ import annotations
 
@@ -16,18 +19,11 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .analysis import (
-    BoundsReport,
-    DoublyStochasticReport,
-    bounds_check,
-    doubly_stochastic_report,
-    identity_residuals,
-    kemeny_from_h,
-    kemeny_from_z,
-    solve_chain,
-)
+from .analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, BoundsReport, DoublyStochasticReport,
+                       bounds_check, doubly_stochastic_report, kemeny_from_h, kemeny_from_z,
+                       residuals, solve_chain)
 from .chain import TransitionMatrix, reorder_by_column_sums
-from .ginv import group_inverse, kemeny_general, theorem2_residuals
+from .ginv import THEOREM2_ROWS, group_inverse, kemeny_general
 from .io import array_json
 from .scan import OrderingRecord, ordering_from_solution
 
@@ -40,10 +36,11 @@ class ChainReport:
     """Everything the package computes for one chain.
 
     P itself is not echoed: ``ordering.digest`` is the sha256 of the analysed
-    (possibly reordered) P's bytes, and ``ordering.violations`` lists the
-    pairs that break each relation, whose compared vectors are all in the
-    report.  The canonical ``kemeny`` value is the trace of the fundamental
-    matrix; all three variants and their spread are kept alongside it.
+    (possibly reordered) P's bytes, and ``ordering.violations`` holds, per
+    relation, the (k, 2) array of pairs that break it, whose compared
+    vectors are all in the report.  The canonical ``kemeny`` value is the
+    trace of the fundamental matrix; all three variants and their spread are
+    kept alongside it.
     When the chain was reordered, ``permutation[k]`` is the original index
     of state k and the labels travel with their states.
     """
@@ -87,6 +84,7 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
     }
     values = list(variants.values())
     spread = max(values) - min(values)
+    rows = dict(zip(RESIDUAL_ROWS, residuals(sol)))
 
     return ChainReport(
         labels=tm.labels,
@@ -100,8 +98,8 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         mfpt=sol.mfpt,
         h_matrix=sol.h,
         z_matrix=sol.z,
-        theorem2_residuals=theorem2_residuals(sol),
-        identity_residuals=identity_residuals(sol),
+        theorem2_residuals={name: rows[name] for name in THEOREM2_ROWS},
+        identity_residuals={name: rows[name] for name in IDENTITY_ROWS},
         bounds=bounds_check(sol),
         doubly_stochastic=doubly_stochastic_report(sol),
         ordering=ordering_from_solution(sol),
@@ -141,14 +139,15 @@ def report_to_dict(obj) -> dict:
 
 def write_json(obj, fh, depth: int = 0) -> None:
     """Write `obj` to `fh` at indent level `depth`: a report dataclass or dict
-    (string keys) one key per line, a matrix one row per line, row by row.
-    A vector or row goes on one line through `array_json` (ValueError if it
+    (string keys) one key per line, a float matrix one row per line, row by
+    row.  Any other array (a vector, a row, or an integer array such as the
+    violation pairs) goes on one line through `array_json` (ValueError if it
     holds NaN or infinity), and every other value on one line through
     `dumps`."""
     if is_dataclass(obj) or isinstance(obj, dict):
         pairs = _fields(obj) if is_dataclass(obj) else obj.items()
         items, brackets = ((dumps(k) + ": ", v) for k, v in pairs), "{}"
-    elif isinstance(obj, np.ndarray) and obj.ndim > 1:
+    elif isinstance(obj, np.ndarray) and obj.ndim > 1 and obj.dtype.kind == "f":
         items, brackets = (("", row) for row in obj), "[]"
     else:
         fh.write(array_json(obj) if isinstance(obj, np.ndarray) else dumps(obj))

@@ -88,12 +88,13 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class OrderingRecord:
-    """The pairs (i, j), i < j, that violate each relation for one chain;
+    """Per relation, the pairs (i, j), i < j, that violate it for one chain,
+    as a (k, 2) integer array whose rows are in ``np.triu_indices`` order;
     ``digest`` is the sha256 of the chain's P bytes."""
 
     digest: str
     m: int
-    violations: dict[str, list[tuple[int, int]]]
+    violations: dict[str, np.ndarray]
 
 
 def random_chains(m: int, seeds: np.ndarray, sparsity: float = 0.0) -> np.ndarray:
@@ -167,9 +168,8 @@ def _records(p, flags, chains=slice(None)) -> list[OrderingRecord]:
     pairs = {}
     for name, f in zip(RELATIONS, flags):
         t, k = f.nonzero()  # by chain, then pair: i < j in row-major order
-        cuts = np.searchsorted(t, np.arange(len(p) + 1)).tolist()
-        ij = list(zip(i[k].tolist(), j[k].tolist()))
-        pairs[name] = [ij[a:b] for a, b in zip(cuts, cuts[1:])]
+        pairs[name] = np.split(np.stack((i[k], j[k]), axis=-1),
+                               np.searchsorted(t, np.arange(1, len(p))))
     return [
         OrderingRecord(hashlib.sha256(p[k].tobytes()).hexdigest(), m,
                        {name: found[k] for name, found in pairs.items()})
@@ -260,9 +260,10 @@ def scan(
             for t, record in zip(failed.tolist(), records):
                 trial = int(trials[t])
                 hard_failures += [
-                    f"m={m} trial={trial}: theorem relation {name} violated on {pairs}"
+                    f"m={m} trial={trial}: theorem relation {name} violated on "
+                    f"{list(map(tuple, pairs.tolist()))}"
                     for (name, pairs), theorem in zip(record.violations.items(), theorems)
-                    if theorem and pairs
+                    if theorem and len(pairs)
                 ]
                 if table[worst[t], t] > IDENTITY_TOL:
                     hard_failures.append(

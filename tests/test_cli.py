@@ -103,6 +103,13 @@ def test_analyze_not_stochastic_exits_2(tmp_path, capsys):
     assert "NotStochastic" in capsys.readouterr().err
 
 
+def test_analyze_json_boolean_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"p": [[0.5, 0.5], [true, false]]}')
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert "row 2, column 1: true is not a number" in capsys.readouterr().err
+
+
 def test_analyze_missing_file_exits_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "nope.csv")]) == 2
 

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from mcsum.analysis import solve_chain
+from mcsum.analysis import RESIDUAL_ROWS, residuals, solve_chain
 from mcsum.chain import column_sums, validate
-from mcsum.ginv import (
-    compute_h,
-    compute_z,
-    group_inverse,
-    h_from_z,
-    theorem2_residuals,
-    z_from_h,
-)
+from mcsum.ginv import THEOREM2_ROWS, compute_h, compute_z, group_inverse, h_from_z, z_from_h
 from mcsum.oracle import stationary_direct
 from mcsum.scan import random_chain
 from tests.conftest import FIX5_H, FIX5_H_COL_SUMS, FIX5_KEMENY, two_state
@@ -132,14 +125,16 @@ def test_round_trips_on_random_chains():
 
 def test_theorem2_residuals_fixtures(fix5, fix8):
     for tm in (fix5, fix8):
-        resid = theorem2_residuals(solve_chain(tm))
+        rows = dict(zip(RESIDUAL_ROWS, residuals(solve_chain(tm))))
+        resid = {name: rows[name] for name in THEOREM2_ROWS}
         assert len(resid) == 5
         assert max(resid.values()) < 1e-9
 
 
 def test_theorem2_residuals_two_state():
     tm = two_state(0.3, 0.1)
-    resid = theorem2_residuals(solve_chain(tm))
+    rows = dict(zip(RESIDUAL_ROWS, residuals(solve_chain(tm))))
+    resid = {name: rows[name] for name in THEOREM2_ROWS}
     assert max(resid.values()) < 1e-12
 
 
@@ -154,7 +149,7 @@ def test_stationary_combination_explicit_sums(fix5, fix8):
         explicit = m * np.einsum("k,kj->j", pi, h) + np.einsum("k,kj->j", c, z)
         np.testing.assert_allclose(explicit, m * (pi @ h) + c @ z, rtol=0, atol=1e-12)
         resid = float(np.abs((1 + m) * pi - explicit).max())
-        assert resid == pytest.approx(theorem2_residuals(sol)[row], abs=1e-12)
+        assert resid == pytest.approx(dict(zip(RESIDUAL_ROWS, residuals(sol)))[row], abs=1e-12)
         assert resid < 1e-9
 
 

@@ -56,6 +56,21 @@ def test_json_matrix_one_row_per_line():
     assert lines[5:] == ["  ]", "}"]
 
 
+def test_json_refuses_boolean_entries():
+    with pytest.raises(ValueError, match='"p" row 2, column 1: true is not a number'):
+        io.parse_json('{"p": [[0.5, 0.5], [true, false]]}')
+
+
+def test_json_refuses_quoted_number_entries():
+    with pytest.raises(ValueError, match='"p" row 1, column 1: "0.5" is not a number'):
+        io.parse_json('{"p": [["0.5", "0.5"], ["0.25", "0.75"]]}')
+
+
+def test_json_refuses_null_entries():
+    with pytest.raises(ValueError, match='"p" row 2, column 2: null is not a number'):
+        io.parse_json('{"p": [[0.5, 0.5], [1, null]]}')
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_json_refuses_non_finite_matrix(bad):
     with pytest.raises(ValueError, match="non-finite"):

@@ -76,20 +76,20 @@ def test_ordering_two_state_equivalences_hold():
     for i in range(200):
         record = ordering_from_solution(solve_chain(random_chain(2, 71_000 + i)))
         for name in M2_THEOREM_RELATIONS:
-            assert record.violations[name] == []
+            assert record.violations[name].tolist() == []
 
 
 def test_ordering_fix8_flags_colsum_pi_reversal(fix8):
     record = ordering_from_solution(solve_chain(fix8))
-    assert (0, 1) in record.violations["c_vs_pi"]
-    assert record.violations["pi_vs_recurrence"] == []
+    assert [0, 1] in record.violations["c_vs_pi"].tolist()
+    assert record.violations["pi_vs_recurrence"].tolist() == []
 
 
 def test_ordering_fix5_clean(fix5):
     record = ordering_from_solution(solve_chain(fix5))
-    assert record.violations["c_vs_pi"] == []
-    assert record.violations["c_vs_m_col_total"] == []
-    assert record.violations["pi_vs_recurrence"] == []
+    assert record.violations["c_vs_pi"].tolist() == []
+    assert record.violations["c_vs_m_col_total"].tolist() == []
+    assert record.violations["pi_vs_recurrence"].tolist() == []
 
 
 def test_ordering_record_recomputes(fix8):
@@ -97,7 +97,8 @@ def test_ordering_record_recomputes(fix8):
     b = ordering_from_solution(solve_chain(fix8))
     assert a.digest == b.digest
     assert a.m == 8
-    assert a.violations == b.violations
+    assert {k: v.tolist() for k, v in a.violations.items()} == {
+        k: v.tolist() for k, v in b.violations.items()}
 
 
 def test_ordering_masks_lie_above_the_diagonal(fix5):
@@ -109,14 +110,43 @@ def test_ordering_masks_lie_above_the_diagonal(fix5):
     violations = ordering_from_solution(sol).violations
     assert list(violations) == list(RELATIONS)
     for name, f in zip(RELATIONS, flags):
-        assert violations[name] == list(zip(i[f].tolist(), j[f].tolist())), name
-        assert all(a < b for a, b in violations[name]), name
+        want = list(map(list, zip(i[f].tolist(), j[f].tolist())))
+        assert violations[name].tolist() == want, name
+        assert all(a < b for a, b in violations[name].tolist()), name
+
+
+def _assert_pair_arrays(violations, flags, m):
+    """Each relation's violations are a (k, 2) integer array: the flagged
+    pairs in ``np.triu_indices`` order, each with i < j."""
+    i, j = np.triu_indices(m, k=1)
+    assert list(violations) == list(RELATIONS)
+    for name, f in zip(RELATIONS, flags):
+        pairs = violations[name]
+        assert isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i", name
+        assert pairs.shape == (np.count_nonzero(f), 2), name
+        assert np.array_equal(pairs, np.stack((i[f], j[f]), axis=-1)), name
+        assert np.all(pairs[:, 0] < pairs[:, 1]), name
+
+
+@pytest.mark.parametrize("name", ["fix5", "fix8", "cycle3"])
+def test_ordering_violations_are_pair_arrays(name, request):
+    sol = solve_chain(request.getfixturevalue(name))
+    _assert_pair_arrays(ordering_from_solution(sol).violations, ordering_masks(sol), sol.tm.n)
+
+
+def test_scan_hands_found_pair_arrays():
+    found = []
+    scan(ScanConfig(state_counts=(3, 6), trials=60, seed=5, sparsity=0.3), found.append)
+    assert {ce.m for ce in found} == {3, 6}
+    for ce in found:
+        flags = ordering_masks(solve_chain(TransitionMatrix(p=ce.p)))
+        _assert_pair_arrays(ce.ordering.violations, flags, ce.m)
 
 
 def test_sign_ties_never_violate(cycle3):
     sol = solve_chain(cycle3)  # fully tied: uniform everything
     record = ordering_from_solution(sol)
-    assert all(v == [] for v in record.violations.values())
+    assert all(v.tolist() == [] for v in record.violations.values())
     assert not ordering_masks(sol).any()
 
 
@@ -191,10 +221,12 @@ def test_ordering_record_violations_keep_their_order(stack):
     for k, record in enumerate(records):
         assert list(record.violations) == list(RELATIONS)
         for name, mask in masks.items():
-            want = list(zip(*(a.tolist() for a in mask[k].nonzero())))
-            assert record.violations[name] == want, name
+            want = list(map(list, zip(*(a.tolist() for a in mask[k].nonzero()))))
+            assert record.violations[name].tolist() == want, name
         one = ordering_from_solution(solve_chain(TransitionMatrix(p=p[k])))
-        assert one.violations == record.violations and one.digest == record.digest
+        assert all(np.array_equal(one.violations[name], record.violations[name])
+                   for name in RELATIONS)
+        assert one.digest == record.digest
 
 
 def test_scan_deterministic():
@@ -223,13 +255,13 @@ def test_scan_m3_finds_colsum_pi_counterexample():
     assert result.violations("pi_vs_recurrence") == 0
     assert result.hard_failures == []
     flagged = [
-        ce for ce in found if ce.ordering.violations["c_vs_pi"]
+        ce for ce in found if len(ce.ordering.violations["c_vs_pi"])
     ]
     assert flagged
     # counterexamples persist enough to recompute the violation
     ce = flagged[0]
     record = ordering_from_solution(solve_chain(validate(ce.p)))
-    assert record.violations["c_vs_pi"] == ce.ordering.violations["c_vs_pi"]
+    assert np.array_equal(record.violations["c_vs_pi"], ce.ordering.violations["c_vs_pi"])
 
 
 def test_scan_result_does_not_depend_on_block_size(monkeypatch):
@@ -246,7 +278,16 @@ def test_scan_result_does_not_depend_on_block_size(monkeypatch):
         assert (a.m, a.trial, a.seed) == (b.m, b.trial, b.seed)
         assert a.p.tobytes() == b.p.tobytes()
         assert a.ordering.digest == b.ordering.digest
-        assert a.ordering.violations == b.ordering.violations
+        assert all(np.array_equal(a.ordering.violations[name], b.ordering.violations[name])
+                   for name in RELATIONS)
+
+
+def test_hard_failure_text_of_a_reversed_two_state_relation(monkeypatch):
+    monkeypatch.setitem(RELATIONS, "c_vs_pi", Relation("colsum", "pi", -1, "m2"))
+    found = []
+    result = scan(ScanConfig(state_counts=(2,), trials=1, seed=0), found.append)
+    assert result.hard_failures == ["m=2 trial=0: theorem relation c_vs_pi violated on [(0, 1)]"]
+    assert [ce.ordering.violations["c_vs_pi"].tolist() for ce in found] == [[[0, 1]]]
 
 
 def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
@@ -262,10 +303,10 @@ def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
             sol = solve_chain(random_chain(m, derive_stream(3, m, trial), 0.3))
             violations = ordering_from_solution(sol).violations
             for name in RELATIONS:
-                if violations[name] and RELATIONS[name].proven_for(m):
+                if len(violations[name]) and RELATIONS[name].proven_for(m):
                     want.append(
                         f"m={m} trial={trial}: theorem relation {name} violated on "
-                        f"{violations[name]}"
+                        f"{list(map(tuple, violations[name].tolist()))}"
                     )
             worst = max(zip(RESIDUAL_ROWS, residuals(sol)), key=lambda kv: kv[1])
             if worst[1] > tol:

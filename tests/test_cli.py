@@ -110,6 +110,13 @@ def test_analyze_json_boolean_entry_exits_2(tmp_path, capsys):
     assert "row 2, column 1: true is not a number" in capsys.readouterr().err
 
 
+def test_analyze_json_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"p": [[1' + "0" * 400 + ', 0], [0.5, 0.5]]}')
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert "row 1, column 1: integer too large to convert to float" in capsys.readouterr().err
+
+
 def test_analyze_missing_file_exits_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "nope.csv")]) == 2
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsum import io
 
@@ -134,3 +136,213 @@ def test_byte_order_mark_is_skipped(tmp_path, fmt):
     back, labels = io.load_matrix(path)
     assert np.array_equal(back, p)
     assert labels == ("a", "b")
+
+
+def test_json_refuses_integer_beyond_float_range():
+    huge = "1" + "0" * 400
+    with pytest.raises(ValueError, match='"p" row 2, column 1: integer too large to convert to float'):
+        io.parse_json('{"p": [[0.5, 0.5], [' + huge + ", 0]]}")
+    with pytest.raises(ValueError, match='"p" row 1, column 1: integer too large'):
+        io.parse_json(b'{"p": [[-' + huge.encode() + b"]]}")
+    # the largest integer that rounds to a finite float is read as that float
+    p, _ = io.parse_json('{"p": [[%d]]}' % (2**1024 - 2**970 - 1))
+    assert p[0, 0] == np.finfo(np.float64).max
+
+
+def _outcome(path):
+    """What `io.load_matrix` gives for `path`: the matrix bits and labels,
+    or the error's type and message."""
+    try:
+        p, labels = io.load_matrix(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return p.shape, p.tobytes(), labels
+
+
+def _fast_and_fallback(path):
+    """`_outcome(path)` as `load_matrix` reads it, and with the orjson
+    readers switched off, so the text readers read every file."""
+    fast = _outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_csv_rows", lambda data: None)
+        mp.setattr(io, "_orjson_document", lambda text: None)
+        return fast, _outcome(path)
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_render_csv_file_is_read_through_orjson(tmp_path, monkeypatch, header):
+    # numpy's reader is the text reader's first step; the orjson reader must
+    # read a file render_csv wrote without it.
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("the text reader ran")
+
+    p = np.random.default_rng(6).dirichlet(np.ones(7), size=7)
+    p[2, 3] = 1e-300
+    p[4, 0] = 0.0
+    labels = tuple("abcdefg") if header else None
+    path = tmp_path / "m.csv"
+    path.write_text(io.render_csv(p, labels))
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    back, got_labels = io.load_matrix(path)
+    assert back.tobytes() == p.tobytes()
+    assert got_labels == labels
+
+
+def test_render_json_file_is_read_through_orjson(tmp_path, monkeypatch):
+    def no_json_loads(*args, **kwargs):
+        raise AssertionError("json.loads ran")
+
+    p = np.random.default_rng(7).dirichlet(np.ones(5), size=5)
+    path = tmp_path / "m.json"
+    io.save_matrix(path, p, labels=tuple("abcde"))
+    monkeypatch.setattr(json, "loads", no_json_loads)
+    back, labels = io.load_matrix(path)
+    assert back.tobytes() == p.tobytes()
+    assert labels == tuple("abcde")
+
+
+# Each case: the file's bytes, and whether the orjson reader takes it.
+CSV_GUARD_CASES = {
+    "byte-order mark": (b"\xef\xbb\xbf0.5,0.5\n0.25,0.75\n", True),
+    "byte-order mark and header": (b"\xef\xbb\xbf# states: a,b\n0.5,0.5\n0.25,0.75\n", True),
+    "two byte-order marks": (b"\xef\xbb\xbf\xef\xbb\xbf0.5,0.5\n0.25,0.75\n", False),
+    "states header": (b"# states: a, b\n0.5,0.5\n0.25,0.75\n", True),
+    "last states header wins": (b"# note\n# states: a,b\n#STATES: c,d\n0.5,0.5\n0.25,0.75\n", True),
+    "indented header": (b"  # states: a,b\n0.5,0.5\n0.25,0.75\n", False),
+    "header split by a lone CR": (b"# states: a\r0.5,0.5\n0.25,0.75\n", False),
+    "non-UTF-8 header": (b"# states: \xff\n0.5,0.5\n0.25,0.75\n", False),
+    "comment mid-file": (b"0.5,0.5\n# mid\n0.25,0.75\n", False),
+    "blank line mid-file": (b"0.5,0.5\n\n0.25,0.75\n", False),
+    "whitespace line mid-file": (b"0.5,0.5\n \t\n0.25,0.75\n", False),
+    "trailing blank line": (b"0.5,0.5\n0.25,0.75\n\n", False),
+    "no final newline": (b"0.5,0.5\n0.25,0.75", True),
+    "CRLF": (b"# states: a,b\r\n0.5,0.5\r\n0.25,0.75\r\n", True),
+    "lone CR line ends": (b"0.5,0.5\r0.25,0.75\r", False),
+    "lone CR after a comma": (b"0.5,0.5,\r0.25,0.75\n", False),
+    "tabs and spaces": (b" 0.5 ,\t0.5\t\n0.25 , 0.75 \n", True),
+    "one row": (b"0.5,0.5\n", True),
+    "one column": (b"1\n1\n", True),
+    "ragged rows": (b"0.5,0.5\n1\n", False),
+    "trailing comma": (b"0.5,0.5,\n0.25,0.75,\n", False),
+    "empty field": (b"0.5,,0.5\n0.25,0.75\n", False),
+    "empty file": (b"", False),
+    "header only": (b"# states: a,b\n", False),
+    "whitespace only": (b" \n\t\n", False),
+    "1.": (b"1.,0\n0,1.\n", False),
+    ".5": (b".5,.5\n.25,.75\n", False),
+    "+1": (b"+1,0\n0,+1\n", False),
+    "01": (b"01,0\n0,01\n", False),
+    "1e400": (b"1e400,0\n0.5,0.5\n", False),
+    "1e-400": (b"1e-400,1\n0.5,0.5\n", True),
+    "exponent spellings": (b"1E0,5e-1,0\n2.5e-1,7.5E-1,0e+5\n1E+0,0,0\n", True),
+    "integers beyond 2**64": (b"36893488147419103233,1\n1,18446744073709551615\n", True),
+    "-0": (b"-0,1\n1,0\n", False),
+    "-0.0": (b"-0.0,1\n1,0\n", False),
+    "-0e0": (b"1e-5,-0e0\n1,0\n", False),
+    "negative entry": (b"-0.5,1.5\n0.5,0.5\n", True),
+    "negative entry beside a zero": (b"-0.5,1.5,0\n0.5,0.5,0\n0,0,1\n", False),
+    "nan": (b"nan,1\n0.5,0.5\n", False),
+    "inf": (b"inf,0\n0.5,0.5\n", False),
+    "underscores": (b"1_0,0\n0.5,0.5\n", False),
+    "non-ASCII digits": ("٣,0\n0.5,0.5\n".encode(), False),
+    "non-UTF-8 field": (b"0.5,0.5\n0.25,\xff\n", False),
+    "letters": (b"0.5,0.5\n0.25,x\n", False),
+    # JSON values that are not numbers, which orjson reads and numpy converts
+    "quoted number": (b'"0.5",0.5\n0.25,0.75\n', False),
+    "true and false": (b"true,false\n0.25,0.75\n", False),
+    "null": (b"null,1\n0.25,0.75\n", False),
+    "nested array": (b"[0.5],[0.5]\n[0.25],[0.75]\n", False),
+}
+
+
+@pytest.mark.parametrize("case", CSV_GUARD_CASES)
+def test_csv_guard_case_matches_text_reader(tmp_path, case):
+    data, fast = CSV_GUARD_CASES[case]
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    assert (io._csv_rows(data) is not None) == fast
+    got, want = _fast_and_fallback(path)
+    assert got == want
+
+
+# Each case: the JSON file's text, and whether orjson's reading is kept.
+JSON_GUARD_CASES = {
+    "plain": ('{"states": ["a", "b"], "p": [[0.5, 0.5], [0.25, 0.75]]}', True),
+    "byte-order mark": ('﻿{"p": [[0.5, 0.5], [0.25, 0.75]]}', True),
+    "CRLF": ('{\r\n"p": [[0.5, 0.5],\r\n[0.25, 0.75]]}\r\n', True),
+    "-0": ('{"p": [[-0, 1], [1, 0]]}', True),
+    "integers beyond 2**64": ('{"p": [[36893488147419103233, 1], [1, 1]]}', True),
+    "states beyond 2**64": ('{"states": [18446744073709551616, "b"], "p": [[1, 0], [0, 1]]}', False),
+    "states not a list": ('{"states": "ab", "p": [[1, 0], [0, 1]]}', False),
+    "empty states": ('{"states": [], "p": [[1, 0], [0, 1]]}', True),
+    "NaN": ('{"p": [[NaN, 1], [0.5, 0.5]]}', False),
+    "Infinity": ('{"p": [[Infinity, 0], [0.5, 0.5]]}', False),
+    "1e400": ('{"p": [[1e400, 0], [0.5, 0.5]]}', False),
+    "integer beyond float range": ('{"p": [[1' + "0" * 400 + ", 0], [0.5, 0.5]]}", False),
+    "boolean": ('{"p": [[0.5, 0.5], [true, false]]}', False),
+    "quoted number": ('{"p": [["0.5", 0.5], [0.25, 0.75]]}', False),
+    "null": ('{"p": [[0.5, 0.5], [1, null]]}', False),
+    "nested big integer in a refused entry": ('{"p": [[[18446744073709551616], 1]]}', False),
+    "ragged": ('{"p": [[0.5, 0.5], [1]]}', True),
+    "no p": ('{"states": ["a"]}', False),
+    "not an object": ("[[1]]", False),
+    "trailing comma": ('{"p": [[1, 0], [0, 1],]}', False),
+    "two byte-order marks": ('﻿﻿{"p": [[1]]}', False),
+    "lone surrogate": ('{"states": ["\\ud800", "b"], "p": [[1, 0], [0, 1]]}', False),
+}
+
+
+@pytest.mark.parametrize("case", JSON_GUARD_CASES)
+def test_json_guard_case_matches_text_reader(tmp_path, case):
+    text, fast = JSON_GUARD_CASES[case]
+    path = tmp_path / "m.json"
+    path.write_bytes(text.encode())
+    assert (io._orjson_document(text.encode()) is not None) == fast
+    got, want = _fast_and_fallback(path)
+    assert got == want
+
+
+_SPELLINGS = [repr, "%.25e".__mod__, "%.17g".__mod__]
+
+
+@st.composite
+def _spelled_matrix(draw, min_value):
+    """A matrix as CSV field text, each finite float spelled by repr,
+    %.25e or %.17g or each integer (beyond 2**64 too) by str."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.tuples(
+            st.floats(min_value=min_value, allow_nan=False, allow_infinity=False),
+            st.sampled_from(_SPELLINGS),
+        ).map(lambda xs: xs[1](xs[0])),
+        st.integers(min_value=0 if min_value == 0.0 else -2**80, max_value=2**80).map(str),
+    )
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_spelled_matrix(min_value=0.0))
+def test_csv_readers_are_bit_exact(fields):
+    text = "".join(",".join(row) + "\n" for row in fields)
+    want = np.array([[float(f) for f in row] for row in fields])
+    fast = io._csv_rows(text.encode())
+    assert fast is not None
+    assert fast[0].tobytes() == want.tobytes()
+    assert io.parse_csv(text)[0].tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_spelled_matrix(min_value=None))
+def test_signed_csv_and_json_read_alike_on_either_reader(tmp_path_factory, fields):
+    # With signs the orjson reader may give the file to the text reader
+    # (a -0 spelled "%.17g" % -0.0 must); the bits must match either way.
+    folder = tmp_path_factory.mktemp("signed")
+    csv_path, json_path = folder / "m.csv", folder / "m.json"
+    csv_path.write_text("".join(",".join(row) + "\n" for row in fields))
+    json_path.write_text('{"p": [' + ", ".join("[" + ", ".join(row) + "]" for row in fields) + "]}")
+    want = np.array([[float(f) for f in row] for row in fields])
+    got, fallback = _fast_and_fallback(csv_path)
+    assert got == fallback == (want.shape, want.tobytes(), None)
+    got, fallback = _fast_and_fallback(json_path)
+    assert got == fallback

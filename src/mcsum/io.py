@@ -8,20 +8,17 @@ are written as the shortest decimal that round-trips (``repr`` in CSV,
 orjson's Ryu writer in JSON, through `array_json`), so read(write(M))
 preserves matrix bits.
 
-Reading (`load_matrix`) takes the file's bytes once.  A CSV whose matrix
+Reading (`load_matrix`) decodes the file's text once.  A CSV whose matrix
 lines are JSON numbers, commas and blanks only, with no blank or ragged
-line, is read one line at a time through orjson (`_csv_rows`); a JSON file
-goes through orjson when "p" holds only numbers and "states" only strings.
-Every other input, and every error, goes to the text readers: `parse_csv`
-(numpy's ``loadtxt``, then ``float()``) and ``json.loads`` in `parse_json`.
-So an accepted file gives the same bits and labels, and a refused one the
-same message, whichever reader runs.
+line, is read one line at a time through orjson (`_csv_rows`).  Every other
+CSV, and every error, goes to `parse_csv` (numpy's ``loadtxt``, then
+``float()``), so an accepted file gives the same bits and labels, and a
+refused one the same message, whichever reader runs.  JSON is read by
+``json.loads`` in `parse_json`.
 """
 from __future__ import annotations
 
-import codecs
 import json
-from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +54,7 @@ def array_json(a: np.ndarray) -> str:
 
 #: The bytes `_csv_rows` lets through in a CSV's matrix lines: those of JSON
 #: numbers, the field comma and blanks.
-_ROW_BYTES = b"0123456789.eE+-, \t\r"
-
-
-def _text(data: bytes) -> str:
-    """`data` decoded as ``Path.read_text(encoding="utf-8-sig")`` decodes a
-    file: one byte-order mark dropped, line ends turned into ``\\n``."""
-    return TextIOWrapper(BytesIO(data), encoding="utf-8-sig").read()
+_ROW_BYTES = b"0123456789.eE+-, \t"
 
 
 def _csv_lines(text: str) -> tuple[tuple[str, ...] | None, list[tuple[int, str]]]:
@@ -82,34 +73,31 @@ def _csv_lines(text: str) -> tuple[tuple[str, ...] | None, list[tuple[int, str]]
     return labels, lines
 
 
-def _csv_rows(data: bytes) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
-    """The CSV format read from a file's bytes one line at a time through
-    orjson, or None where `parse_csv` must read it.
+def _csv_rows(text: str) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
+    """The CSV format read one line at a time through orjson, or None where
+    `parse_csv` must read it.
 
     Leading ``#`` lines give the labels as in `parse_csv`.  Each matrix line
-    must hold only `_ROW_BYTES`, with a ``\\r`` only at its end (a lone ``\\r``
-    ends a line for `parse_csv`).  A blank or ragged line, or a field that is
+    must hold only `_ROW_BYTES`.  A blank or ragged line, or a field that is
     not a JSON number (``1.``, ``.5``, ``+1``, ``01``, ``1e400``), also returns
     None.  orjson rounds each number to the nearest float64, as ``float()``
     does, except the integer ``-0``, which it reads as +0.0: so a line that
     reads a zero returns None if it holds a ``-`` outside an exponent (a
     negative entry is refused later anyway).
     """
-    lines = data.split(b"\n")
-    lines[0] = lines[0].removeprefix(codecs.BOM_UTF8)
-    k = 0
-    while k < len(lines) and lines[k].startswith(b"#"):
-        k += 1
-    try:
-        labels, head_rows = _csv_lines(b"\n".join(lines[:k]).decode())
-    except UnicodeDecodeError:
-        return None
-    rows = lines[k:-1] if lines[-1] == b"" else lines[k:]
+    head = 0
+    while text.startswith("#", head):
+        head = text.find("\n", head) + 1 or len(text)
+    labels, head_rows = _csv_lines(text[:head])
+    rows = text[head:].split("\n")
+    if rows[-1] == "":
+        rows.pop()
     if head_rows or not rows:
         return None
     p = None
     for i, line in enumerate(rows):
-        if line.translate(None, _ROW_BYTES) or line.find(b"\r", 0, len(line) - 1) >= 0:
+        line = line.encode()
+        if line.translate(None, _ROW_BYTES):
             return None
         try:
             row = orjson.loads(b"[" + line + b"]")
@@ -157,46 +145,16 @@ def render_csv(p: np.ndarray, labels: tuple[str, ...] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _orjson_document(text: str | bytes) -> dict | None:
-    """The JSON matrix document as orjson reads it, or None unless orjson
-    reads it and it is an object whose "p" rows hold only numbers and whose
-    "states", if given, are strings."""
-    if isinstance(text, bytes):
-        text = text.removeprefix(codecs.BOM_UTF8)
-    try:
-        obj = orjson.loads(text)
-    except orjson.JSONDecodeError:
-        return None
-    if not isinstance(obj, dict) or not isinstance(obj.get("p"), list):
-        return None
-    states = obj.get("states")
-    if states and not (isinstance(states, list) and all(type(s) is str for s in states)):
-        return None
-    rows_ok = all(isinstance(row, list) and set(map(type, row)) <= {int, float} for row in obj["p"])
-    return obj if rows_ok else None
-
-
-def parse_json(text: str | bytes) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """Parse the JSON matrix format, from text or from a file's bytes.
-
-    orjson reads the document.  ``json.loads`` reads it instead where orjson
-    refuses it (``NaN`` and ``Infinity`` tokens, which `validate` refuses
-    with its own message; numbers beyond float range) or where the two could
-    differ: orjson reads an integer beyond 64 bits as a float, which a label
-    or an error message would show, so a "p" entry that is not a number or a
-    "states" entry that is not a string sends the document there too.
-    """
-    obj = _orjson_document(text)
-    if obj is None:
-        obj = json.loads(text if isinstance(text, str) else _text(text))
-        if not isinstance(obj, dict) or "p" not in obj:
-            raise ValueError('expected a JSON object with a "p" field')
-        # numpy would take true, false and quoted numbers as floats; refuse them
-        # as the CSV reader does (a null would become NaN)
-        for i, row in enumerate(obj["p"] if isinstance(obj["p"], list) else ()):
-            if isinstance(row, list) and not set(map(type, row)) <= {int, float}:
-                j, x = next((j, x) for j, x in enumerate(row) if type(x) not in (int, float))
-                raise ValueError(f'"p" row {i + 1}, column {j + 1}: {json.dumps(x)} is not a number')
+def parse_json(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or "p" not in obj:
+        raise ValueError('expected a JSON object with a "p" field')
+    # numpy would take true, false and quoted numbers as floats; refuse them
+    # as the CSV reader does (a null would become NaN)
+    for i, row in enumerate(obj["p"] if isinstance(obj["p"], list) else ()):
+        if isinstance(row, list) and not set(map(type, row)) <= {int, float}:
+            j, x = next((j, x) for j, x in enumerate(row) if type(x) not in (int, float))
+            raise ValueError(f'"p" row {i + 1}, column {j + 1}: {json.dumps(x)} is not a number')
     try:
         p = np.array(obj["p"], dtype=np.float64)
     except OverflowError:  # json.loads keeps an integer beyond float range exact
@@ -228,11 +186,11 @@ def load_matrix(
     path = Path(path)
     if fmt is None:
         fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    data = path.read_bytes()
+    text = path.read_text(encoding="utf-8-sig")  # also drops a byte-order mark
     if fmt == "json":
-        return parse_json(data)
+        return parse_json(text)
     if fmt == "csv":
-        return _csv_rows(data) or parse_csv(_text(data))
+        return _csv_rows(text) or parse_csv(text)
     raise ValueError(f"unknown matrix format {fmt!r}")
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import oracle
 from .chain import TransitionMatrix, column_sums
+from .errors import SingularMatrix
 from .ginv import THEOREM2_ROWS, compute_h, compute_z, max_abs, theorem2_errors
 
 #: Chains whose column sums deviate from 1 by less than this are treated as
@@ -255,11 +256,27 @@ def solve_chain(tm: TransitionMatrix) -> ChainSolution:
     follows from H in O(m^2): so the ``fundamental`` Kemeny variant, the
     (1+m) row of ``residuals`` and ``h_shift_residual`` check H
     against an independent route, and the Kemeny spread measures accuracy.
+
+    Raises SingularMatrix when a stationary probability is not positive or a
+    passage time overflows: the direct solver rounded a tiny pi_j to zero or
+    below, so M cannot be formed.
     """
     pi = oracle.stationary_direct(tm)
+    if not (lowest := pi.min()) > 0:  # NaN too; checked before M divides by pi
+        raise SingularMatrix(
+            f"stationary probability {lowest:.3e} is not positive; the chain is "
+            "too close to reducible for the direct solver"
+        )
     h, cond = compute_h(tm)
     z = compute_z(tm, pi)
-    c, mfpt = column_sums(tm), mfpt_from_h(h, pi)
+    c = column_sums(tm)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        mfpt = mfpt_from_h(h, pi)
+    if not np.isfinite(mfpt).all():
+        raise SingularMatrix(
+            "mean first passage times overflow float64; a stationary probability "
+            "is too small for the direct solver"
+        )
     h_diag, m_diag = h.diagonal(axis1=-2, axis2=-1), mfpt.diagonal(axis1=-2, axis2=-1)
     c_weighted = (c[..., None, :] @ mfpt)[..., 0, :]
     return ChainSolution(tm=tm, c=c, pi=pi, h=h, z=z, mfpt=mfpt, cond=cond, h_diag=h_diag,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -92,11 +93,17 @@ def _cmd_analyze(args) -> int:
     tm = _load_chain(args)
     rep = analyze(tm, reorder=args.reorder_by_colsum)
     if args.output:
-        # write_json writes one array row (several kB) at a time; a 1 MB buffer
-        # spares a system call per row.
-        with open(args.output, "w", buffering=1 << 20) as fh:
-            write_json(rep, fh)
-            fh.write("\n")
+        # write_json hands the file one matrix row (up to tens of kB) or one
+        # short key or value at a time; a 1 MB buffer gathers them into few
+        # system calls, where the default 8 kB one would make one per row.
+        fh = open(args.output, "wb", buffering=1 << 20)
+        try:
+            with fh:
+                write_json(rep, fh)
+                fh.write(b"\n")
+        except BaseException:  # leave no partial report behind
+            os.unlink(args.output)
+            raise
     if rep.permutation is not None:
         print("state order:", " ".join(rep.labels))
     _print_vector_table(

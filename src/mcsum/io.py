@@ -5,8 +5,9 @@ CSV: m lines of m comma-separated decimal fields, with an optional leading
 header line ``# states: a,b,c``.  JSON: an object with an optional "states"
 array and a "p" array of m rows of JSON numbers, one row per line.  Floats
 are written as the shortest decimal that round-trips (``repr`` in CSV,
-orjson's Ryu writer in JSON, through `array_json`), so read(write(M))
-preserves matrix bits.
+orjson's Ryu writer in JSON), so read(write(M)) preserves matrix bits.
+`json_ready` checks and converts a whole array once; `array_json` then
+writes it, or each of its rows, as orjson bytes.
 
 Reading (`load_matrix`) decodes the file's text once.  A CSV whose matrix
 lines are JSON numbers, commas and blanks only, with no blank or ragged
@@ -27,29 +28,39 @@ import orjson
 
 def _tolist(obj):
     """orjson's ``default`` hook: the arrays it does not encode itself (0-d,
-    non-contiguous, other dtypes) as nested lists."""
+    other dtypes) as nested lists."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def array_json(a: np.ndarray) -> str:
-    """`a` as compact JSON nested lists, through orjson's numpy encoder.
+def json_ready(a: np.ndarray) -> np.ndarray:
+    """`a` as orjson's numpy encoder writes it right, checked and converted
+    once for the whole array: a float array as C-contiguous native float64,
+    any other in native byte order.
 
-    Each float is the shortest decimal that parses back to the same float64,
-    the value ``repr`` gives, spelled ``0.00001`` for ``1e-05`` and ``1e22``
-    for ``1e+22``.  A float array holding NaN or infinity raises ValueError:
-    JSON has no spelling for them and orjson would write ``null``.
+    A float array holding NaN or infinity raises ValueError: JSON has no
+    spelling for them and orjson would write ``null``.
     """
     if a.dtype.kind == "f":
         if not np.isfinite(a).all():
             raise ValueError("cannot write a non-finite array as JSON")
         # orjson writes float32 in its own shortest form, which parses to
         # another float64 than the float32 holds.
-        a = a.astype(np.float64, copy=False)
+        return a.astype(np.float64, order="C", copy=False)
     # orjson 3.8 reads a byte-swapped array's entries in native order.
-    a = a.astype(a.dtype.newbyteorder("="), copy=False)
-    return orjson.dumps(a, default=_tolist, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    return a.astype(a.dtype.newbyteorder("="), order="C", copy=False)
+
+
+def array_json(a: np.ndarray) -> bytes:
+    """A `json_ready` array, or any row of one, as compact JSON nested lists
+    through orjson's numpy encoder.
+
+    Each float is the shortest decimal that parses back to the same float64,
+    the value ``repr`` gives, spelled ``0.00001`` for ``1e-05`` and ``1e22``
+    for ``1e+22``.
+    """
+    return orjson.dumps(a, default=_tolist, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
 #: The bytes `_csv_rows` lets through in a CSV's matrix lines: those of JSON
@@ -175,8 +186,8 @@ def parse_json(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
 def render_json(p: np.ndarray, labels: tuple[str, ...] | None = None) -> str:
     """The JSON matrix format: one key per line, one row of `p` per line."""
     head = "" if labels is None else f'  "states": {json.dumps(list(labels))},\n'
-    rows = ",\n    ".join(map(array_json, np.asarray(p, dtype=np.float64)))
-    return "{\n" + head + '  "p": [\n    ' + rows + "\n  ]\n}\n"
+    rows = b",\n    ".join(map(array_json, json_ready(np.asarray(p, dtype=np.float64))))
+    return "{\n" + head + '  "p": [\n    ' + rows.decode() + "\n  ]\n}\n"
 
 
 def load_matrix(

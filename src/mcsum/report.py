@@ -5,12 +5,12 @@ and the violation pairs off ``scan.ordering_masks``, computing neither again.
 
 ``dumps`` writes one line (a ``scan --log`` line) through the standard
 library's C encoder with one ``default`` hook, ``_plain``; ``report_to_dict``
-is what it parses to.  ``write_json`` writes the ``analyze --output`` file,
-which parses to the same dict: each array (vector, float matrix row, or
-(k, 2) violation-pair array) through orjson's numpy encoder, `io.array_json`,
-and every other value (labels, scalars, residual dicts) through ``dumps``.
-Floats are the shortest decimal that round-trips in both, and an array
-holding NaN or infinity is refused.
+is what it parses to.  ``write_json`` writes the ``analyze --output`` file as
+bytes, which parse to the same dict: each array is checked once by
+`io.json_ready` (an array holding NaN or infinity is refused), then goes out
+through orjson's numpy encoder, `io.array_json`, one call per float matrix
+row; every other value (labels, scalars, residual dicts) goes through
+``dumps``.  Floats are the shortest decimal that round-trips in both.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, BoundsReport, DoublyStochas
                        residuals, solve_chain)
 from .chain import TransitionMatrix, reorder_by_column_sums
 from .ginv import THEOREM2_ROWS, group_inverse, kemeny_general
-from .io import array_json
+from .io import array_json, json_ready
 from .scan import OrderingRecord, ordering_from_solution
 
 #: Condition numbers at or above this set ``condition_warning``.
@@ -138,24 +138,31 @@ def report_to_dict(obj) -> dict:
 
 
 def write_json(obj, fh, depth: int = 0) -> None:
-    """Write `obj` to `fh` at indent level `depth`: a report dataclass or dict
-    (string keys) one key per line, a float matrix one row per line, row by
-    row.  Any other array (a vector, a row, or an integer array such as the
-    violation pairs) goes on one line through `array_json` (ValueError if it
-    holds NaN or infinity), and every other value on one line through
-    `dumps`."""
-    if is_dataclass(obj) or isinstance(obj, dict):
-        pairs = _fields(obj) if is_dataclass(obj) else obj.items()
-        items, brackets = ((dumps(k) + ": ", v) for k, v in pairs), "{}"
-    elif isinstance(obj, np.ndarray) and obj.ndim > 1 and obj.dtype.kind == "f":
-        items, brackets = (("", row) for row in obj), "[]"
+    """Write `obj` as UTF-8 JSON bytes to the binary file `fh` at indent level
+    `depth`: a report dataclass or dict (string keys) one key per line, a
+    float matrix one row per line.  Each array is checked and converted once
+    by `json_ready` (ValueError if it is a float array holding NaN or
+    infinity, raised before any of it is written); then each row of a float
+    matrix, or the whole of any other array (a vector, or an integer array
+    such as the violation pairs), goes on one line through `array_json`.
+    Every other value goes on one line through `dumps`."""
+    if isinstance(obj, np.ndarray):
+        a = json_ready(obj)
+        if a.ndim < 2 or a.dtype.kind != "f" or not len(a):
+            fh.write(array_json(a))
+            return
+        pad, sep = b"\n" + b"  " * depth, b"["
+        for row in a:
+            fh.write(sep + pad + b"  ")
+            fh.write(array_json(row))
+            sep = b","
+        fh.write(pad + b"]")
+    elif is_dataclass(obj) or isinstance(obj, dict):
+        pad, sep = b"\n" + b"  " * depth, b"{"
+        for key, value in _fields(obj) if is_dataclass(obj) else obj.items():
+            fh.write(sep + pad + b"  " + dumps(key).encode() + b": ")
+            write_json(value, fh, depth + 1)
+            sep = b","
+        fh.write(pad + b"}" if sep == b"," else b"{}")
     else:
-        fh.write(array_json(obj) if isinstance(obj, np.ndarray) else dumps(obj))
-        return
-    pad = "\n" + "  " * depth
-    sep = brackets[0] + pad + "  "
-    for prefix, value in items:
-        fh.write(sep + prefix)
-        write_json(value, fh, depth + 1)
-        sep = "," + pad + "  "
-    fh.write(brackets if sep[0] == brackets[0] else pad + brackets[1])
+        fh.write(dumps(obj).encode())

@@ -139,13 +139,16 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.arange(m)[:, None] < np.arange(m))
 
 
-def ordering_masks(sol: ChainSolution) -> np.ndarray:
+def ordering_masks(
+    sol: ChainSolution, pairs: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Per relation of RELATIONS, in its order, the flags of the pairs i < j
     (``np.triu_indices`` order) that violate it, as one (relations, ...,
-    m(m-1)/2) bool array for one chain or a stack; a tie never violates."""
+    m(m-1)/2) bool array for one chain or a stack; a tie never violates.
+    `pairs` is ``_pairs(m)`` when the caller has built it already."""
     names = ("colsum", "pi", "h_diag", "m_col_total", "m_recurrence")
     v = np.array((sol.c, sol.pi, sol.h_diag, sol.col_totals, sol.m_diag))
-    i, j = _pairs(sol.tm.n)
+    i, j = _pairs(sol.tm.n) if pairs is None else pairs
     diff = v[..., i]
     diff -= v[..., j]  # in place: at m = 600 each of these is 7 MB
     signs = (diff >= SIGN_TIE_TOL).view(np.int8) - (diff <= -SIGN_TIE_TOL).view(np.int8)
@@ -157,29 +160,31 @@ def ordering_masks(sol: ChainSolution) -> np.ndarray:
     return signs[left] * signs[right] == -direction.reshape(-1, *[1] * (diff.ndim - 1))
 
 
-def _records(p, flags, chains=slice(None)) -> list[OrderingRecord]:
-    """Ordering records of `chains` of the stacked p and ``ordering_masks`` flags (one
-    chain is a stack of one), gathered so that no record keeps the stack alive."""
+def _records(p, flags, pairs, chains=slice(None)) -> list[OrderingRecord]:
+    """Ordering records of `chains` of the stacked p and its ``ordering_masks``
+    flags over `pairs` (one chain is a stack of one), gathered so that no record
+    keeps the stack alive."""
     m = p.shape[-1]
     p = p.reshape(-1, m, m)
     flags = flags.reshape(len(flags), len(p), flags.shape[-1])[:, chains]
     p = p[chains]
-    i, j = _pairs(m)
-    pairs = {}
+    i, j = pairs
+    by_relation = {}
     for name, f in zip(RELATIONS, flags):
         t, k = f.nonzero()  # by chain, then pair: i < j in row-major order
-        pairs[name] = np.split(np.stack((i[k], j[k]), axis=-1),
-                               np.searchsorted(t, np.arange(1, len(p))))
+        by_relation[name] = np.split(np.stack((i[k], j[k]), axis=-1),
+                                     np.searchsorted(t, np.arange(1, len(p))))
     return [
         OrderingRecord(hashlib.sha256(p[k].tobytes()).hexdigest(), m,
-                       {name: found[k] for name, found in pairs.items()})
+                       {name: found[k] for name, found in by_relation.items()})
         for k in range(len(p))
     ]
 
 
 def ordering_from_solution(sol: ChainSolution) -> OrderingRecord:
     """Ordering record computed from an existing pipeline solution."""
-    return _records(sol.tm.p, ordering_masks(sol))[0]
+    pairs = _pairs(sol.tm.n)
+    return _records(sol.tm.p, ordering_masks(sol, pairs), pairs)[0]
 
 
 @dataclass(frozen=True)
@@ -240,23 +245,24 @@ def scan(
     for m in sorted(config.state_counts):
         step = max(1, BLOCK_ENTRIES // (m * m))
         theorems = [r.proven_for(m) for r in RELATIONS.values()]
+        pairs = _pairs(m)
         for start in range(0, config.trials, step):
             trials = np.arange(start, min(start + step, config.trials))
             seeds = rng.derive_stream(config.seed, m, trials)
             p = random_chains(m, seeds, config.sparsity)
             sol = solve_chain(TransitionMatrix(p=p))
-            flags = ordering_masks(sol)
+            flags = ordering_masks(sol, pairs)
             hits = flags.any(axis=-1)  # (relations, trials)
             counts[m] += np.count_nonzero(hits, axis=1)
             violated = np.flatnonzero(hits.any(axis=0))
             counterexamples += len(violated)
             if found is not None:
-                for t, record in zip(violated.tolist(), _records(p, flags, violated)):
+                for t, record in zip(violated.tolist(), _records(p, flags, pairs, violated)):
                     found(Counterexample(m, int(trials[t]), int(seeds[t]), p[t].copy(), record))
             table = residuals(sol)
             worst = table.argmax(axis=0)  # the first of equal largest residuals
             failed = np.flatnonzero((table.max(axis=0) > IDENTITY_TOL) | hits[theorems].any(axis=0))
-            records = _records(p, flags, failed) if failed.size else []
+            records = _records(p, flags, pairs, failed) if failed.size else []
             for t, record in zip(failed.tolist(), records):
                 trial = int(trials[t])
                 hard_failures += [

@@ -16,6 +16,7 @@ from mcsum.analysis import (
     stationary_from_h,
 )
 from mcsum.chain import column_sums, validate
+from mcsum.errors import SingularMatrix
 from mcsum.ginv import compute_h, group_inverse, kemeny_general, mfpt_general
 from mcsum.oracle import stationary_direct, two_state_closed_form
 from mcsum.report import report_to_dict
@@ -273,3 +274,27 @@ def test_kemeny_lower_bound_random():
         tm = random_chain(2 + (i % 9), 66_000 + i)
         sol = solve_chain(tm)
         assert kemeny_from_z(sol.z) >= (tm.n + 1) / 2.0 - 1e-9
+
+
+def tiny_link(e: float) -> np.ndarray:
+    """An irreducible, well-conditioned chain whose third state is entered
+    with probability `e` only: its pi_3 is about e / 2."""
+    return np.array([[0.5, 0.5, 0.0], [0.5, 0.5, e], [0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("e", [1e-16, 1e-17, 1e-100, 1e-300, 1e-310])
+def test_solve_chain_refuses_a_stationary_probability_rounded_to_zero(e):
+    tm = validate(tiny_link(e))
+    assert compute_h(tm)[1] < 10  # not a condition-number refusal
+    assert stationary_direct(tm)[2] == 0.0  # -0.0: M would divide by it
+    with pytest.raises(SingularMatrix, match="stationary probability -0.000e"):
+        solve_chain(tm)
+
+
+def test_solve_chain_refuses_passage_times_beyond_float_range():
+    # the tiny link's chain in another state order: the direct solver keeps
+    # pi_1 = 5e-311 positive, and 1 / pi_1 overflows
+    tm = validate(np.array([[0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [1e-310, 0.5, 0.5]]))
+    assert 0.0 < stationary_direct(tm)[0] < 1e-308
+    with pytest.raises(SingularMatrix, match="overflow"):
+        solve_chain(tm)

@@ -96,6 +96,32 @@ def test_analyze_numerically_singular_exits_3(m, tmp_path, capsys):
     assert "SingularMatrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_tiny_stationary_probability_exits_3_without_a_report(command, tmp_path, capsys):
+    path = tmp_path / "tiny.csv"
+    path.write_text("0.5,0.5,0\n0.5,0.5,1e-17\n0,1,0\n")
+    out = tmp_path / "r.json"
+    argv = [command, "--input", str(path)] + (["--output", str(out)] if command == "analyze" else [])
+    assert main(argv) == 3
+    assert "SingularMatrix: stationary probability" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_removes_a_partial_report(fix8_csv, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r.json"
+
+    def write_one_row_then_fail(rep, fh):
+        fh.write(b'{\n  "mfpt": [\n    ' + io.array_json(io.json_ready(rep.mfpt)[0]))
+        fh.flush()
+        assert out.stat().st_size > 0
+        raise ValueError("cannot write a non-finite array as JSON")
+
+    monkeypatch.setattr(cli, "write_json", write_one_row_then_fail)
+    assert main(["analyze", "--input", str(fix8_csv), "--output", str(out)]) == 2
+    assert "error: cannot write a non-finite array" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_not_stochastic_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     io.save_matrix(path, np.array([[0.6, 0.3], [0.5, 0.5]]))

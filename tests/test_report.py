@@ -188,9 +188,9 @@ def _assert_same_json(text, want):
 
 
 def _written(value) -> str:
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_json(value, buf)
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 def _assert_written_as_indent2(rep):
@@ -287,6 +287,24 @@ def test_write_json_refuses_non_finite_arrays(bad):
             _written(_Holder(value))
 
 
+def test_write_json_writes_a_matrix_as_its_native_float64_copy():
+    a = np.array([[0.1, 1e-5, 2.0, 1 / 3], [1e22, -0.0, 5e-324, 7.0], [0.5, 0.25, 1e30, 3.0]])
+    for matrix in (a.astype(np.float32), a.astype(">f8"), a.T, a[:, ::2]):
+        copy = np.array(matrix, dtype=np.float64, order="C")
+        assert copy.flags.c_contiguous and copy.dtype.isnative
+        assert _written(matrix) == _written(copy)
+        assert _written(_Holder(matrix)) == _written(_Holder(copy))
+
+
+def test_write_json_refuses_a_non_finite_matrix_before_its_first_row():
+    a = np.full((4, 3), 0.25)
+    a[-1, -1] = np.nan
+    buf = io.BytesIO()
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(a, buf)
+    assert buf.getvalue() == b""
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4)
@@ -338,6 +356,6 @@ if __name__ == "__main__":
     # Rewrite the golden files after an intended change to the report:
     #   PYTHONPATH=src python -m tests.test_report
     for name in ("fix5", "fix8"):
-        with open(GOLDEN / f"report_{name}.json", "w") as fh:
+        with open(GOLDEN / f"report_{name}.json", "wb") as fh:
             write_json(analyze(getattr(fixtures, name)()), fh)
-            fh.write("\n")
+            fh.write(b"\n")

@@ -101,6 +101,18 @@ def test_ordering_record_recomputes(fix8):
         k: v.tolist() for k, v in b.violations.items()}
 
 
+def test_ordering_record_builds_its_pairs_once(fix8, monkeypatch):
+    want = ordering_from_solution(solve_chain(fix8))
+    calls = []
+    pairs = scan_module._pairs
+    monkeypatch.setattr(scan_module, "_pairs", lambda m: calls.append(m) or pairs(m))
+    got = ordering_from_solution(solve_chain(fix8))
+    assert calls == [fix8.n]
+    assert got.digest == want.digest
+    assert {k: v.tolist() for k, v in got.violations.items()} == {
+        k: v.tolist() for k, v in want.violations.items()}
+
+
 def test_ordering_masks_lie_above_the_diagonal(fix5):
     # one flag per relation and pair i < j, the pairs in np.triu_indices order
     sol = solve_chain(fix5)
@@ -216,7 +228,8 @@ def test_ordering_record_violations_keep_their_order(stack):
     p = np.stack([_tied_chain(kind, m, seed) for kind, seed in kinds])
     sol = solve_chain(TransitionMatrix(p=p))
     masks = _square_masks(sol)
-    records = scan_module._records(p, ordering_masks(sol))
+    pairs = scan_module._pairs(m)
+    records = scan_module._records(p, ordering_masks(sol, pairs), pairs)
     assert len(records) == len(kinds)
     for k, record in enumerate(records):
         assert list(record.violations) == list(RELATIONS)

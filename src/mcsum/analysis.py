@@ -19,7 +19,7 @@ import numpy as np
 from . import oracle
 from .chain import TransitionMatrix, column_sums
 from .errors import SingularMatrix
-from .ginv import THEOREM2_ROWS, compute_h, compute_z, max_abs, theorem2_errors
+from .ginv import compute_h, compute_z
 
 #: Chains whose column sums deviate from 1 by less than this are treated as
 #: doubly stochastic.
@@ -66,6 +66,31 @@ def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     off = np.where(np.eye(m, dtype=bool), 0.0, mfpt)
     c_off = (c[..., None, :] @ off) / m  # every row of C (M - M_d) is c^T (M - M_d)
     return pi / m + (c_off - off) * pi
+
+
+#: The names of the ``theorem2_errors`` rows, in order, as ``residuals`` lists them.
+THEOREM2_ROWS = ("H - PH = I - e pi^T", "H - HP = I - e c^T/m", "He = e/m",
+                 "e^T H = e^T - (m-1) pi^T", "(1+m) pi^T = m pi^T H + c^T Z")
+
+
+def theorem2_errors(sol: ChainSolution) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Unreduced errors of the structural identities of H (and its link to Z):
+    the (..., m, m) matrix rows, then the (..., m) vector rows; row, column and
+    element forms of one matrix identity coincide in floating point, so each is one row."""
+    p, h, z = sol.tm.p, sol.h, sol.z
+    c, pi = sol.c[..., None, :], sol.pi[..., None, :]  # as row vectors
+    m = sol.tm.n
+    eye = np.eye(m)
+    return [
+        # (I - P) H = I - e pi^T: the row/column/element "stationary" forms
+        h - p @ h - eye + pi,
+        # H (I - P) = I - e c^T / m: the row/column/element "column sum" forms
+        h - h @ p - eye + c / m,
+    ], [
+        h.sum(axis=-1) - 1.0 / m,
+        h.sum(axis=-2) - 1.0 + (m - 1) * sol.pi,
+        ((1 + m) * pi - m * (pi @ h) - c @ z)[..., 0, :],
+    ]
 
 
 #: The names of the ``identity_errors`` rows, in order, as ``residuals`` lists them.
@@ -149,6 +174,15 @@ def bounds_check(sol: ChainSolution) -> BoundsReport:
         pi_lower_offdiag_margins=pi - 1.0 / (m + sol.c_off),
         pi_lower_colsum_margins=pi - c / (1.0 + sol.c_weighted),
     )
+
+
+def max_abs(matrices: list[np.ndarray], vectors: list[np.ndarray]) -> np.ndarray:
+    """Max-abs of each (..., m, m) error, then of each (..., m) error, as one
+    (errors, ...) array: one stacked reduction per shape.  The vectors' state
+    axis goes first, as numpy reduces one long axis far faster than many short."""
+    matrices, vectors = np.array(matrices), np.moveaxis(np.array(vectors), -1, 0)
+    return np.concatenate((np.abs(matrices.reshape(*matrices.shape[:-2], -1)).max(axis=-1),
+                           np.abs(vectors, order="C").max(axis=0)))
 
 
 #: The rows of ``residuals``, in ``verify``'s order.

@@ -1,6 +1,5 @@
 """The column-sum generalized inverse H, the fundamental matrix Z, and the
-group inverse, plus the conversions and structural identities tying them
-together.
+group inverse, plus the conversions tying them together.
 
 H = (I - P + e c^T)^{-1} where c is the column-sum vector of P; its rows sum
 to 1/m and c^T H recovers the stationary vector.  Z = (I - P + e pi^T)^{-1}
@@ -16,15 +15,10 @@ that are numerically singular.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .chain import TransitionMatrix, column_sums
 from .errors import SingularMatrix
-
-if TYPE_CHECKING:
-    from .analysis import ChainSolution
 
 #: Inversions whose 1-norm condition number reaches this are refused: with
 #: cond * eps above about 0.02 the inverse keeps fewer than two digits.
@@ -108,37 +102,3 @@ def h_from_z(z: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Convert Z to H:  H = Z + (1/m) Pi - (1/m) e c^T Z."""
     pi, c = np.asarray(pi, dtype=np.float64), np.asarray(c, dtype=np.float64)
     return z + ((pi - (c[..., None, :] @ z)[..., 0, :]) / z.shape[-1])[..., None, :]
-
-
-#: The names of the ``theorem2_errors`` rows, in order, as ``analysis.residuals`` lists them.
-THEOREM2_ROWS = ("H - PH = I - e pi^T", "H - HP = I - e c^T/m", "He = e/m",
-                 "e^T H = e^T - (m-1) pi^T", "(1+m) pi^T = m pi^T H + c^T Z")
-
-
-def theorem2_errors(sol: ChainSolution) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Unreduced errors of the structural identities of H (and its link to Z):
-    the (..., m, m) matrix rows, then the (..., m) vector rows; row, column and
-    element forms of one matrix identity coincide in floating point, so each is one row."""
-    p, h, z = sol.tm.p, sol.h, sol.z
-    c, pi = sol.c[..., None, :], sol.pi[..., None, :]  # as row vectors
-    m = sol.tm.n
-    eye = np.eye(m)
-    return [
-        # (I - P) H = I - e pi^T: the row/column/element "stationary" forms
-        h - p @ h - eye + pi,
-        # H (I - P) = I - e c^T / m: the row/column/element "column sum" forms
-        h - h @ p - eye + c / m,
-    ], [
-        h.sum(axis=-1) - 1.0 / m,
-        h.sum(axis=-2) - 1.0 + (m - 1) * sol.pi,
-        ((1 + m) * pi - m * (pi @ h) - c @ z)[..., 0, :],
-    ]
-
-
-def max_abs(matrices: list[np.ndarray], vectors: list[np.ndarray]) -> np.ndarray:
-    """Max-abs of each (..., m, m) error, then of each (..., m) error, as one
-    (errors, ...) array: one stacked reduction per shape.  The vectors' state
-    axis goes first, as numpy reduces one long axis far faster than many short."""
-    matrices, vectors = np.array(matrices), np.moveaxis(np.array(vectors), -1, 0)
-    return np.concatenate((np.abs(matrices.reshape(*matrices.shape[:-2], -1)).max(axis=-1),
-                           np.abs(vectors, order="C").max(axis=0)))

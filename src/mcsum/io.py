@@ -9,12 +9,9 @@ orjson's Ryu writer in JSON), so read(write(M)) preserves matrix bits.
 `json_ready` checks and converts a whole array once; `array_json` then
 writes it, or each of its rows, as orjson bytes.
 
-Reading (`load_matrix`) decodes the file's text once.  A CSV whose matrix
-lines are JSON numbers, commas and blanks only, with no blank or ragged
-line, is read one line at a time through orjson (`_csv_rows`).  Every other
-CSV, and every error, goes to `parse_csv` (numpy's ``loadtxt``, then
-``float()``), so an accepted file gives the same bits and labels, and a
-refused one the same message, whichever reader runs.  JSON is read by
+Reading (`load_matrix`) decodes the file's text once.  `parse_csv` reads
+each CSV line through orjson where it can and through ``float()`` where it
+cannot, so each field gives ``float()``'s bits.  JSON is read by
 ``json.loads`` in `parse_json`.
 """
 from __future__ import annotations
@@ -63,88 +60,60 @@ def array_json(a: np.ndarray) -> bytes:
     return orjson.dumps(a, default=_tolist, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
-#: The bytes `_csv_rows` lets through in a CSV's matrix lines: those of JSON
-#: numbers, the field comma and blanks.
+#: The bytes of a CSV matrix line that `parse_csv` reads through orjson:
+#: those of JSON numbers, the field comma and blanks.
 _ROW_BYTES = b"0123456789.eE+-, \t"
 
 
-def _csv_lines(text: str) -> tuple[tuple[str, ...] | None, list[tuple[int, str]]]:
-    """The labels of the last ``# states:`` line, and the numbered stripped
-    lines that are neither comments nor blank."""
-    labels: tuple[str, ...] | None = None
-    lines: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _float_row(lineno: int, line: str) -> list[float]:
+    """A matrix line's comma-separated fields through ``float()``, which also
+    takes ``1.``, ``.5``, ``+1``, ``nan``, underscores and non-ASCII digits."""
+    try:
+        return [float(f) for f in line.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def parse_csv(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """Parse the CSV matrix format; returns (matrix, labels or None).
+
+    Each stripped line that is neither blank nor a ``#`` comment is a matrix
+    row, and the last ``# states:`` line gives the labels.  A row of only
+    `_ROW_BYTES` is read as ``orjson.loads(b"[" + line + b"]")``, which
+    rounds each number to the nearest float64 as ``float()`` does; any other
+    row, and one that orjson refuses (``1.``, ``01``, ``1e400``), goes through
+    `_float_row`.  So does a row that reads a zero and holds a ``-`` outside
+    an exponent, since orjson reads the integer ``-0`` as +0.0.
+    """
+    lines = text.splitlines()
+    labels, p, n = None, None, 0
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if line.startswith("#"):
             body = line[1:].strip()
             if body.lower().startswith("states:"):
                 labels = tuple(s.strip() for s in body[len("states:"):].split(","))
-        elif line:
-            lines.append((lineno, line))
-    return labels, lines
-
-
-def _csv_rows(text: str) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
-    """The CSV format read one line at a time through orjson, or None where
-    `parse_csv` must read it.
-
-    Leading ``#`` lines give the labels as in `parse_csv`.  Each matrix line
-    must hold only `_ROW_BYTES`.  A blank or ragged line, or a field that is
-    not a JSON number (``1.``, ``.5``, ``+1``, ``01``, ``1e400``), also returns
-    None.  orjson rounds each number to the nearest float64, as ``float()``
-    does, except the integer ``-0``, which it reads as +0.0: so a line that
-    reads a zero returns None if it holds a ``-`` outside an exponent (a
-    negative entry is refused later anyway).
-    """
-    head = 0
-    while text.startswith("#", head):
-        head = text.find("\n", head) + 1 or len(text)
-    labels, head_rows = _csv_lines(text[:head])
-    rows = text[head:].split("\n")
-    if rows[-1] == "":
-        rows.pop()
-    if head_rows or not rows:
-        return None
-    p = None
-    for i, line in enumerate(rows):
-        line = line.encode()
-        if line.translate(None, _ROW_BYTES):
-            return None
-        try:
-            row = orjson.loads(b"[" + line + b"]")
+            continue
+        if not line:
+            continue
+        raw = line.encode()
+        try:  # orjson for JSON-number bytes; a line it refuses goes to float()
+            row = None if raw.translate(None, _ROW_BYTES) else orjson.loads(b"[" + raw + b"]")
         except orjson.JSONDecodeError:
-            return None
-        if p is None:
-            p = np.empty((len(rows), len(row)))
-        if not row or len(row) != p.shape[1]:
-            return None
-        p[i] = row
-        if (  # a zero on a line with a sign: the field may be -0
-            b"-" in line
-            and not p[i].all()
-            and line.count(b"-") != line.count(b"e-") + line.count(b"E-")
-        ):
-            return None
-    return p, labels
-
-
-def parse_csv(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """Parse the CSV matrix format; returns (matrix, labels or None)."""
-    labels, lines = _csv_lines(text)
-    if not lines:
+            row = None
+        if row is None:
+            row = _float_row(lineno, line)
+        if p is None:  # a row per line at most, and k fields take 2k chars with the line end
+            p = np.empty((min(len(lines), (len(text) + 1) // (2 * len(row))), len(row)))
+        elif len(row) != p.shape[1]:
+            raise ValueError("rows have inconsistent lengths")
+        p[n] = row
+        if b"-" in raw and not p[n].all() and raw.count(b"-") > raw.count(b"e-") + raw.count(b"E-"):
+            p[n] = _float_row(lineno, line)  # a zero on a line with a sign: it may be -0
+        n += 1
+    if p is None:
         raise ValueError("no matrix rows found")
-    try:  # numpy's C reader parses a field as float() does, or refuses it
-        return np.loadtxt([ln for _, ln in lines], delimiter=",", comments=None, ndmin=2), labels
-    except ValueError:  # float() also takes underscores and non-ASCII digits; it names the line
-        rows: list[list[float]] = []
-    for lineno, line in lines:
-        try:
-            rows.append([float(f) for f in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError("rows have inconsistent lengths")
-    return np.array(rows, dtype=np.float64), labels
+    return p[:n], labels
 
 
 def render_csv(p: np.ndarray, labels: tuple[str, ...] | None = None) -> str:
@@ -160,16 +129,20 @@ def parse_json(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "p" not in obj:
         raise ValueError('expected a JSON object with a "p" field')
+    if not isinstance(obj.get("states", []), list):  # a string would give one label per character
+        raise ValueError('"states" must be a JSON array of state names')
+    rows = obj["p"] if isinstance(obj["p"], list) else [obj["p"]]
     # numpy would take true, false and quoted numbers as floats; refuse them
     # as the CSV reader does (a null would become NaN)
-    for i, row in enumerate(obj["p"] if isinstance(obj["p"], list) else ()):
+    for i, row in enumerate(rows):
         if isinstance(row, list) and not set(map(type, row)) <= {int, float}:
             j, x = next((j, x) for j, x in enumerate(row) if type(x) not in (int, float))
             raise ValueError(f'"p" row {i + 1}, column {j + 1}: {json.dumps(x)} is not a number')
+    if len({len(row) if isinstance(row, list) else None for row in rows}) > 1:
+        raise ValueError("rows have inconsistent lengths")
     try:
         p = np.array(obj["p"], dtype=np.float64)
     except OverflowError:  # json.loads keeps an integer beyond float range exact
-        rows = obj["p"] if isinstance(obj["p"], list) else [obj["p"]]
         i, j = next(
             (i, j)
             for i, row in enumerate(rows)
@@ -190,19 +163,25 @@ def render_json(p: np.ndarray, labels: tuple[str, ...] | None = None) -> str:
     return "{\n" + head + '  "p": [\n    ' + rows.decode() + "\n  ]\n}\n"
 
 
+#: Each matrix format's reader and writer, by name.
+_FORMATS = {"csv": (parse_csv, render_csv), "json": (parse_json, render_json)}
+
+
+def _format(path: Path, fmt: str | None) -> tuple:
+    """The reader and writer of `fmt`, or of `path`'s extension if it is None."""
+    if fmt is None:
+        fmt = "json" if path.suffix.lower() == ".json" else "csv"
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown matrix format {fmt!r}")
+    return _FORMATS[fmt]
+
+
 def load_matrix(
     path: str | Path, fmt: str | None = None
 ) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Read a matrix file; format inferred from the extension unless given."""
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    text = path.read_text(encoding="utf-8-sig")  # also drops a byte-order mark
-    if fmt == "json":
-        return parse_json(text)
-    if fmt == "csv":
-        return _csv_rows(text) or parse_csv(text)
-    raise ValueError(f"unknown matrix format {fmt!r}")
+    return _format(path, fmt)[0](path.read_text(encoding="utf-8-sig"))  # drops a byte-order mark
 
 
 def save_matrix(
@@ -212,11 +191,4 @@ def save_matrix(
     fmt: str | None = None,
 ) -> None:
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    if fmt == "json":
-        path.write_text(render_json(p, labels))
-    elif fmt == "csv":
-        path.write_text(render_csv(p, labels))
-    else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
+    path.write_text(_format(path, fmt)[1](p, labels))

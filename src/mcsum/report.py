@@ -19,11 +19,11 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, BoundsReport, DoublyStochasticReport,
-                       bounds_check, doubly_stochastic_report, kemeny_from_h, kemeny_from_z,
-                       residuals, solve_chain)
+from .analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, BoundsReport,
+                       DoublyStochasticReport, bounds_check, doubly_stochastic_report,
+                       kemeny_from_h, kemeny_from_z, residuals, solve_chain)
 from .chain import TransitionMatrix, reorder_by_column_sums
-from .ginv import THEOREM2_ROWS, group_inverse, kemeny_general
+from .ginv import group_inverse, kemeny_general
 from .io import array_json, json_ready
 from .scan import OrderingRecord, ordering_from_solution
 

@@ -10,6 +10,7 @@ import numpy as np
 from mcsum.analysis import (
     IDENTITY_ROWS,
     RESIDUAL_ROWS,
+    THEOREM2_ROWS,
     bounds_check,
     doubly_stochastic_report,
     h_from_mfpt,
@@ -20,7 +21,6 @@ from mcsum.analysis import (
 )
 from mcsum.chain import validate
 from mcsum.ginv import (
-    THEOREM2_ROWS,
     group_inverse,
     h_from_z,
     kemeny_general,

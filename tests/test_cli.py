@@ -143,6 +143,17 @@ def test_analyze_json_integer_beyond_float_range_exits_2(tmp_path, capsys):
     assert "row 1, column 1: integer too large to convert to float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"p": [[0.5, 0.5], [1]]}', "rows have inconsistent lengths"),
+    ('{"states": "ab", "p": [[0.5, 0.5], [0.5, 0.5]]}', '"states" must be a JSON array'),
+])
+def test_analyze_malformed_json_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_analyze_missing_file_exits_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "nope.csv")]) == 2
 

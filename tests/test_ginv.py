@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mcsum.analysis import RESIDUAL_ROWS, residuals, solve_chain
+from mcsum.analysis import RESIDUAL_ROWS, THEOREM2_ROWS, residuals, solve_chain
 from mcsum.chain import column_sums, validate
-from mcsum.ginv import THEOREM2_ROWS, compute_h, compute_z, group_inverse, h_from_z, z_from_h
+from mcsum.ginv import compute_h, compute_z, group_inverse, h_from_z, z_from_h
 from mcsum.oracle import stationary_direct
 from mcsum.scan import random_chain
 from tests.conftest import FIX5_H, FIX5_H_COL_SUMS, FIX5_KEMENY, two_state

@@ -12,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcsum import fixtures
-from mcsum.analysis import IDENTITY_ROWS, RESIDUAL_ROWS, residuals, solve_chain
+from mcsum.analysis import IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, residuals, solve_chain
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.errors import SingularMatrix
-from mcsum.ginv import THEOREM2_ROWS, colsum_system
+from mcsum.ginv import colsum_system
 from mcsum.report import CONDITION_WARN_THRESHOLD, analyze, report_to_dict, write_json
 from mcsum.scan import random_chain
 from tests.conftest import (

@@ -3,6 +3,8 @@ and the identity/inequality suite connecting them to the column sums.
 
 Read-offs and conversions take and return plain arrays, for one chain or
 a (..., m, m) stack; ``solve_chain`` computes each array once.
+``residuals`` reduces the verdict's table from ``_row_errors``, which
+writes each RESIDUAL_ROWS row's formula once, beside its name.
 
 Conventions: M stores the mean recurrence time 1/pi_j on the diagonal, so
 Kemeny's constant K = sum_j pi_j m_ij includes the diagonal term, equals
@@ -68,32 +70,11 @@ def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     return pi / m + (c_off - off) * pi
 
 
-#: The names of the ``theorem2_errors`` rows, in order, as ``residuals`` lists them.
+#: The structural identities of H (and its link to Z) among RESIDUAL_ROWS.
 THEOREM2_ROWS = ("H - PH = I - e pi^T", "H - HP = I - e c^T/m", "He = e/m",
                  "e^T H = e^T - (m-1) pi^T", "(1+m) pi^T = m pi^T H + c^T Z")
 
-
-def theorem2_errors(sol: ChainSolution) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Unreduced errors of the structural identities of H (and its link to Z):
-    the (..., m, m) matrix rows, then the (..., m) vector rows; row, column and
-    element forms of one matrix identity coincide in floating point, so each is one row."""
-    p, h, z = sol.tm.p, sol.h, sol.z
-    c, pi = sol.c[..., None, :], sol.pi[..., None, :]  # as row vectors
-    m = sol.tm.n
-    eye = np.eye(m)
-    return [
-        # (I - P) H = I - e pi^T: the row/column/element "stationary" forms
-        h - p @ h - eye + pi,
-        # H (I - P) = I - e c^T / m: the row/column/element "column sum" forms
-        h - h @ p - eye + c / m,
-    ], [
-        h.sum(axis=-1) - 1.0 / m,
-        h.sum(axis=-2) - 1.0 + (m - 1) * sol.pi,
-        ((1 + m) * pi - m * (pi @ h) - c @ z)[..., 0, :],
-    ]
-
-
-#: The names of the ``identity_errors`` rows, in order, as ``residuals`` lists them.
+#: The passage-time/column-sum identity chain among RESIDUAL_ROWS.
 IDENTITY_ROWS = (
     "(I-P)M = E - P M_d", "m_.j - sum_i c_i m_ij = m - c_j m_jj",
     "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj", "m_.j = m - 1 + m h_jj m_jj",
@@ -102,29 +83,9 @@ IDENTITY_ROWS = (
     "pi_j (1 + m_.j - m) = m h_jj", "pi_j (1 + sum_i!=j m_ij - m) = m h_jj - 1",
 )
 
-
-def identity_errors(sol: ChainSolution) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Unreduced errors of the passage-time/column-sum identity chain: the
-    (..., m, m) matrix row, then the (..., m) vector rows.  The pi_j rows are
-    cross-multiplied (pi_j * denominator - numerator): the same identities,
-    immune to the 0/0 equality cases of the quotient forms on boundary chains.
-    """
-    p, pi, mfpt, c, m = sol.tm.p, sol.pi, sol.mfpt, sol.c, sol.tm.n
-    m_d, h_d, col_totals, c_weighted, c_off = (
-        sol.m_diag, sol.h_diag, sol.col_totals, sol.c_weighted, sol.c_off)
-    off_totals = col_totals - m_d  # sum_{i != j} m_ij
-
-    return [(np.eye(m) - p) @ mfpt - 1.0 + p * m_d[..., None, :]], [
-        (col_totals - c_weighted) - (m - c * m_d),
-        c_weighted - (c * m_d - 1.0 + m * h_d * m_d),
-        col_totals - (m - 1.0 + m * h_d * m_d),
-        pi * (m - col_totals + c_weighted) - c,
-        pi * (m - off_totals + c_off) - 1.0,
-        pi * (1.0 + c_weighted) - (c + m * h_d),
-        pi * (1.0 + c_off) - m * h_d,
-        pi * (1.0 + col_totals - m) - m * h_d,
-        pi * (1.0 + off_totals - m) - (m * h_d - 1.0),
-    ]
+#: The rows of ``residuals``, in ``verify``'s order.
+RESIDUAL_ROWS = ("c^T H = pi^T", "sum_j c_j = m", *THEOREM2_ROWS, *IDENTITY_ROWS,
+                 "inequality margins (negative part)")
 
 
 @dataclass(frozen=True)
@@ -176,41 +137,65 @@ def bounds_check(sol: ChainSolution) -> BoundsReport:
     )
 
 
-def max_abs(matrices: list[np.ndarray], vectors: list[np.ndarray]) -> np.ndarray:
-    """Max-abs of each (..., m, m) error, then of each (..., m) error, as one
-    (errors, ...) array: one stacked reduction per shape.  The vectors' state
-    axis goes first, as numpy reduces one long axis far faster than many short."""
-    matrices, vectors = np.array(matrices), np.moveaxis(np.array(vectors), -1, 0)
-    return np.concatenate((np.abs(matrices.reshape(*matrices.shape[:-2], -1)).max(axis=-1),
-                           np.abs(vectors, order="C").max(axis=0)))
-
-
-#: The rows of ``residuals``, in ``verify``'s order.
-RESIDUAL_ROWS = ("c^T H = pi^T", "sum_j c_j = m", *THEOREM2_ROWS, *IDENTITY_ROWS,
-                 "inequality margins (negative part)")
+def _row_errors(sol: ChainSolution) -> dict[str, np.ndarray]:
+    """Each RESIDUAL_ROWS row's unreduced error, keyed by its name: a (..., m, m)
+    matrix, a (..., m) vector, or a (..., 1) scalar per chain.  Row, column and
+    element forms of one matrix identity coincide in floating point, so each is
+    one row.  The pi_j rows are cross-multiplied (pi_j * denominator - numerator):
+    the same identities, immune to the 0/0 equality cases of the quotient forms
+    on boundary chains."""
+    p, h, z, mfpt, pi, c, m = sol.tm.p, sol.h, sol.z, sol.mfpt, sol.pi, sol.c, sol.tm.n
+    m_d, h_d, col_totals, c_weighted, c_off = (
+        sol.m_diag, sol.h_diag, sol.col_totals, sol.c_weighted, sol.c_off)
+    off_totals = col_totals - m_d  # sum_{i != j} m_ij
+    eye, pi_row, c_row = np.eye(m), pi[..., None, :], c[..., None, :]
+    worst_margin = bounds_check(sol).worst_margin  # before the rows: its temporaries go first
+    return {
+        "c^T H = pi^T": stationary_from_h(h, c) - pi,
+        "sum_j c_j = m": c.sum(axis=-1, keepdims=True) - m,
+        # (I - P) H = I - e pi^T: the row/column/element "stationary" forms
+        "H - PH = I - e pi^T": h - p @ h - eye + pi_row,
+        # H (I - P) = I - e c^T / m: the row/column/element "column sum" forms
+        "H - HP = I - e c^T/m": h - h @ p - eye + c_row / m,
+        "He = e/m": h.sum(axis=-1) - 1.0 / m,
+        "e^T H = e^T - (m-1) pi^T": h.sum(axis=-2) - 1.0 + (m - 1) * pi,
+        "(1+m) pi^T = m pi^T H + c^T Z":
+            ((1 + m) * pi_row - m * (pi_row @ h) - c_row @ z)[..., 0, :],
+        "(I-P)M = E - P M_d": (eye - p) @ mfpt - 1.0 + p * m_d[..., None, :],
+        "m_.j - sum_i c_i m_ij = m - c_j m_jj": (col_totals - c_weighted) - (m - c * m_d),
+        "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj": c_weighted - (c * m_d - 1.0 + m * h_d * m_d),
+        "m_.j = m - 1 + m h_jj m_jj": col_totals - (m - 1.0 + m * h_d * m_d),
+        "pi_j (m - m_.j + sum_i c_i m_ij) = c_j": pi * (m - col_totals + c_weighted) - c,
+        "pi_j (m - sum_i!=j m_ij + sum_i!=j c_i m_ij) = 1": pi * (m - off_totals + c_off) - 1.0,
+        "pi_j (1 + sum_i c_i m_ij) = c_j + m h_jj": pi * (1.0 + c_weighted) - (c + m * h_d),
+        "pi_j (1 + sum_i!=j c_i m_ij) = m h_jj": pi * (1.0 + c_off) - m * h_d,
+        "pi_j (1 + m_.j - m) = m h_jj": pi * (1.0 + col_totals - m) - m * h_d,
+        "pi_j (1 + sum_i!=j m_ij - m) = m h_jj - 1": pi * (1.0 + off_totals - m) - (m * h_d - 1.0),
+        # the negative part; its absolute value is 0.0, never -0.0, where no bound fails
+        "inequality margins (negative part)": np.fmin(worst_margin, 0.0)[..., None],
+    }
 
 
 def residuals(sol: ChainSolution) -> np.ndarray:
     """The verdict's table and the report's residual blocks: every residual
     that ``verify`` and ``scan`` hold to IDENTITY_TOL, as one (rows, ...) array
-    whose rows RESIDUAL_ROWS names: pi^T = c^T H, the column-sum total, the
-    max-abs of each ``theorem2_errors`` and ``identity_errors`` row, and the
-    negative part of the worst bound margin.  No other path reduces them."""
-    t2_matrices, t2_vectors = theorem2_errors(sol)
-    id_matrices, id_vectors = identity_errors(sol)
-    stationary = stationary_from_h(sol.h, sol.c) - sol.pi
-    maxima = max_abs(t2_matrices + id_matrices, [stationary, *t2_vectors, *id_vectors])
-    t2, v2, mats = len(t2_matrices), 1 + len(t2_vectors), len(t2_matrices + id_matrices)
-    matrices, vectors = maxima[:mats], maxima[mats:]
-    worst_margin = bounds_check(sol).worst_margin
-    return np.concatenate([
-        vectors[:1],
-        np.abs(sol.c.sum(axis=-1) - sol.tm.n)[None],
-        matrices[:t2], vectors[1:v2],  # THEOREM2_ROWS
-        matrices[t2:], vectors[v2:],  # IDENTITY_ROWS
-        # 0.0, never -0.0, where no bound fails
-        np.where(worst_margin < 0, -worst_margin, 0.0)[None],
-    ])
+    whose rows RESIDUAL_ROWS names, each the max-abs of its ``_row_errors``
+    entry.  The matrix rows go through one stacked reduction, the vector and
+    scalar rows through another with their state axis first, as numpy reduces
+    one long axis far faster than many short.  No other path reduces them."""
+    errors = _row_errors(sol)
+    if tuple(errors) != RESIDUAL_ROWS:
+        raise RuntimeError(f"residual formulas are named {tuple(errors)}, not RESIDUAL_ROWS")
+    matrix = np.array([e.ndim > sol.c.ndim for e in errors.values()])
+    table = np.empty((len(errors), *sol.c.shape[:-1]))
+    matrices = np.array([e for e, is_matrix in zip(errors.values(), matrix) if is_matrix])
+    table[matrix] = np.abs(matrices, out=matrices).reshape(*matrices.shape[:-2], -1).max(axis=-1)
+    vectors = np.empty((sol.tm.n, len(errors) - len(matrices), *sol.c.shape[:-1]))
+    by_row = vectors.transpose(*range(1, vectors.ndim), 0)  # the rows, the state axis last
+    for k, e in enumerate(e for e, is_matrix in zip(errors.values(), matrix) if not is_matrix):
+        by_row[k] = e  # a scalar row fills its chain's states
+    table[~matrix] = np.abs(vectors, out=vectors).max(axis=0)
+    return table
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ holds for irreducible periodic chains.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ def validate(
     raw : array_like, shape (m, m)
         Candidate transition matrix.
     labels : sequence of str, optional
-        State names; defaults to "1".."m".
+        State names, distinct and not blank; defaults to "1".."m".
 
     Rows whose sum deviates from 1 by less than ``DEFAULT_ROW_TOL`` are
     renormalized; larger deviations are rejected.
@@ -162,6 +163,12 @@ def validate(
         labels = tuple(str(x) for x in labels)
         if len(labels) != p.shape[0]:
             raise ValueError(f"{len(labels)} labels for {p.shape[0]} states")
+        blank = [k for k, label in enumerate(labels) if not label.strip()]
+        if blank:
+            raise ValueError(f"state label {blank[0] + 1} is blank")
+        repeated = [label for label, count in Counter(labels).items() if count > 1]
+        if repeated:
+            raise ValueError(f"state label {repeated[0]!r} is repeated")
 
     if not is_irreducible(p):
         comps = _communicating_classes(p > 0.0)

@@ -245,7 +245,7 @@ def scan(
     for m in sorted(config.state_counts):
         step = max(1, BLOCK_ENTRIES // (m * m))
         theorems = [r.proven_for(m) for r in RELATIONS.values()]
-        pairs = _pairs(m)
+        pairs = i, j = _pairs(m)
         for start in range(0, config.trials, step):
             trials = np.arange(start, min(start + step, config.trials))
             seeds = rng.derive_stream(config.seed, m, trials)
@@ -262,14 +262,13 @@ def scan(
             table = residuals(sol)
             worst = table.argmax(axis=0)  # the first of equal largest residuals
             failed = np.flatnonzero((table.max(axis=0) > IDENTITY_TOL) | hits[theorems].any(axis=0))
-            records = _records(p, flags, pairs, failed) if failed.size else []
-            for t, record in zip(failed.tolist(), records):
+            for t in failed.tolist():
                 trial = int(trials[t])
                 hard_failures += [
                     f"m={m} trial={trial}: theorem relation {name} violated on "
-                    f"{list(map(tuple, pairs.tolist()))}"
-                    for (name, pairs), theorem in zip(record.violations.items(), theorems)
-                    if theorem and len(pairs)
+                    f"{list(zip(i[f[t]].tolist(), j[f[t]].tolist()))}"
+                    for name, f, theorem in zip(RELATIONS, flags, theorems)
+                    if theorem and f[t].any()
                 ]
                 if table[worst[t], t] > IDENTITY_TOL:
                     hard_failures.append(

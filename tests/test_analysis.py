@@ -1,8 +1,9 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from mcsum import analysis
 from mcsum.analysis import (
     IDENTITY_ROWS,
     RESIDUAL_ROWS,
@@ -165,6 +166,61 @@ def test_identity_residuals_random():
         rows = dict(zip(RESIDUAL_ROWS, residuals(solve_chain(tm))))
         resid = {name: rows[name] for name in IDENTITY_ROWS}
         assert max(resid.values()) < 1e-8
+
+
+def test_each_residual_row_is_its_own_formula(fix8):
+    # perturbed by different amounts, every row takes its own nonzero value, so
+    # a row filed under another row's name differs from that name's formula
+    sol = solve_chain(fix8)
+    m, p = fix8.n, fix8.p
+    g = np.random.default_rng(20)
+    c = sol.c + 1e-5 * g.standard_normal(m)
+    pi = sol.pi - np.linspace(1e-3, 1.2e-2, m)  # pi_8 < 0 breaks a lower bound
+    h = sol.h + 1e-4 * g.standard_normal((m, m))
+    z = sol.z + 3e-4 * g.standard_normal((m, m))
+    mfpt = sol.mfpt + 1e-2 * g.standard_normal((m, m))
+    h_d, m_d, col, cm = np.diag(h), np.diag(mfpt), mfpt.sum(axis=0), c @ mfpt
+    c_off, off = cm - c * m_d, col - m_d  # the sums over i != j
+    sol = replace(sol, c=c, pi=pi, h=h, z=z, mfpt=mfpt, h_diag=h_d, m_diag=m_d,
+                  col_totals=col, c_weighted=cm, c_off=c_off)
+    e, eye = np.ones(m), np.eye(m)
+    trace_h = np.trace(h)
+    margins = [1 - 1 / m + trace_h - (m + 1) / 2, trace_h - ((m - 1) / 2 + 1 / m),
+               trace_h - 1 / m, *(m * h_d - pi), *(pi - 1 / (m + c_off)),
+               *(pi - c / (1 + cm))]
+    want = {
+        "c^T H = pi^T": c @ h - pi,
+        "sum_j c_j = m": c.sum() - m,
+        "H - PH = I - e pi^T": h - p @ h - (eye - np.outer(e, pi)),
+        "H - HP = I - e c^T/m": h - h @ p - (eye - np.outer(e, c) / m),
+        "He = e/m": h @ e - e / m,
+        "e^T H = e^T - (m-1) pi^T": e @ h - (e - (m - 1) * pi),
+        "(1+m) pi^T = m pi^T H + c^T Z": (1 + m) * pi - (m * pi @ h + c @ z),
+        "(I-P)M = E - P M_d": (eye - p) @ mfpt - (np.ones((m, m)) - p @ np.diag(m_d)),
+        "m_.j - sum_i c_i m_ij = m - c_j m_jj": col - cm - (m - c * m_d),
+        "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj": cm - (c * m_d - 1 + m * h_d * m_d),
+        "m_.j = m - 1 + m h_jj m_jj": col - (m - 1 + m * h_d * m_d),
+        "pi_j (m - m_.j + sum_i c_i m_ij) = c_j": pi * (m - col + cm) - c,
+        "pi_j (m - sum_i!=j m_ij + sum_i!=j c_i m_ij) = 1": pi * (m - off + c_off) - 1,
+        "pi_j (1 + sum_i c_i m_ij) = c_j + m h_jj": pi * (1 + cm) - (c + m * h_d),
+        "pi_j (1 + sum_i!=j c_i m_ij) = m h_jj": pi * (1 + c_off) - m * h_d,
+        "pi_j (1 + m_.j - m) = m h_jj": pi * (1 + col - m) - m * h_d,
+        "pi_j (1 + sum_i!=j m_ij - m) = m h_jj - 1": pi * (1 + off - m) - (m * h_d - 1),
+        "inequality margins (negative part)": min(0.0, min(margins)),
+    }
+    want = {name: float(np.abs(err).max()) for name, err in want.items()}
+    got = dict(zip(RESIDUAL_ROWS, residuals(sol).tolist()))
+    assert list(got) == list(want)
+    values = sorted(want.values())
+    assert values[0] > 0 and all(b > a * (1 + 1e-8) for a, b in zip(values, values[1:]))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_a_residual_name_without_a_formula_fails_loudly(fix8, monkeypatch):
+    sol = solve_chain(fix8)
+    monkeypatch.setattr(analysis, "RESIDUAL_ROWS", RESIDUAL_ROWS[:-1])
+    with pytest.raises(RuntimeError, match="RESIDUAL_ROWS"):
+        residuals(sol)
 
 
 def test_bounds_equality_two_state():

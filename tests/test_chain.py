@@ -136,6 +136,20 @@ def test_custom_labels():
         validate(np.eye(1), labels=["a", "b"])
 
 
+@pytest.mark.parametrize("labels, message", [
+    (["a", "a"], "state label 'a' is repeated"),
+    (["1", 1], "state label '1' is repeated"),
+    (["a", "b", "a", "b"], "state label 'a' is repeated"),
+    (["a", "", "b"], "state label 2 is blank"),
+    (["", "b", "c"], "state label 1 is blank"),
+    (["a", "b", " \t"], "state label 3 is blank"),
+])
+def test_repeated_or_blank_labels_rejected(labels, message):
+    n = len(labels)
+    with pytest.raises(ValueError, match=message):
+        validate(np.full((n, n), 1.0 / n), labels=labels)
+
+
 def test_matrix_frozen(fix5):
     with pytest.raises(ValueError):
         fix5.p[0, 0] = 0.0

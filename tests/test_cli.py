@@ -146,12 +146,20 @@ def test_analyze_json_integer_beyond_float_range_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ('{"p": [[0.5, 0.5], [1]]}', "rows have inconsistent lengths"),
     ('{"states": "ab", "p": [[0.5, 0.5], [0.5, 0.5]]}', '"states" must be a JSON array'),
+    ('{"states": ["a", "a"], "p": [[0.5, 0.5], [0.5, 0.5]]}', "error: state label 'a' is repeated"),
 ])
 def test_analyze_malformed_json_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "m.json"
     path.write_text(text)
     assert main(["analyze", "--input", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_analyze_csv_blank_label_exits_2(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text("# states: a,,b\n0.5,0.5,0\n0,0.5,0.5\n0.5,0,0.5\n")
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert "error: state label 2 is blank" in capsys.readouterr().err
 
 
 def test_analyze_missing_file_exits_2(tmp_path):

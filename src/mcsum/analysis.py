@@ -21,7 +21,7 @@ import numpy as np
 from . import oracle
 from .chain import TransitionMatrix, column_sums
 from .errors import SingularMatrix
-from .ginv import compute_h, compute_z
+from .ginv import compute_h, z_from_h
 
 #: Chains whose column sums deviate from 1 by less than this are treated as
 #: doubly stochastic.
@@ -271,10 +271,9 @@ class ChainSolution:
 def solve_chain(tm: TransitionMatrix) -> ChainSolution:
     """Run the standard pipeline: column sums, pi (direct solver), H, Z, M.
 
-    Z is inverted on its own, from the direct solver's pi, although it
-    follows from H in O(m^2): so the ``fundamental`` Kemeny variant, the
-    (1+m) row of ``residuals`` and ``h_shift_residual`` check H
-    against an independent route, and the Kemeny spread measures accuracy.
+    H is the one inversion, and Z = H + Pi - Pi H is read off it in O(m^2): so
+    the (1+m) row of ``residuals``, ``h_shift_residual`` and the Kemeny spread
+    measure rounding, not an independent Z.  pi stays independent of H.
 
     Raises SingularMatrix when a stationary probability is not positive or a
     passage time overflows: the direct solver rounded a tiny pi_j to zero or
@@ -287,7 +286,7 @@ def solve_chain(tm: TransitionMatrix) -> ChainSolution:
             "too close to reducible for the direct solver"
         )
     h, cond = compute_h(tm)
-    z = compute_z(tm, pi)
+    z = z_from_h(h, pi)
     c = column_sums(tm)
     with np.errstate(over="ignore"):  # an overflow is refused just below
         mfpt = mfpt_from_h(h, pi)

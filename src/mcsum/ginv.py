@@ -9,9 +9,9 @@ and ``mfpt_general`` and ``kemeny_general`` read the passage times and
 Kemeny's constant off any one-condition inverse G of I - P (Hunter).
 
 Every function takes and returns plain arrays, for one chain or a
-(..., m, m) stack.  H and Z are each one LAPACK inversion, which also yields
-the 1-norm condition number (``compute_h`` returns H's) and refuses systems
-that are numerically singular.
+(..., m, m) stack.  ``compute_h`` is the one LAPACK inversion per chain: it
+also yields the 1-norm condition number and refuses systems that are
+numerically singular.  Z is read off H by ``z_from_h`` in O(m^2).
 """
 from __future__ import annotations
 
@@ -31,39 +31,22 @@ def colsum_system(tm: TransitionMatrix) -> np.ndarray:
     return np.eye(tm.n) - tm.p + c[..., None, :]
 
 
-def _invert(a: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-    """LAPACK inverse of `a` and its 1-norm condition number, per matrix.
-
-    Raises SingularMatrix when LAPACK meets an exact zero pivot, or when a
-    condition number is non-finite or reaches CONDITION_LIMIT.
-    """
+def compute_h(tm: TransitionMatrix) -> tuple[np.ndarray, float | np.ndarray]:
+    """H = (I - P + e c^T)^{-1} and the 1-norm condition number of I - P + e c^T,
+    per matrix; SingularMatrix on an exact zero pivot or a condition number that
+    is non-finite or reaches CONDITION_LIMIT: the chain is numerically reducible."""
+    a = colsum_system(tm)
     try:
-        inv = np.linalg.inv(a)
+        h = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix is singular: {exc}") from None
-    cond = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+    cond = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(h).sum(axis=-2).max(axis=-1)
     if not np.all(cond < CONDITION_LIMIT):  # written so that NaN is refused too
         raise SingularMatrix(
             f"condition number {np.max(cond):.3e} is not below {CONDITION_LIMIT:.0e}; "
             "matrix is numerically singular"
         )
-    return inv, cond
-
-
-def compute_h(tm: TransitionMatrix) -> tuple[np.ndarray, float | np.ndarray]:
-    """H = (I - P + e c^T)^{-1} and the 1-norm condition number of I - P + e c^T.
-
-    Irreducibility guarantees nonsingularity in exact arithmetic;
-    SingularMatrix from here means the chain is so close to reducible that
-    the condition number reaches CONDITION_LIMIT.
-    """
-    return _invert(colsum_system(tm))
-
-
-def compute_z(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
-    """Invert I - P + e pi^T for a stationary vector from an independent solver."""
-    pi = np.asarray(pi, dtype=np.float64)
-    return _invert(np.eye(tm.n) - tm.p + pi[..., None, :])[0]
+    return h, cond
 
 
 def group_inverse(z: np.ndarray, pi: np.ndarray) -> np.ndarray:

@@ -77,48 +77,59 @@ def _float_row(lineno: int, line: str) -> list[float]:
 def parse_csv(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Parse the CSV matrix format; returns (matrix, labels or None).
 
-    Each stripped line that is neither blank nor a ``#`` comment is a matrix
-    row, and the last ``# states:`` line gives the labels.  A row of only
-    `_ROW_BYTES` is read as ``orjson.loads(b"[" + line + b"]")``, which
-    rounds each number to the nearest float64 as ``float()`` does; any other
-    row, and one that orjson refuses (``1.``, ``01``, ``1e400``), goes through
-    `_float_row`.  So does a row that reads a zero and holds a ``-`` outside
-    an exponent, since orjson reads the integer ``-0`` as +0.0.
+    Each stripped line of ``text.splitlines()`` that is neither blank nor a
+    ``#`` comment is a row; the last ``# states:`` line gives the labels.  A
+    piece of `text` split at "\\n" holding only `_ROW_BYTES` (perhaps ending in
+    a CRLF's "\\r") is one line, read as ``orjson.loads(b"[" + piece + b"]")``
+    with ``float()``'s rounding.  `_float_row` reads the re-split lines of any
+    other piece, rows orjson refuses (``1.``, ``01``, ``1e400``), and rows that
+    read a zero and hold a ``-`` outside an exponent (orjson reads ``-0`` as +0.0).
     """
-    lines = text.splitlines()
-    labels, p, n = None, None, 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.lower().startswith("states:"):
-                labels = tuple(s.strip() for s in body[len("states:"):].split(","))
-            continue
-        if not line:
-            continue
-        raw = line.encode()
-        try:  # orjson for JSON-number bytes; a line it refuses goes to float()
-            row = None if raw.translate(None, _ROW_BYTES) else orjson.loads(b"[" + raw + b"]")
-        except orjson.JSONDecodeError:
-            row = None
-        if row is None:
-            row = _float_row(lineno, line)
-        if p is None:  # a row per line at most, and k fields take 2k chars with the line end
-            p = np.empty((min(len(lines), (len(text) + 1) // (2 * len(row))), len(row)))
-        elif len(row) != p.shape[1]:
-            raise ValueError("rows have inconsistent lengths")
-        p[n] = row
-        if b"-" in raw and not p[n].all() and raw.count(b"-") > raw.count(b"e-") + raw.count(b"E-"):
-            p[n] = _float_row(lineno, line)  # a zero on a line with a sign: it may be -0
-        n += 1
+    pieces = text.split("\n")
+    labels, p, n, lineno = None, None, 0, 0
+    for piece in pieces:
+        raw = piece.encode()
+        fast = not raw.removesuffix(b"\r").translate(None, _ROW_BYTES)  # orjson skips "\r"
+        for line in (piece,) if fast else (piece + "\n").splitlines():  # so "\r\n" stays one end
+            lineno += 1
+            line = line.strip()
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.lower().startswith("states:"):
+                    labels = tuple(s.strip() for s in body[len("states:"):].split(","))
+                continue
+            if not line:
+                continue
+            try:  # orjson for JSON-number bytes; a line it refuses goes to float()
+                row = orjson.loads(b"[" + raw + b"]") if fast else None
+            except orjson.JSONDecodeError:
+                row = None
+            if row is None:
+                row = _float_row(lineno, line)
+            if p is None:  # a row per piece at most, and k fields take 2k chars with the line end
+                p = np.empty((min(len(pieces), (len(text) + 1) // (2 * len(row))), len(row)))
+            elif len(row) != p.shape[1]:
+                raise ValueError("rows have inconsistent lengths")
+            elif n == len(p):  # line ends other than "\n" made more lines than pieces
+                p = np.concatenate((p, np.empty_like(p)))
+            p[n] = row
+            if fast and b"-" in raw and not p[n].all() and (
+                    raw.count(b"-") > raw.count(b"e-") + raw.count(b"E-")):
+                p[n] = _float_row(lineno, line)  # a zero on a line with a sign: it may be -0
+            n += 1
     if p is None:
         raise ValueError("no matrix rows found")
     return p[:n], labels
 
 
 def render_csv(p: np.ndarray, labels: tuple[str, ...] | None = None) -> str:
+    """The CSV matrix format.  Refuses (ValueError) a label its ``# states:``
+    header would not give back: one with a comma, a line end or outer blanks."""
     lines = []
     if labels is not None:
+        bad = [s for s in labels if "," in s or s != s.strip() or len(s.splitlines()) > 1]
+        if bad:
+            raise ValueError(f"state label {bad[0]!r} cannot be written to a CSV header")
         lines.append("# states: " + ",".join(labels))
     for row in np.asarray(p, dtype=np.float64):
         lines.append(",".join(map(repr, row.tolist())))
@@ -191,4 +202,4 @@ def save_matrix(
     fmt: str | None = None,
 ) -> None:
     path = Path(path)
-    path.write_text(_format(path, fmt)[1](p, labels))
+    path.write_text(_format(path, fmt)[1](p, labels), encoding="utf-8")

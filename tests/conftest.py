@@ -53,6 +53,12 @@ FIX8_PI = np.array([0.2378, 0.4938, 0.0135, 0.0078, 0.1372, 0.0485, 0.0503, 0.01
 FIX8_KEMENY = 29.9194
 
 
+def independent_z(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
+    """Z = (I - P + e pi^T)^{-1} by its own inversion, from a given pi: the
+    suite's check on the library's Z, which is read off H."""
+    return np.linalg.inv(np.eye(tm.n) - tm.p + np.asarray(pi)[..., None, :])
+
+
 def two_state(a: float, b: float) -> TransitionMatrix:
     return validate(np.array([[1.0 - a, a], [b, 1.0 - b]]))
 

@@ -47,6 +47,7 @@ from tests.conftest import (
     FIX8_PI,
     SUITE_SPECS,
     cycle3_matrix,
+    independent_z,
     random_doubly_stochastic,
     two_state,
 )
@@ -137,7 +138,8 @@ def test_criterion_05_identity_suite():
     worst_name, worst = "", 0.0
     for m, seed in SUITE_SPECS:
         sol = solve_chain(random_chain(m, seed))
-        h, z, pi, c = sol.h, sol.z, sol.pi, sol.c
+        h, pi, c = sol.h, sol.pi, sol.c
+        z = independent_z(sol.tm, pi)  # the pipeline reads its Z off H
         elemental_z = h + pi[None, :] - np.einsum("k,kj->j", pi, h)[None, :]
         elemental_h = z + (pi - np.einsum("k,kj->j", c, z))[None, :] / m
         resid = {
@@ -147,7 +149,7 @@ def test_criterion_05_identity_suite():
                 np.abs(z_from_h(sol.h, pi) - z).max()
             ),
             "H from Z round trip": float(
-                np.abs(h_from_z(sol.z, pi, c) - h).max()
+                np.abs(h_from_z(z, pi, c) - h).max()
             ),
             "z_ij from h_ij elemental": float(np.abs(elemental_z - z).max()),
             "h_ij from z_ij elemental": float(np.abs(elemental_h - h).max()),

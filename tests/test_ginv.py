@@ -4,20 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsum.analysis import RESIDUAL_ROWS, THEOREM2_ROWS, residuals, solve_chain
-from mcsum.chain import column_sums, validate
+from mcsum.chain import TransitionMatrix, column_sums, validate
 from mcsum.errors import SingularMatrix
 from mcsum.ginv import (
-    _invert,
     colsum_system,
     compute_h,
-    compute_z,
     group_inverse,
     h_from_z,
     z_from_h,
 )
 from mcsum.oracle import stationary_direct
 from mcsum.scan import random_chain
-from tests.conftest import FIX5_H, FIX5_H_COL_SUMS, FIX5_KEMENY, two_state
+from tests.conftest import (
+    FIX5_H,
+    FIX5_H_COL_SUMS,
+    FIX5_KEMENY,
+    independent_z,
+    two_block,
+    two_state,
+)
 
 
 def test_compute_h_two_state_half():
@@ -37,39 +42,42 @@ def test_compute_h_one_state():
     np.testing.assert_allclose(h, [[1.0]], atol=0)
 
 
+# Z both ways: read off H by the pipeline, and by its own inversion.
+def _both_z(tm):
+    pi = stationary_direct(tm)
+    return pi, (solve_chain(tm).z, independent_z(tm, pi))
+
+
 def test_compute_z_two_state_half():
-    tm = two_state(0.5, 0.5)
-    z = compute_z(tm, stationary_direct(tm))
-    np.testing.assert_allclose(z, np.eye(2), atol=1e-14)
+    for z in _both_z(two_state(0.5, 0.5))[1]:
+        np.testing.assert_allclose(z, np.eye(2), atol=1e-14)
 
 
 def test_compute_z_fix5_trace(fix5):
-    pi = stationary_direct(fix5)
-    z = compute_z(fix5, pi)
-    assert z.trace() == pytest.approx(FIX5_KEMENY, abs=5e-3)
-    np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(pi @ z, pi, atol=1e-12)
+    pi, zs = _both_z(fix5)
+    for z in zs:
+        assert z.trace() == pytest.approx(FIX5_KEMENY, abs=5e-3)
+        np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(pi @ z, pi, atol=1e-12)
 
 
 def test_compute_z_one_state():
-    tm = validate(np.array([[1.0]]))
-    z = compute_z(tm, stationary_direct(tm))
-    np.testing.assert_allclose(z, [[1.0]], atol=0)
+    for z in _both_z(validate(np.array([[1.0]])))[1]:
+        np.testing.assert_allclose(z, [[1.0]], atol=0)
 
 
 def test_group_inverse_cases(fix5):
-    tm1 = validate(np.array([[1.0]]))
-    pi1 = stationary_direct(tm1)
-    gi1 = group_inverse(compute_z(tm1, pi1), pi1)
+    sol1 = solve_chain(validate(np.array([[1.0]])))
+    gi1 = group_inverse(sol1.z, sol1.pi)
     np.testing.assert_allclose(gi1, [[0.0]], atol=0)
 
-    tm2 = two_state(0.5, 0.5)
-    pi2 = stationary_direct(tm2)
-    gi2 = group_inverse(compute_z(tm2, pi2), pi2)
+    sol2 = solve_chain(two_state(0.5, 0.5))
+    gi2 = group_inverse(sol2.z, sol2.pi)
     np.testing.assert_allclose(gi2, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
 
-    pi = stationary_direct(fix5)
-    gi = group_inverse(compute_z(fix5, pi), pi)
+    sol = solve_chain(fix5)
+    pi = sol.pi
+    gi = group_inverse(sol.z, pi)
     assert np.abs(gi.sum(axis=1)).max() < 1e-10
     assert np.abs(pi @ gi).max() < 1e-10
     a = np.eye(5) - fix5.p
@@ -82,7 +90,7 @@ def test_z_from_h_matches_compute_z(fix5):
     pi = stationary_direct(fix5)
     h, _ = compute_h(fix5)
     np.testing.assert_allclose(
-        z_from_h(h, pi), compute_z(fix5, pi), atol=1e-10
+        z_from_h(h, pi), independent_z(fix5, pi), atol=1e-10
     )
     tm = two_state(0.5, 0.5)
     np.testing.assert_allclose(
@@ -100,14 +108,14 @@ def test_z_from_h_elementwise_form(fix8):
 
 def test_h_from_z_matches_compute_h(fix5):
     pi = stationary_direct(fix5)
-    z = compute_z(fix5, pi)
+    z = independent_z(fix5, pi)
     h, _ = compute_h(fix5)
     np.testing.assert_allclose(h_from_z(z, pi, column_sums(fix5)), h, atol=1e-10)
 
 
 def test_h_from_z_doubly_stochastic_shift(cycle3):
     pi = stationary_direct(cycle3)
-    z = compute_z(cycle3, pi)
+    z = independent_z(cycle3, pi)
     h, _ = compute_h(cycle3)
     m = 3
     np.testing.assert_allclose(h, z + (1.0 - m) / m**2, atol=1e-12)
@@ -117,7 +125,7 @@ def test_h_from_z_doubly_stochastic_shift(cycle3):
 def test_h_from_z_one_state():
     tm = validate(np.array([[1.0]]))
     pi = stationary_direct(tm)
-    z = compute_z(tm, pi)
+    z = independent_z(tm, pi)
     np.testing.assert_allclose(h_from_z(z, pi, np.array([1.0])), [[1.0]], atol=0)
 
 
@@ -126,7 +134,7 @@ def test_round_trips_on_random_chains():
         tm = random_chain(2 + (i % 9), 50_000 + i)
         pi = stationary_direct(tm)
         h, _ = compute_h(tm)
-        z = compute_z(tm, pi)
+        z = independent_z(tm, pi)
         c = column_sums(tm)
         assert np.abs(z_from_h(h, pi) - z).max() < 1e-10
         assert np.abs(h_from_z(z, pi, c) - h).max() < 1e-10
@@ -180,7 +188,7 @@ def test_column_constancy_and_positivity():
         tm = random_chain(2 + (i % 9), 52_000 + i)
         pi = stationary_direct(tm)
         h, _ = compute_h(tm)
-        z = compute_z(tm, pi)
+        z = independent_z(tm, pi)
         diff = z - h
         assert np.abs(diff - diff[0]).max() < 1e-10  # constant down each column
         assert (h.diagonal() > 0).all()
@@ -210,69 +218,77 @@ def test_parametric_reexpression_uniform_colsums_special_case(cycle3):
     assert np.abs(alt - compute_h(cycle3)[0]).max() < 1e-12
 
 
-# The LAPACK inversion behind H and Z: inverse, condition number, refusal.
-def test_invert_identity():
-    inv, _ = _invert(np.eye(4))
-    np.testing.assert_array_equal(inv, np.eye(4))
+# The LAPACK inversion inside compute_h: inverse, condition number, refusal.
+def test_invert_identity(cycle3):
+    for tm in (cycle3, two_state(0.3, 0.1), random_chain(6, 54_000)):
+        h, _ = compute_h(tm)
+        np.testing.assert_allclose(colsum_system(tm) @ h, np.eye(tm.n), atol=1e-14)
 
 
 def test_invert_hand_case():
-    inv, _ = _invert(np.array([[2.0, 1.0], [1.0, 1.0]]))
-    np.testing.assert_allclose(inv, np.array([[1.0, -1.0], [-1.0, 2.0]]), atol=1e-14)
+    # P = [[3/4, 1/4], [1/2, 1/2]]: c = (5/4, 3/4), I - P + e c^T = [[3/2, 1/2], [3/4, 5/4]]
+    h, _ = compute_h(two_state(0.25, 0.5))
+    np.testing.assert_allclose(h, np.array([[5 / 6, -1 / 3], [-1 / 2, 1.0]]), atol=1e-14)
 
 
 def test_invert_two_state_colsum_system():
-    # a = b = 0.5: I - P + e c^T with c = (1, 1)
-    p = np.array([[0.5, 0.5], [0.5, 0.5]])
-    inv, _ = _invert(np.eye(2) - p + 1.0)
-    np.testing.assert_allclose(inv, np.array([[0.75, -0.25], [-0.25, 0.75]]), atol=1e-14)
+    # a stack of a = b = 0.5 (c = (1, 1)) and a = 0.25, b = 0.5, each inverted on its own
+    tm = TransitionMatrix(np.stack((two_state(0.5, 0.5).p, two_state(0.25, 0.5).p)))
+    h, cond = compute_h(tm)
+    np.testing.assert_allclose(h[0], np.array([[0.75, -0.25], [-0.25, 0.75]]), atol=1e-14)
+    np.testing.assert_allclose(h[1], compute_h(two_state(0.25, 0.5))[0], atol=1e-15)
+    assert cond.shape == (2,)
 
 
 def test_singular_raises():
+    # reducible matrices, past validate: their systems are exactly singular
     with pytest.raises(SingularMatrix):
-        _invert(np.zeros((2, 2)))
+        compute_h(TransitionMatrix(np.eye(2)))  # system e e^T
     with pytest.raises(SingularMatrix):
-        _invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        compute_h(TransitionMatrix(np.eye(3)))
     with pytest.raises(SingularMatrix):
-        _invert(np.ones((3, 3)))
+        compute_h(TransitionMatrix(two_block(4, 0.0)))
 
 
 def test_non_square_rejected():
-    with pytest.raises(SingularMatrix):
-        _invert(np.ones((2, 3)))
+    with pytest.raises(ValueError):  # cannot form I - P, so no H is returned
+        compute_h(TransitionMatrix(np.full((2, 3), 1.0 / 3.0)))
     with pytest.raises(SingularMatrix):  # NaN condition number
-        _invert(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        compute_h(TransitionMatrix(np.array([[1.0, np.nan], [0.0, 1.0]])))
 
 
 def test_condition_identity():
-    _, cond = _invert(np.eye(5))
-    assert cond == pytest.approx(1.0)
+    # the one-state system is the identity; a = b = 0.5 gives ||A||_1 = 2, ||H||_1 = 1
+    assert compute_h(validate(np.array([[1.0]])))[1] == pytest.approx(1.0)
+    assert compute_h(two_state(0.5, 0.5))[1] == pytest.approx(2.0)
 
 
 def test_condition_diagonal_ratio():
-    _, cond = _invert(np.diag([1.0, 1e-6]))
+    # a = b = eps: I - P + e c^T has eigenvalues 2 and 2 eps
+    tm = two_state(1e-6, 1e-6)
+    _, cond = compute_h(tm)
     assert 1e5 < cond < 1e7
+    assert cond == pytest.approx(np.linalg.cond(colsum_system(tm), 1), rel=1e-8)
 
 
 def test_condition_fix8_system_unflagged(fix8):
-    _, cond = _invert(colsum_system(fix8))
+    _, cond = compute_h(fix8)
     assert np.isfinite(cond) and cond < 1e8
 
 
 def test_determinism():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(6, 6))
-    assert np.array_equal(_invert(a.copy())[0], _invert(a.copy())[0])
+    tm = random_chain(6, 54_001)
+    assert np.array_equal(compute_h(tm)[0], compute_h(tm)[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**32))
 def test_inverse_residual_property(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n)) + n * np.eye(n)  # diagonally shifted: well conditioned
-    inv, cond = _invert(a)
+    tm = random_chain(n, seed)
+    a = colsum_system(tm)
+    h, cond = compute_h(tm)
     if cond >= 1e8:
         return
-    assert np.abs(a @ inv - np.eye(n)).max() < 1e-10
-    assert np.abs(inv @ a - np.eye(n)).max() < 1e-10
+    assert np.abs(a @ h - np.eye(n)).max() < 1e-10
+    assert np.abs(h @ a - np.eye(n)).max() < 1e-10
     assert cond == pytest.approx(np.linalg.cond(a, 1), rel=1e-8)

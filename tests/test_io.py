@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcsum import io
@@ -27,6 +27,47 @@ def test_csv_header_labels(tmp_path):
     back, labels = io.load_matrix(path)
     assert labels == ("up", "down")
     assert np.array_equal(back, np.eye(2))
+
+
+@pytest.mark.parametrize("labels", [("a,b", "c"), (" x", "x "), ("a\nb", "c"), ("a", "b\x85c")])
+def test_csv_header_refuses_labels_it_would_not_give_back(tmp_path, labels):
+    with pytest.raises(ValueError, match="cannot be written to a CSV header"):
+        io.save_matrix(tmp_path / "m.csv", np.eye(2), labels=labels)
+    assert not (tmp_path / "m.csv").exists()
+
+
+# Characters that a label round trip may trip on, drawn often, among any others.
+_LABEL_CHARS = st.one_of(
+    st.sampled_from([",", " ", "\t", "#", ":", "\r", "\n", "\x0c", "\x1c", "\x1f", "\x85",
+                     "\xa0", "\u2028"]),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(_LABEL_CHARS, max_size=4), min_size=1, max_size=4))
+def test_csv_labels_round_trip_or_are_refused(tmp_path_factory, labels):
+    # Every label set validate accepts either reads back from the saved file,
+    # or is refused when written, and is refused exactly when its header,
+    # written as it is, would not read back.
+    m = len(labels)
+    try:
+        tm = validate(np.full((m, m), 1.0 / m), labels)
+    except ValueError:
+        assume(False)
+    try:
+        reads_back = io.parse_csv("# states: " + ",".join(tm.labels) + "\n1\n")[1] == tm.labels
+    except ValueError:
+        reads_back = False
+    path = tmp_path_factory.mktemp("labels") / "m.csv"
+    try:
+        io.save_matrix(path, tm.p, tm.labels)
+    except ValueError:
+        assert not reads_back
+        return
+    assert reads_back
+    back, got = io.load_matrix(path)
+    assert (got, back.tobytes()) == (tm.labels, tm.p.tobytes())
 
 
 def test_csv_json_csv_round_trip(tmp_path):
@@ -166,6 +207,27 @@ def test_csv_blank_lines_reserve_no_rows():
     assert peak < 50e6
 
 
+#: Every line end ``str.splitlines`` knows.
+_LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("end", _LINE_ENDS)
+def test_csv_line_ends_keep_rows_labels_and_line_numbers(end):
+    # Alone, and before a "\n" (two line ends, but "\r\n" is one), each end
+    # gives splitlines' lines: the same rows and labels, and a bad field named
+    # by splitlines' line number.
+    lines = ["# states: a,b", "0.5,0.5", "", "# note", " 0.25, 0.75 ", "0.25,x"]
+    for sep in (end, end + "\n"):
+        text = sep.join(lines[:-1]) + sep
+        p, labels = io.parse_csv(text)
+        assert (p.tobytes(), labels) == (np.array(_HALVES).tobytes(), ("a", "b"))
+        text = sep.join(lines) + sep
+        lineno = text.splitlines().index("0.25,x") + 1
+        with pytest.raises(ValueError) as info:
+            io.parse_csv(text)
+        assert str(info.value) == f"line {lineno}: could not convert string to float: 'x'"
+
+
 def _float_reference(text):
     """The matrix of a CSV's rows read field by field through float(): the
     lines that are neither blank nor comments."""
@@ -233,6 +295,12 @@ CSV_GUARD_CASES = {
     "no final newline": (b"0.5,0.5\n0.25,0.75", (_HALVES, None)),
     "CRLF": (b"# states: a,b\r\n0.5,0.5\r\n0.25,0.75\r\n", (_HALVES, ("a", "b"))),
     "lone CR line ends": (b"0.5,0.5\r0.25,0.75\r", (_HALVES, None)),
+    "CRLF, a bad field": (
+        b"# states: a,b\r\n0.5,0.5\r\n\r\n0.25,x\r\n",
+        "line 4: could not convert string to float: 'x'"),
+    "NEL line ends": ("# states: a,b\x850.5,0.5\x850.25,0.75\x85".encode(), (_HALVES, ("a", "b"))),
+    "NEL before LF, a bad field": (
+        "0.5,0.5\x85\n0.25,x\n".encode(), "line 3: could not convert string to float: 'x'"),
     "lone CR after a comma": (
         b"0.5,0.5,\r0.25,0.75\n", "line 1: could not convert string to float: ''"),
     "tabs and spaces": (b" 0.5 ,\t0.5\t\n0.25 , 0.75 \n", (_HALVES, None)),

@@ -331,8 +331,8 @@ def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
 
 def test_scan_judges_the_whole_residual_table(monkeypatch):
     # Z enters only the (1+m) row of theorem 2: an error in Z must fail there
-    compute_z = analysis.compute_z
-    monkeypatch.setattr(analysis, "compute_z", lambda tm, pi: compute_z(tm, pi) + 1e-6)
+    z_from_h = analysis.z_from_h
+    monkeypatch.setattr(analysis, "z_from_h", lambda h, pi: z_from_h(h, pi) + 1e-6)
     result = scan(ScanConfig(state_counts=(3, 5), trials=20, seed=1))
     assert len(result.hard_failures) == 40
     row = "'(1+m) pi^T = m pi^T H + c^T Z'"

@@ -38,10 +38,14 @@ def stationary_from_h(h: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def mfpt_from_h(h: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Passage times from H:  m_ij = (h_jj - h_ij + delta_ij) / pi_j."""
+    """Passage times from H:  m_ij = (h_jj - h_ij + delta_ij) / pi_j, built in one
+    array: delta_ij through a strided view of its diagonal, the division in place."""
     pi = np.asarray(pi, dtype=np.float64)
-    eye = np.eye(h.shape[-1])
-    return (h.diagonal(axis1=-2, axis2=-1)[..., None, :] - h + eye) / pi[..., None, :]
+    m = h.shape[-1]
+    mfpt = h.diagonal(axis1=-2, axis2=-1)[..., None, :] - h
+    mfpt.reshape(*mfpt.shape[:-2], m * m)[..., :: m + 1] += 1.0
+    mfpt /= pi[..., None, :]
+    return mfpt
 
 
 def kemeny_from_h(h: np.ndarray) -> float | np.ndarray:
@@ -139,7 +143,8 @@ def bounds_check(sol: ChainSolution) -> BoundsReport:
 
 def _row_errors(sol: ChainSolution) -> dict[str, np.ndarray]:
     """Each RESIDUAL_ROWS row's unreduced error, keyed by its name: a (..., m, m)
-    matrix, a (..., m) vector, or a (..., 1) scalar per chain.  Row, column and
+    matrix (a fresh array, which ``residuals`` overwrites), a (..., m) vector,
+    or a (..., 1) scalar per chain.  Row, column and
     element forms of one matrix identity coincide in floating point, so each is
     one row.  The pi_j rows are cross-multiplied (pi_j * denominator - numerator):
     the same identities, immune to the 0/0 equality cases of the quotient forms
@@ -180,17 +185,19 @@ def residuals(sol: ChainSolution) -> np.ndarray:
     """The verdict's table and the report's residual blocks: every residual
     that ``verify`` and ``scan`` hold to IDENTITY_TOL, as one (rows, ...) array
     whose rows RESIDUAL_ROWS names, each the max-abs of its ``_row_errors``
-    entry.  The matrix rows go through one stacked reduction, the vector and
-    scalar rows through another with their state axis first, as numpy reduces
-    one long axis far faster than many short.  No other path reduces them."""
+    entry.  Each matrix row is a temporary of ``_row_errors``, so it is reduced
+    in place, with no stacked copy; the vector and scalar rows go through
+    one stacked reduction with their state axis first, as numpy reduces one
+    long axis far faster than many short.  No other path reduces them."""
     errors = _row_errors(sol)
     if tuple(errors) != RESIDUAL_ROWS:
         raise RuntimeError(f"residual formulas are named {tuple(errors)}, not RESIDUAL_ROWS")
     matrix = np.array([e.ndim > sol.c.ndim for e in errors.values()])
     table = np.empty((len(errors), *sol.c.shape[:-1]))
-    matrices = np.array([e for e, is_matrix in zip(errors.values(), matrix) if is_matrix])
-    table[matrix] = np.abs(matrices, out=matrices).reshape(*matrices.shape[:-2], -1).max(axis=-1)
-    vectors = np.empty((sol.tm.n, len(errors) - len(matrices), *sol.c.shape[:-1]))
+    for r, (e, is_matrix) in enumerate(zip(errors.values(), matrix)):
+        if is_matrix:
+            table[r] = np.abs(e, out=e).max(axis=(-2, -1))
+    vectors = np.empty((sol.tm.n, np.count_nonzero(~matrix), *sol.c.shape[:-1]))
     by_row = vectors.transpose(*range(1, vectors.ndim), 0)  # the rows, the state axis last
     for k, e in enumerate(e for e, is_matrix in zip(errors.values(), matrix) if not is_matrix):
         by_row[k] = e  # a scalar row fills its chain's states

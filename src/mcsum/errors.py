@@ -17,10 +17,6 @@ class SingularMatrix(McsumError):
     """A linear system is singular or too ill-conditioned to solve."""
 
 
-class NoConvergence(McsumError):
-    """An iterative solver ran out of iterations."""
-
-
 class Degenerate(McsumError):
     """Closed-form parameters describe a reducible or empty chain."""
 
@@ -33,4 +29,4 @@ class GenerationFailed(McsumError):
 VALIDATION_ERRORS = (NotStochastic, NotIrreducible, Degenerate, GenerationFailed)
 
 #: Errors that signal numerical failure on accepted input (CLI exit code 3).
-NUMERICAL_ERRORS = (SingularMatrix, NoConvergence)
+NUMERICAL_ERRORS = (SingularMatrix,)

@@ -79,9 +79,3 @@ def z_from_h(h: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Convert H to Z:  Z = H + Pi - Pi H  with Pi = e pi^T."""
     pi = np.asarray(pi, dtype=np.float64)
     return h + (pi - (pi[..., None, :] @ h)[..., 0, :])[..., None, :]
-
-
-def h_from_z(z: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Convert Z to H:  H = Z + (1/m) Pi - (1/m) e c^T Z."""
-    pi, c = np.asarray(pi, dtype=np.float64), np.asarray(c, dtype=np.float64)
-    return z + ((pi - (c[..., None, :] @ z)[..., 0, :]) / z.shape[-1])[..., None, :]

@@ -6,19 +6,17 @@ come from (I - P)^T pi = 0 with a normalization row.  Passage times come
 from one elimination toward the most-visited state, I - P with that
 state's row and column deleted, read off through Hunter's one-condition
 inverse formula; neither solver forms I - P + e c^T or I - P + e pi^T.
-A Monte Carlo estimator provides a statistical sanity check.  The 2- and
-3-state closed forms are evaluated from explicit parameter formulas.
+The 2- and 3-state closed forms are evaluated from explicit parameter
+formulas.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
-from .chain import TransitionMatrix, period
-from .errors import Degenerate, NoConvergence, NotIrreducible, SingularMatrix
+from .chain import TransitionMatrix
+from .errors import Degenerate, NotIrreducible, SingularMatrix
 from .ginv import mfpt_general
 
 
@@ -37,25 +35,6 @@ def stationary_direct(tm: TransitionMatrix) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"stationary system is singular: {exc}") from None
     return pi[..., 0]
-
-
-def stationary_power(
-    tm: TransitionMatrix, tol: float = 1e-12, max_iters: int = 200_000
-) -> np.ndarray:
-    """Damped power iteration pi <- pi (P + I)/2 from the uniform vector.
-
-    The lazy-chain damping removes periodicity without changing the
-    stationary vector, so periodic chains converge too.
-    """
-    q = 0.5 * (tm.p + np.eye(tm.n))
-    x = np.full(tm.n, 1.0 / tm.n)
-    for _ in range(max_iters):
-        y = x @ q
-        y /= y.sum()
-        if np.abs(y - x).max() < tol:
-            return y
-        x = y
-    raise NoConvergence(f"power iteration did not reach {tol} in {max_iters} iterations")
 
 
 def mfpt_direct(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
@@ -81,69 +60,6 @@ def mfpt_direct(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
     m = mfpt_general(g, pi)
     np.fill_diagonal(m, 1.0 / pi)
     return m
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo first-passage estimates with their standard errors."""
-
-    mfpt: np.ndarray
-    mfpt_se: np.ndarray
-    stationary: np.ndarray
-    stationary_unreliable: bool
-    walks_per_pair: int
-    seed: int
-
-
-def mc_estimate(tm: TransitionMatrix, seed: int, walks_per_pair: int) -> McEstimate:
-    """Estimate the passage-time matrix by simulated walks.
-
-    Each (start, target, walk) triple owns its own splitmix64 stream, so the
-    result is bit-reproducible for a given seed regardless of batching.  The
-    stationary estimate is the normalized reciprocal of the estimated
-    recurrence times; it is flagged unreliable for periodic chains.
-    """
-    if walks_per_pair < 1:
-        raise ValueError("walks_per_pair must be at least 1")
-    n = tm.n
-    cum = np.cumsum(tm.p, axis=1)
-    cum[:, -1] = 1.0  # guard against rounding: u < 1 always lands in a bin
-    mfpt = np.empty((n, n))
-    se = np.empty((n, n))
-    streams = rng.derive_stream(seed, np.arange(n * n * walks_per_pair)).reshape(n, n, -1)
-    for i, j in np.ndindex(n, n):
-        lengths = _walk_lengths(cum, i, j, streams[i, j])
-        mfpt[i, j] = lengths.mean()
-        se[i, j] = lengths.std(ddof=1) / math.sqrt(walks_per_pair) if walks_per_pair > 1 else 0.0
-    recip = 1.0 / mfpt.diagonal()
-    return McEstimate(
-        mfpt=mfpt,
-        mfpt_se=se,
-        stationary=recip / recip.sum(),
-        stationary_unreliable=period(tm) > 1,
-        walks_per_pair=walks_per_pair,
-        seed=seed,
-    )
-
-
-def _walk_lengths(cum: np.ndarray, start: int, target: int, streams: np.ndarray) -> np.ndarray:
-    """First-passage step counts for a batch of walks, one stream each."""
-    k = streams.shape[0]
-    lengths = np.zeros(k, dtype=np.int64)
-    alive = np.arange(k)
-    state = np.full(k, start, dtype=np.intp)
-    steps = np.zeros(k, dtype=np.int64)
-    while alive.size:
-        streams[alive], u = rng.advance(streams[alive])
-        nxt = (u[:, None] < cum[state[alive]]).argmax(axis=1)
-        steps[alive] += 1
-        state[alive] = nxt
-        done = nxt == target
-        if done.any():
-            hit = alive[done]
-            lengths[hit] = steps[hit]
-            alive = alive[~done]
-    return lengths.astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Seedable, platform-independent pseudo-random streams (splitmix64).
 
-Every stochastic component of the package (random chain generation, Monte
-Carlo walks) draws from splitmix64 streams derived here, so identical seeds
-produce identical output bits on any platform.  The generator advances its
+Every stochastic component (random chain generation, and the test suite's
+Monte Carlo walks) draws from splitmix64 streams derived here, so identical
+seeds produce identical output bits on any platform.  The generator advances its
 64-bit state by a fixed odd constant and finalizes with an avalanche mix;
 stream k of a master seed starts from ``mix64(master + (k+1)*GOLDEN)``.
 ``mix64`` and ``SplitMix64`` are the pure-Python reference of the array code.

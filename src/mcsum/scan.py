@@ -135,8 +135,10 @@ def random_chain(m: int, seed: int, sparsity: float = 0.0) -> TransitionMatrix:
 
 
 def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(m, 1)``, the pairs i < j in row-major order, in fewer calls."""
-    return np.nonzero(np.arange(m)[:, None] < np.arange(m))
+    """``np.triu_indices(m, 1)``, the pairs i < j in row-major order, from one 1-D
+    ``nonzero`` split by ``np.divmod`` (a 2-D ``nonzero`` is slower from m ~ 100)."""
+    r = np.arange(m)
+    return np.divmod((r[:, None] < r).ravel().nonzero()[0], m)
 
 
 def ordering_masks(
@@ -145,12 +147,16 @@ def ordering_masks(
     """Per relation of RELATIONS, in its order, the flags of the pairs i < j
     (``np.triu_indices`` order) that violate it, as one (relations, ...,
     m(m-1)/2) bool array for one chain or a stack; a tie never violates.
-    `pairs` is ``_pairs(m)`` when the caller has built it already."""
+    `pairs` is ``_pairs(m)`` when the caller has built it already.  The compared
+    vectors are gathered by ``np.take`` when the pairs outnumber their rows (one
+    chain: three times faster than ``v[..., i]`` at m = 300) and by ``v[..., i]``
+    otherwise (a stack of small chains, where ``np.take`` is the slower)."""
     names = ("colsum", "pi", "h_diag", "m_col_total", "m_recurrence")
     v = np.array((sol.c, sol.pi, sol.h_diag, sol.col_totals, sol.m_diag))
     i, j = _pairs(sol.tm.n) if pairs is None else pairs
-    diff = v[..., i]
-    diff -= v[..., j]  # in place: at m = 600 each of these is 7 MB
+    take = len(i) > v.size // sol.tm.n
+    diff = np.take(v, i, axis=-1) if take else v[..., i]
+    diff -= np.take(v, j, axis=-1) if take else v[..., j]  # in place: at m = 600 each is 7 MB
     signs = (diff >= SIGN_TIE_TOL).view(np.int8) - (diff <= -SIGN_TIE_TOL).view(np.int8)
     left = [names.index(r.left) for r in RELATIONS.values()]
     right = [names.index(r.right) for r in RELATIONS.values()]
@@ -163,19 +169,22 @@ def ordering_masks(
 def _records(p, flags, pairs, chains=slice(None)) -> list[OrderingRecord]:
     """Ordering records of `chains` of the stacked p and its ``ordering_masks``
     flags over `pairs` (one chain is a stack of one), gathered so that no record
-    keeps the stack alive."""
+    keeps the stack alive.  A relation's flags give its pairs through one
+    ``np.flatnonzero``, split into chain and pair by ``np.divmod``; the digest
+    hashes each chain's C-ordered P through the buffer protocol, without the
+    copy ``tobytes()`` would make."""
     m = p.shape[-1]
     p = p.reshape(-1, m, m)
     flags = flags.reshape(len(flags), len(p), flags.shape[-1])[:, chains]
-    p = p[chains]
-    i, j = pairs
+    p = np.ascontiguousarray(p[chains])
+    ij = np.stack(pairs, axis=-1)
     by_relation = {}
     for name, f in zip(RELATIONS, flags):
-        t, k = f.nonzero()  # by chain, then pair: i < j in row-major order
-        by_relation[name] = np.split(np.stack((i[k], j[k]), axis=-1),
+        t, k = np.divmod(np.flatnonzero(f), f.shape[-1])  # by chain, then pair
+        by_relation[name] = np.split(np.take(ij, k, axis=0),
                                      np.searchsorted(t, np.arange(1, len(p))))
     return [
-        OrderingRecord(hashlib.sha256(p[k].tobytes()).hexdigest(), m,
+        OrderingRecord(hashlib.sha256(p[k]).hexdigest(), m,
                        {name: found[k] for name, found in by_relation.items()})
         for k in range(len(p))
     ]

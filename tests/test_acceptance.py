@@ -22,13 +22,11 @@ from mcsum.analysis import (
 from mcsum.chain import validate
 from mcsum.ginv import (
     group_inverse,
-    h_from_z,
     kemeny_general,
     mfpt_general,
     z_from_h,
 )
 from mcsum.oracle import (
-    mc_estimate,
     mfpt_direct,
     stationary_direct,
     three_state_closed_form,
@@ -51,6 +49,7 @@ from tests.conftest import (
     random_doubly_stochastic,
     two_state,
 )
+from tests.oracles import h_from_z, mc_estimate
 from tests.test_oracle import sample_admissible_three_state
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,16 +13,18 @@ from mcsum.analysis import (
     h_from_mfpt,
     kemeny_from_h,
     kemeny_from_z,
+    mfpt_from_h,
     residuals,
     solve_chain,
     stationary_from_h,
 )
-from mcsum.chain import column_sums, validate
+from mcsum.chain import TransitionMatrix, column_sums, validate
 from mcsum.errors import SingularMatrix
 from mcsum.ginv import compute_h, group_inverse, kemeny_general, mfpt_general
 from mcsum.oracle import stationary_direct, two_state_closed_form
 from mcsum.report import report_to_dict
-from mcsum.scan import random_chain
+from mcsum.rng import derive_stream
+from mcsum.scan import random_chain, random_chains
 from tests.conftest import (
     FIX5_KEMENY,
     FIX5_M,
@@ -69,6 +72,22 @@ def test_mfpt_from_h_two_state():
 def test_mfpt_from_h_cycle(cycle3):
     sol = solve_chain(cycle3)
     np.testing.assert_allclose(sol.mfpt, [[3, 1, 2], [2, 3, 1], [1, 2, 3]], atol=1e-12)
+
+
+def _chain_or_stack(stack: bool) -> TransitionMatrix:
+    """A stack of four random 9-state chains, or the first of them."""
+    p = random_chains(9, derive_stream(7, np.arange(4)))
+    return TransitionMatrix(p=p if stack else p[0])
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["chain", "stack"])
+def test_mfpt_from_h_is_its_formula_bit_for_bit(stack):
+    tm = _chain_or_stack(stack)
+    h, pi = compute_h(tm)[0], stationary_direct(tm)
+    want = (h.diagonal(axis1=-2, axis2=-1)[..., None, :] - h + np.eye(tm.n)) / pi[..., None, :]
+    got = mfpt_from_h(h, pi)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_mfpt_matrix_invariants(fix5, fix8):
@@ -214,6 +233,37 @@ def test_each_residual_row_is_its_own_formula(fix8):
     values = sorted(want.values())
     assert values[0] > 0 and all(b > a * (1 + 1e-8) for a, b in zip(values, values[1:]))
     assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["chain", "stack"])
+def test_residuals_are_each_row_errors_max_abs_bit_for_bit(stack):
+    sol = solve_chain(_chain_or_stack(stack))
+    chains = sol.c.shape[:-1]
+    want = [np.abs(e).reshape(*chains, -1).max(axis=-1)
+            for e in analysis._row_errors(sol).values()]
+    arrays = {f.name: getattr(sol, f.name) for f in fields(sol)
+              if isinstance(getattr(sol, f.name), np.ndarray)}
+    kept = {name: a.copy() for name, a in arrays.items()}
+    got = residuals(sol)
+    assert got.tobytes() == np.array(want).tobytes()
+    # the in-place reduction writes over _row_errors' temporaries only
+    assert all(np.array_equal(arrays[name], a) for name, a in kept.items())
+
+
+def test_residuals_make_no_stacked_copy_of_the_matrix_rows():
+    # at m = 200 the traced peak is 5.23 m x m float64 arrays (the temporaries
+    # of _row_errors); stacking the three matrix rows into a new array before
+    # reducing them took it to 6.15
+    m = 200
+    sol = solve_chain(random_chain(m, 1))
+    residuals(sol)
+    tracemalloc.start()
+    try:
+        residuals(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.6 * m * m * 8, peak / (m * m * 8)
 
 
 def test_a_residual_name_without_a_formula_fails_loudly(fix8, monkeypatch):

@@ -10,7 +10,6 @@ from mcsum.ginv import (
     colsum_system,
     compute_h,
     group_inverse,
-    h_from_z,
     z_from_h,
 )
 from mcsum.oracle import stationary_direct
@@ -23,6 +22,7 @@ from tests.conftest import (
     two_block,
     two_state,
 )
+from tests.oracles import h_from_z
 
 
 def test_compute_h_two_state_half():

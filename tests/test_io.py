@@ -331,6 +331,16 @@ CSV_GUARD_CASES = {
     "-0": (b"-0,1\n1,0\n", ([[-0.0, 1.0], [1.0, 0.0]], None)),
     "-0.0": (b"-0.0,1\n1,0\n", ([[-0.0, 1.0], [1.0, 0.0]], None)),
     "-0e0": (b"1e-5,-0e0\n1,0\n", ([[1e-05, -0.0], [1.0, 0.0]], None)),
+    # the sign bit is compared too: a row is read again only for a "-" outside
+    # an exponent, and by its own index after the row array has grown
+    "a zero, minus signs in exponents only": (
+        b"0,1e-5,2.5E-1\n1,0,0\n", ([[0.0, 1e-05, 0.25], [1.0, 0.0, 0.0]], None)),
+    "-0 beside 1e-5": (b"-0,1e-5\n1,0\n", ([[-0.0, 1e-05], [1.0, 0.0]], None)),
+    "-0 after CR line ends that grow the rows": (
+        b"1,0\r0,1\r0,1\n-0,1\n", ([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]], None)),
+    "-0 after NEL line ends that grow the rows": (
+        "1,0\x850,1\x850,1\n-0,1\n".encode(),
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]], None)),
     "negative entry": (b"-0.5,1.5\n0.5,0.5\n", ([[-0.5, 1.5], [0.5, 0.5]], None)),
     "negative entry beside a zero": (
         b"-0.5,1.5,0\n0.5,0.5,0\n0,0,1\n",

@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 
 from mcsum.analysis import mfpt_from_h, solve_chain
 from mcsum.chain import validate
-from mcsum.errors import Degenerate, NoConvergence, NotIrreducible
+from mcsum.errors import Degenerate, NotIrreducible
 from mcsum import ginv
 from mcsum.oracle import (
-    mc_estimate,
     mfpt_direct,
     stationary_direct,
-    stationary_power,
     three_state_closed_form,
     two_state_closed_form,
 )
 from mcsum.rng import SplitMix64, derive_stream
 from mcsum.scan import random_chain
 from tests.conftest import FIX5_M, FIX5_PI, two_block, two_state
+from tests.oracles import NoConvergence, mc_estimate, stationary_power
 
 
 def test_stationary_direct_cycle(cycle3):

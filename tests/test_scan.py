@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -240,6 +241,79 @@ def test_ordering_record_violations_keep_their_order(stack):
         assert all(np.array_equal(one.violations[name], record.violations[name])
                    for name in RELATIONS)
         assert one.digest == record.digest
+
+
+def _brute_force_pairs(sol, t: int) -> dict[str, np.ndarray]:
+    """Chain t's violating pairs by a double loop over i < j in row-major order,
+    each compared difference signed with the SIGN_TIE_TOL tie rule."""
+    vectors = {"colsum": sol.c, "pi": sol.pi, "h_diag": sol.h_diag,
+               "m_col_total": sol.col_totals, "m_recurrence": sol.m_diag}
+    vectors = {name: v.reshape(-1, sol.tm.n)[t].tolist() for name, v in vectors.items()}
+
+    def sign(v, i, j):
+        d = v[i] - v[j]
+        return 1 if d >= SIGN_TIE_TOL else -1 if d <= -SIGN_TIE_TOL else 0
+
+    m = sol.tm.n
+    return {
+        name: np.array([(i, j) for i in range(m) for j in range(i + 1, m)
+                        if sign(vectors[r.left], i, j) * sign(vectors[r.right], i, j)
+                        == -r.direction], dtype=np.intp).reshape(-1, 2)
+        for name, r in RELATIONS.items()
+    }
+
+
+def _ordering_chain(kind: str, m: int, seed: int) -> np.ndarray:
+    """A ``_tied_chain``, or ("twins") a random chain with two equal columns,
+    whose column sums then tie exactly."""
+    if kind != "twins":
+        return _tied_chain(kind, m, seed)
+    p = random_chain(m, seed).p.copy()
+    a, b = np.random.default_rng(seed).choice(m, 2, replace=False)
+    p[:, a] = p[:, b] = (p[:, a] + p[:, b]) / 2
+    return validate(p).p
+
+
+_ORDERING_STACKS = st.integers(min_value=2, max_value=12).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.tuples(st.sampled_from(["twins", "swap", "doubly", "dense"]),
+                       st.integers(min_value=0, max_value=2**32)), min_size=1, max_size=5),
+))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ORDERING_STACKS, st.data())
+def test_ordering_pairs_match_a_double_loop(stack, data):
+    m, draws = stack
+    p = np.stack([_ordering_chain(kind, m, seed) for kind, seed in draws])
+    for chain_p in p:
+        sol = solve_chain(TransitionMatrix(p=chain_p))
+        record = ordering_from_solution(sol)
+        assert record.digest == hashlib.sha256(chain_p.tobytes()).hexdigest()
+        want = _brute_force_pairs(sol, 0)
+        assert list(record.violations) == list(want)
+        for name, pairs in record.violations.items():
+            assert pairs.dtype == want[name].dtype and np.array_equal(pairs, want[name]), name
+    sol = solve_chain(TransitionMatrix(p=p))
+    pairs = scan_module._pairs(m)
+    chains = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(p), max_size=len(p))))
+    flags = ordering_masks(sol, pairs)
+    for chosen, records in ((range(len(p)), scan_module._records(p, flags, pairs)),
+                            (chains, scan_module._records(p, flags, pairs, chains))):
+        assert len(records) == len(chosen)
+        for t, record in zip(chosen, records):
+            assert record.digest == hashlib.sha256(p[t].tobytes()).hexdigest()
+            want = _brute_force_pairs(sol, t)
+            for name, found in record.violations.items():
+                assert found.dtype == want[name].dtype and np.array_equal(found, want[name]), name
+
+
+def test_ordering_digest_of_a_fortran_ordered_chain(fix8):
+    # the digest hashes the C-ordered bytes whatever the array's memory order
+    tm = validate(np.asfortranarray(fix8.p), fix8.labels)
+    assert not tm.p.flags.c_contiguous
+    record = ordering_from_solution(solve_chain(tm))
+    assert record.digest == hashlib.sha256(fix8.p.tobytes()).hexdigest()
 
 
 def test_scan_deterministic():

@@ -17,8 +17,9 @@ from mcsum.analysis import (
     stationary_from_h,
 )
 from mcsum.chain import TransitionMatrix
-from mcsum.ginv import group_inverse, h_from_z, kemeny_general, mfpt_general, z_from_h
+from mcsum.ginv import group_inverse, kemeny_general, mfpt_general, z_from_h
 from mcsum.scan import RELATIONS, ordering_masks, random_chain, random_chains
+from tests.oracles import h_from_z
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -125,10 +125,10 @@ def validate(
     raw : array_like, shape (m, m)
         Candidate transition matrix.
     labels : sequence of str, optional
-        State names, distinct and not blank; defaults to "1".."m".
+        State names: distinct, not blank, valid text; defaults to "1".."m".
 
     Rows whose sum deviates from 1 by less than ``DEFAULT_ROW_TOL`` are
-    renormalized; larger deviations are rejected.
+    renormalized, with every zero made +0.0; larger deviations are rejected.
 
     Raises
     ------
@@ -156,6 +156,7 @@ def validate(
         i = int(bad[0])
         raise NotStochastic(f"row {i + 1} sums to {sums[i]!r}, expected 1")
     p = p / sums[:, None]
+    p += 0.0  # -0.0 to +0.0: the digest must not depend on how a zero is spelled
 
     if labels is None:
         labels = tuple(str(i + 1) for i in range(p.shape[0]))
@@ -166,6 +167,10 @@ def validate(
         blank = [k for k, label in enumerate(labels) if not label.strip()]
         if blank:
             raise ValueError(f"state label {blank[0] + 1} is blank")
+        # a lone surrogate (json.loads reads "\ud800" as one) has no UTF-8 form
+        broken = [k for k, s in enumerate(labels) if s.encode(errors="ignore").decode() != s]
+        if broken:
+            raise ValueError(f"state label {broken[0] + 1} is not valid UTF-8 text")
         repeated = [label for label, count in Counter(labels).items() if count > 1]
         if repeated:
             raise ValueError(f"state label {repeated[0]!r} is repeated")
@@ -199,15 +204,3 @@ def reorder_by_column_sums(tm: TransitionMatrix) -> tuple[TransitionMatrix, np.n
     labels = tuple(tm.labels[i] for i in perm)
     return TransitionMatrix(p=p, labels=labels), perm
 
-
-def period(tm: TransitionMatrix) -> int:
-    """Period of an irreducible chain (1 means aperiodic).
-
-    The gcd of ``level[u] + 1 - level[v]`` over all edges (u, v), with levels
-    from a breadth-first search, equals the period on a strongly connected
-    graph.
-    """
-    adj = tm.p > 0.0
-    level = _levels(adj)
-    u, v = np.nonzero(adj)
-    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1

@@ -21,7 +21,7 @@ from . import fixtures, io, oracle
 from .analysis import IDENTITY_TOL, RESIDUAL_ROWS, kemeny_from_z, residuals, solve_chain
 from .chain import validate
 from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS
-from .report import analyze, dumps, write_json
+from .report import analyze, write_json
 from .scan import ScanConfig, scan as run_scan
 
 EXIT_OK = 0
@@ -170,8 +170,8 @@ def _cmd_scan(args) -> int:
         seed=args.seed,
         sparsity=args.sparsity,
     )
-    with open(args.log, "w") if args.log else contextlib.nullcontext() as fh:
-        found = None if fh is None else lambda ce: fh.write(dumps(ce) + "\n")
+    with open(args.log, "wb") if args.log else contextlib.nullcontext() as fh:
+        found = None if fh is None else lambda ce: fh.write(io.dumps(ce) + b"\n")
         result = run_scan(config, found)
     print(f"{'relation':<24}{'m':>4}{'trials':>10}{'violations':>12}{'rate':>10}")
     for s in result.summaries:

@@ -1,13 +1,15 @@
 """Matrix file formats used by the CLI and the bundled fixtures, and the
-JSON encoding of arrays.
+package's one JSON encoder.
 
 CSV: m lines of m comma-separated decimal fields, with an optional leading
 header line ``# states: a,b,c``.  JSON: an object with an optional "states"
 array and a "p" array of m rows of JSON numbers, one row per line.  Floats
 are written as the shortest decimal that round-trips (``repr`` in CSV,
 orjson's Ryu writer in JSON), so read(write(M)) preserves matrix bits.
-`json_ready` checks and converts a whole array once; `array_json` then
-writes it, or each of its rows, as orjson bytes.
+
+Every JSON byte the package writes comes from orjson through `dumps`, or
+through `array_json` for an array `json_ready` has checked and converted
+once.  Both send what orjson does not encode itself to one hook, `_plain`.
 
 Reading (`load_matrix`) decodes the file's text once.  `parse_csv` reads
 each CSV line through orjson where it can and through ``float()`` where it
@@ -17,18 +19,11 @@ cannot, so each field gives ``float()``'s bits.  JSON is read by
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import orjson
-
-
-def _tolist(obj):
-    """orjson's ``default`` hook: the arrays it does not encode itself (0-d,
-    other dtypes) as nested lists."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def json_ready(a: np.ndarray) -> np.ndarray:
@@ -51,13 +46,27 @@ def json_ready(a: np.ndarray) -> np.ndarray:
 
 def array_json(a: np.ndarray) -> bytes:
     """A `json_ready` array, or any row of one, as compact JSON nested lists
-    through orjson's numpy encoder.
+    through orjson's numpy encoder; each float is the shortest decimal that
+    parses back to it, spelled ``0.00001`` for ``1e-05``, ``1e22`` for ``1e+22``."""
+    return orjson.dumps(a, default=_plain, option=orjson.OPT_SERIALIZE_NUMPY)
 
-    Each float is the shortest decimal that parses back to the same float64,
-    the value ``repr`` gives, spelled ``0.00001`` for ``1e-05`` and ``1e22``
-    for ``1e+22``.
-    """
-    return orjson.dumps(a, default=_tolist, option=orjson.OPT_SERIALIZE_NUMPY)
+
+def _plain(obj):
+    """orjson's ``default`` hook: an array or numpy scalar as (nested lists of)
+    Python values, through `json_ready`; a dataclass as the dict of its fields
+    that are not None."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return json_ready(np.asarray(obj)).tolist()
+    if is_dataclass(obj):
+        return {f.name: v for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def dumps(obj) -> bytes:
+    """`obj`, which may hold arrays and dataclasses, as one line of compact
+    JSON.  orjson writes a NaN or infinite float as ``null``, raises TypeError
+    on a lone surrogate, and takes integers in [-2^63, 2^64) only."""
+    return orjson.dumps(obj, default=_plain, option=orjson.OPT_PASSTHROUGH_DATACLASS)
 
 
 #: The bytes of a CSV matrix line that `parse_csv` reads through orjson:
@@ -156,7 +165,11 @@ def parse_json(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     for i, row in enumerate(rows):
         if isinstance(row, list) and not set(map(type, row)) <= {int, float}:
             j, x = next((j, x) for j, x in enumerate(row) if type(x) not in (int, float))
-            raise ValueError(f'"p" row {i + 1}, column {j + 1}: {json.dumps(x)} is not a number')
+            try:
+                shown = dumps(x).decode()
+            except TypeError:  # a lone surrogate, or an integer beyond 64 bits in a list
+                shown = repr(x)
+            raise ValueError(f'"p" row {i + 1}, column {j + 1}: {shown} is not a number')
     if len({len(row) if isinstance(row, list) else None for row in rows}) > 1:
         raise ValueError("rows have inconsistent lengths")
     try:
@@ -177,7 +190,7 @@ def parse_json(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
 
 def render_json(p: np.ndarray, labels: tuple[str, ...] | None = None) -> str:
     """The JSON matrix format: one key per line, one row of `p` per line."""
-    head = "" if labels is None else f'  "states": {json.dumps(list(labels))},\n'
+    head = "" if labels is None else f'  "states": {dumps(labels).decode()},\n'
     rows = b",\n    ".join(map(array_json, json_ready(np.asarray(p, dtype=np.float64))))
     return "{\n" + head + '  "p": [\n    ' + rows.decode() + "\n  ]\n}\n"
 

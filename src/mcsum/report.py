@@ -3,28 +3,27 @@
 ``analyze`` reads the residual blocks off the rows of ``analysis.residuals``
 and the violation pairs off ``scan.ordering_masks``, computing neither again.
 
-``dumps`` writes one line (a ``scan --log`` line) through the standard
-library's C encoder with one ``default`` hook, ``_plain``; ``report_to_dict``
-is what it parses to.  ``write_json`` writes the ``analyze --output`` file as
-bytes, which parse to the same dict: each array is checked once by
-`io.json_ready` (an array holding NaN or infinity is refused), then goes out
-through orjson's numpy encoder, `io.array_json`, one call per float matrix
-row; every other value (labels, scalars, residual dicts) goes through
-``dumps``.  Floats are the shortest decimal that round-trips in both.
+``write_json`` writes the ``analyze --output`` file as bytes, and
+``report_to_dict`` is what it parses to.  Both encode through `io`, the
+package's one JSON encoder: each array is checked once by `io.json_ready`
+(an array holding NaN or infinity is refused), then goes out through orjson's
+numpy encoder, `io.array_json`, one call per float matrix row; every other
+value (labels, scalars, residual dicts) goes through `io.dumps`.  Floats are
+the shortest decimal that round-trips.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
+import orjson
 
 from .analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, BoundsReport,
                        DoublyStochasticReport, bounds_check, doubly_stochastic_report,
                        kemeny_from_h, kemeny_from_z, residuals, solve_chain)
 from .chain import TransitionMatrix, reorder_by_column_sums
 from .ginv import group_inverse, kemeny_general
-from .io import array_json, json_ready
+from .io import _plain, array_json, dumps, json_ready
 from .scan import OrderingRecord, ordering_from_solution
 
 #: Condition numbers at or above this set ``condition_warning``.
@@ -108,44 +107,19 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
     )
 
 
-def _fields(obj):
-    """(name, value) of a dataclass's fields in order, leaving out None."""
-    for f in fields(obj):
-        if (value := getattr(obj, f.name)) is not None:
-            yield f.name, value
-
-
-def _plain(obj):
-    """The encoder's ``default`` hook: an array as nested lists, a report
-    dataclass as the dict of its fields that are not None."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if is_dataclass(obj):
-        return dict(_fields(obj))
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def dumps(obj) -> str:
-    """`obj`, which may hold arrays and report dataclasses, as one line of JSON."""
-    # Through the module attribute, so a wrapper on json.dumps sees each call.
-    return json.dumps(obj, default=_plain, separators=(",", ":"))
-
-
 def report_to_dict(obj) -> dict:
-    """What `dumps` and `write_json` of `obj` parse to: dicts in field order,
-    lists and scalars, with the fields that are None left out."""
-    return json.loads(dumps(obj))
+    """What `io.dumps` and `write_json` of `obj` parse to: dicts in field
+    order, lists and scalars, with the fields that are None left out."""
+    return orjson.loads(dumps(obj))
 
 
 def write_json(obj, fh, depth: int = 0) -> None:
     """Write `obj` as UTF-8 JSON bytes to the binary file `fh` at indent level
-    `depth`: a report dataclass or dict (string keys) one key per line, a
-    float matrix one row per line.  Each array is checked and converted once
-    by `json_ready` (ValueError if it is a float array holding NaN or
-    infinity, raised before any of it is written); then each row of a float
-    matrix, or the whole of any other array (a vector, or an integer array
-    such as the violation pairs), goes on one line through `array_json`.
-    Every other value goes on one line through `dumps`."""
+    `depth`: a report dataclass or dict one key per line, a float matrix one
+    row per line (each through `array_json`), and any other value on one line,
+    an array through `array_json` and the rest through `dumps`.  Each array is
+    checked by `json_ready` before any of it is written; it and a float scalar
+    raise ValueError on NaN or infinity, which orjson would write as ``null``."""
     if isinstance(obj, np.ndarray):
         a = json_ready(obj)
         if a.ndim < 2 or a.dtype.kind != "f" or not len(a):
@@ -159,10 +133,12 @@ def write_json(obj, fh, depth: int = 0) -> None:
         fh.write(pad + b"]")
     elif is_dataclass(obj) or isinstance(obj, dict):
         pad, sep = b"\n" + b"  " * depth, b"{"
-        for key, value in _fields(obj) if is_dataclass(obj) else obj.items():
-            fh.write(sep + pad + b"  " + dumps(key).encode() + b": ")
+        for key, value in (obj if isinstance(obj, dict) else _plain(obj)).items():
+            fh.write(sep + pad + b"  " + dumps(key) + b": ")
             write_json(value, fh, depth + 1)
             sep = b","
         fh.write(pad + b"}" if sep == b"," else b"{}")
+    elif isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        raise ValueError(f"cannot write the non-finite number {obj!r} as JSON")
     else:
-        fh.write(dumps(obj).encode())
+        fh.write(dumps(obj))

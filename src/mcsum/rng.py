@@ -65,12 +65,6 @@ def uniform_block(stream_seed: int | np.ndarray, count: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def advance(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Advance an array of stream states one step; return (states, uniforms)."""
-    with np.errstate(over="ignore"):
-        return states + _GOLDEN_U64, uniform_block(states, 1)[..., 0]
-
-
 class SplitMix64:
     """Scalar sequential generator over one stream (pure Python, reference)."""
 

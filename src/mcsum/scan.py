@@ -210,13 +210,13 @@ class RelationSummary:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A trial that violates at least one relation; ``report.dumps`` of it
-    is one ``scan --log`` line."""
+    """A trial that violates a relation: ``io.dumps`` of it is one ``scan --log``
+    line, and ``random_chain(m, seed, sparsity)`` rebuilds its P bit for bit."""
 
     m: int
     trial: int
     seed: int
-    p: np.ndarray
+    sparsity: float
     ordering: OrderingRecord
 
 
@@ -267,7 +267,7 @@ def scan(
             counterexamples += len(violated)
             if found is not None:
                 for t, record in zip(violated.tolist(), _records(p, flags, pairs, violated)):
-                    found(Counterexample(m, int(trials[t]), int(seeds[t]), p[t].copy(), record))
+                    found(Counterexample(m, int(trials[t]), int(seeds[t]), config.sparsity, record))
             table = residuals(sol)
             worst = table.argmax(axis=0)  # the first of equal largest residuals
             failed = np.flatnonzero((table.max(axis=0) > IDENTITY_TOL) | hits[theorems].any(axis=0))

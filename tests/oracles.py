@@ -1,5 +1,6 @@
 """Reference solvers that only the tests call: power iteration for pi, a
-Monte Carlo passage-time estimator, and the Z-to-H conversion.
+Monte Carlo passage-time estimator (with its stream stepper, `advance`), a
+chain's period, and the Z-to-H conversion.
 
 They are independent of the pipeline's one inversion per chain, which is
 why the suite keeps them: criterion 09 checks the pipeline's passage times
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mcsum import rng
-from mcsum.chain import TransitionMatrix, period
+from mcsum.chain import TransitionMatrix, _levels
 from mcsum.errors import McsumError
 
 
@@ -84,6 +85,26 @@ def mc_estimate(tm: TransitionMatrix, seed: int, walks_per_pair: int) -> McEstim
     )
 
 
+def period(tm: TransitionMatrix) -> int:
+    """Period of an irreducible chain (1 means aperiodic).
+
+    The gcd of ``level[u] + 1 - level[v]`` over all edges (u, v), with levels
+    from a breadth-first search, equals the period on a strongly connected
+    graph.
+    """
+    adj = tm.p > 0.0
+    level = _levels(adj)
+    u, v = np.nonzero(adj)
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
+
+
+def advance(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Advance an array of splitmix64 stream states one step; return (states,
+    uniforms)."""
+    with np.errstate(over="ignore"):
+        return states + rng._GOLDEN_U64, rng.uniform_block(states, 1)[..., 0]
+
+
 def _walk_lengths(cum: np.ndarray, start: int, target: int, streams: np.ndarray) -> np.ndarray:
     """First-passage step counts for a batch of walks, one stream each."""
     k = streams.shape[0]
@@ -92,7 +113,7 @@ def _walk_lengths(cum: np.ndarray, start: int, target: int, streams: np.ndarray)
     state = np.full(k, start, dtype=np.intp)
     steps = np.zeros(k, dtype=np.int64)
     while alive.size:
-        streams[alive], u = rng.advance(streams[alive])
+        streams[alive], u = advance(streams[alive])
         nxt = (u[:, None] < cum[state[alive]]).argmax(axis=1)
         steps[alive] += 1
         state[alive] = nxt

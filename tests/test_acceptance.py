@@ -260,11 +260,15 @@ def test_criterion_09_oracle_independence(chain_suite, fix5):
 
 
 def _scan_artifacts(config: ScanConfig) -> tuple[bytes, "ScanResult"]:
+    """The summaries, then each counterexample's log entry followed by the P
+    that ``random_chain`` rebuilds from it."""
     log_lines = []
-    result = scan(
-        config,
-        lambda ce: log_lines.append(json.dumps(report_to_dict(ce), separators=(",", ":"))),
-    )
+
+    def found(ce):
+        chain = random_chain(ce.m, ce.seed, ce.sparsity).p.tolist()
+        log_lines.append(json.dumps([report_to_dict(ce), chain], separators=(",", ":")))
+
+    result = scan(config, found)
     summary = json.dumps(
         [s.__dict__ for s in result.summaries], separators=(",", ":")
     ).encode()

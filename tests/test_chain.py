@@ -10,13 +10,13 @@ from mcsum.chain import (
     _communicating_classes,
     column_sums,
     is_irreducible,
-    period,
     reorder_by_column_sums,
     validate,
 )
 from mcsum.errors import NotIrreducible, NotStochastic
 from mcsum.ginv import compute_h
 from tests.conftest import FIVE_STATE_UNSORTED, cycle3_matrix, two_state
+from tests.oracles import period
 
 
 def test_fix5_validates(fix5):
@@ -143,11 +143,18 @@ def test_custom_labels():
     (["a", "", "b"], "state label 2 is blank"),
     (["", "b", "c"], "state label 1 is blank"),
     (["a", "b", " \t"], "state label 3 is blank"),
+    (["\ud800", "b"], "state label 1 is not valid UTF-8 text"),
+    (["a", "x\udfffy", "x\udfffy"], "state label 2 is not valid UTF-8 text"),
 ])
 def test_repeated_or_blank_labels_rejected(labels, message):
     n = len(labels)
     with pytest.raises(ValueError, match=message):
         validate(np.full((n, n), 1.0 / n), labels=labels)
+
+
+def test_validate_makes_every_zero_positive():
+    tm = validate(np.array([[0.5, 0.5, -0.0], [0.5, 0.0, 0.5], [-0.0, 0.5, 0.5]]))
+    assert not np.signbit(tm.p).any()
 
 
 def test_matrix_frozen(fix5):

@@ -13,7 +13,8 @@ from mcsum import cli, fixtures, io
 from mcsum.analysis import RESIDUAL_ROWS, residuals, solve_chain
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.cli import main
-from mcsum.report import analyze, dumps, report_to_dict
+from mcsum.io import dumps
+from mcsum.report import analyze, report_to_dict
 from mcsum.scan import ScanConfig, random_chain, scan as run_scan
 from tests.conftest import FIVE_STATE_UNSORTED, two_block
 
@@ -162,6 +163,33 @@ def test_analyze_csv_blank_label_exits_2(tmp_path, capsys):
     assert "error: state label 2 is blank" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_label_that_is_not_valid_text_exits_2_before_writing(tmp_path, capsys, command):
+    # json.loads reads "\ud800" as a lone surrogate, which has no UTF-8 form
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"states": ["\\ud800", "b"], "p": [[0.5, 0.5], [0.5, 0.5]]}')
+    out = tmp_path / "report.json"
+    extra = ["--output", str(out)] if command == "analyze" else []
+    assert main([command, "--input", str(path), *extra]) == 2
+    assert "error: state label 1 is not valid UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_report_does_not_depend_on_how_a_zero_is_spelled(tmp_path):
+    spellings = {
+        "minus.csv": "0.5,0.5,-0\n0.5,0,0.5\n0.5,0.5,0\n",
+        "plus.csv": "0.5,0.5,0\n0.5,0,0.5\n0.5,0.5,0\n",
+        "minus.json": '{"p": [[0.5, 0.5, -0], [0.5, 0, 0.5], [0.5, 0.5, -0.0]]}',
+    }
+    reports = []
+    for name, text in spellings.items():
+        (tmp_path / name).write_text(text)
+        out = tmp_path / (name + ".out.json")
+        assert main(["analyze", "--input", str(tmp_path / name), "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_analyze_missing_file_exits_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "nope.csv")]) == 2
 
@@ -253,16 +281,27 @@ def test_scan_cli_runs_and_logs(tmp_path, capsys):
     lines = log.read_text().splitlines()
     assert lines
     assert f"counterexamples: {len(lines)}" in out.splitlines()
-    entry = json.loads(lines[0])
-    assert entry["m"] == 3
-    tm = validate(np.array(entry["p"]))
-    assert tm.n == 3
     for line in lines:
         entry = json.loads(line)
-        assert list(entry) == ["m", "trial", "seed", "p", "ordering"]
+        assert entry["m"] == 3
+        assert list(entry) == ["m", "trial", "seed", "sparsity", "ordering"]
         assert "signs" not in entry["ordering"]
-        digest = hashlib.sha256(np.array(entry["p"]).tobytes()).hexdigest()
-        assert entry["ordering"]["digest"] == digest
+        tm = random_chain(entry["m"], entry["seed"], entry["sparsity"])
+        assert entry["ordering"]["digest"] == hashlib.sha256(tm.p.tobytes()).hexdigest()
+
+
+def test_scan_log_lines_replay_through_random_chain(tmp_path, capsys):
+    # every logged chain is rebuilt from its line: m, seed and sparsity
+    log = tmp_path / "cx.jsonl"
+    argv = "scan --states 2..8 --trials 500 --sparsity 0.6 --seed 3 --log".split()
+    assert main([*argv, str(log)]) == 0
+    lines = log.read_bytes().splitlines()
+    assert f"counterexamples: {len(lines)}" in capsys.readouterr().out.splitlines()
+    assert len(lines) > 2000
+    for line in lines:
+        entry = json.loads(line)
+        tm = random_chain(entry["m"], entry["seed"], entry["sparsity"])
+        assert hashlib.sha256(tm.p.tobytes()).hexdigest() == entry["ordering"]["digest"]
 
 
 def test_scan_log_line_is_dumps_of_counterexample(tmp_path):
@@ -272,10 +311,10 @@ def test_scan_log_line_is_dumps_of_counterexample(tmp_path):
     found = []
     run_scan(ScanConfig(state_counts=(2, 3, 5), trials=200, seed=5, sparsity=0.4), found.append)
     assert found
-    assert log.read_text().splitlines() == [dumps(ce) for ce in found]
+    assert log.read_bytes().splitlines() == [dumps(ce) for ce in found]
     for ce in found:
         entry = report_to_dict(ce)
-        assert list(entry) == ["m", "trial", "seed", "p", "ordering"]
+        assert list(entry) == ["m", "trial", "seed", "sparsity", "ordering"]
         assert list(entry["ordering"]) == ["digest", "m", "violations"]
 
 
@@ -317,7 +356,8 @@ def test_scan_cli_byte_identical(tmp_path, capsys):
 def test_scan_cli_output_pinned(tmp_path, capsys):
     # sha256 of the stdout and the --log file of this scan: the stdout as
     # recorded when each chain was still drawn and solved one trial at a
-    # time, the log as that recording with each line's ordering.signs removed
+    # time; the log as that recording with each line's ordering.signs and p
+    # removed, sparsity added, and written through orjson
     log = tmp_path / "scan.jsonl"
     argv = "scan --states 2,3,5,10 --trials 300 --sparsity 0.4 --seed 5 --log".split()
     assert main([*argv, str(log)]) == 0
@@ -326,7 +366,7 @@ def test_scan_cli_output_pinned(tmp_path, capsys):
         "0b082fb07f8e73e9221ddc9512f0f7628c75618f8ee1974bfe82cbd9a7a09d75"
     )
     assert hashlib.sha256(log.read_bytes()).hexdigest() == (
-        "15f03691a0e8b3f122426e4071b7022f41425857e1a1f685016aaed8266e412a"
+        "588c6560a997d4df984abe6824515bf9cdd31c3d9dd423bffc0693246de07516"
     )
 
 

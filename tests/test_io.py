@@ -96,7 +96,7 @@ def test_json_labels(tmp_path):
 def test_json_matrix_one_row_per_line():
     p = np.array([[0.25, 0.75], [1e-5, 1 - 1e-5]])
     lines = io.render_json(p, labels=("a", "b")).splitlines()
-    assert lines[:3] == ["{", '  "states": ["a", "b"],', '  "p": [']
+    assert lines[:3] == ["{", '  "states": ["a","b"],', '  "p": [']
     rows = [json.loads(line.strip().rstrip(",")) for line in lines[3:5]]
     assert np.array_equal(np.array(rows), p)
     assert lines[5:] == ["  ]", "}"]
@@ -391,6 +391,14 @@ JSON_GUARD_CASES = {
     "boolean": ('{"p": [[0.5, 0.5], [true, false]]}', '"p" row 2, column 1: true is not a number'),
     "quoted number": ('{"p": [["0.5", 0.5], [0.25, 0.75]]}', '"p" row 1, column 1: "0.5" is not a number'),
     "null": ('{"p": [[0.5, 0.5], [1, null]]}', '"p" row 2, column 2: null is not a number'),
+    "nested list": ('{"p": [[[1, 2], 0.5], [0.5, 0.5]]}', '"p" row 1, column 1: [1,2] is not a number'),
+    # no JSON spelling for the encoder to give back: shown by repr
+    "lone surrogate": ('{"p": [["\\ud800", 1], [0.5, 0.5]]}',
+                       "\"p\" row 1, column 1: '\\ud800' is not a number"),
+    "integer beyond 64 bits in a list": (
+        '{"p": [[[18446744073709551616], 1], [0.5, 0.5]]}',
+        '"p" row 1, column 1: [18446744073709551616] is not a number',
+    ),
     "ragged rows": ('{"p": [[0.5, 0.5], [1]]}', "rows have inconsistent lengths"),
     "a row that is a number": ('{"p": [[0.5, 0.5], 1]}', "rows have inconsistent lengths"),
     "states as a string": (

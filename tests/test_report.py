@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import re
-from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -235,8 +234,6 @@ class _Holder:
     value: object
 
 
-_Pair = namedtuple("_Pair", "i j")
-
 ARRAY_VALUES = {
     "sign_matrix": np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=np.int8),
     "sign_row": np.array([1, -1, 0, 0], dtype=np.int8),
@@ -250,7 +247,6 @@ ARRAY_VALUES = {
     "int8_empty": np.zeros(0, dtype=np.int8),
     "int64_signs": np.array([[1, -1], [0, 1]]),
     "numpy_scalar_rows": [(np.float64(0.5), True), (1, None)],
-    "named_tuple_rows": [_Pair(1, 2), _Pair(3, 4)],
 }
 
 
@@ -305,8 +301,14 @@ def test_write_json_refuses_a_non_finite_matrix_before_its_first_row():
     assert buf.getvalue() == b""
 
 
+#: The values the package writes: orjson takes integers in [-2^63, 2^64)
+#: only, and a non-finite float is refused (see the tests below).
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**64 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.text(), inner, max_size=4),
@@ -319,6 +321,24 @@ JSON_VALUES = st.recursive(
 @example([["],\n    [", 1], [2.5, None], (True, "x")])  # JSON punctuation and a newline in a string
 def test_write_json_matches_indent2_dump_on_any_json_value(value):
     _assert_same_json(_written(value), json.loads(json.dumps(value, indent=2)))
+
+
+@pytest.mark.parametrize("value", [
+    np.nan, np.inf, -np.inf, np.float64(np.nan), np.float32(np.inf),
+    {"kemeny": 1.5, "spread": np.nan}, _Holder(-np.inf),
+])
+def test_write_json_refuses_a_non_finite_scalar(value):
+    # orjson would write it as null
+    buf = io.BytesIO()
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(value, buf)
+    assert b"null" not in buf.getvalue()
+
+
+@pytest.mark.parametrize("name", WRITER_CASES)
+def test_write_json_writes_no_null(name):
+    # None fields are left out, and no value is written as null
+    assert "null" not in _written(analyze(WRITER_CASES[name]()))
 
 
 @pytest.mark.parametrize("name", ["fix8", "cycle3"])

@@ -147,12 +147,24 @@ def test_ordering_violations_are_pair_arrays(name, request):
     _assert_pair_arrays(ordering_from_solution(sol).violations, ordering_masks(sol), sol.tm.n)
 
 
+def _digest(tm: TransitionMatrix) -> str:
+    return hashlib.sha256(tm.p.tobytes()).hexdigest()
+
+
+def _rebuilt(ce) -> TransitionMatrix:
+    """A counterexample's chain, rebuilt from its seed; it must hash to the
+    digest the scan recorded."""
+    tm = random_chain(ce.m, ce.seed, ce.sparsity)
+    assert _digest(tm) == ce.ordering.digest
+    return tm
+
+
 def test_scan_hands_found_pair_arrays():
     found = []
     scan(ScanConfig(state_counts=(3, 6), trials=60, seed=5, sparsity=0.3), found.append)
     assert {ce.m for ce in found} == {3, 6}
     for ce in found:
-        flags = ordering_masks(solve_chain(TransitionMatrix(p=ce.p)))
+        flags = ordering_masks(solve_chain(_rebuilt(ce)))
         _assert_pair_arrays(ce.ordering.violations, flags, ce.m)
 
 
@@ -325,7 +337,7 @@ def test_scan_deterministic():
     assert a.counterexamples == b.counterexamples == len(found_a) == len(found_b)
     for ca, cb in zip(found_a, found_b):
         assert ca.m == cb.m and ca.trial == cb.trial and ca.seed == cb.seed
-        assert np.array_equal(ca.p, cb.p)
+        assert ca.ordering.digest == cb.ordering.digest == _digest(_rebuilt(ca))
 
 
 def test_scan_m2_no_equivalence_violations():
@@ -347,7 +359,7 @@ def test_scan_m3_finds_colsum_pi_counterexample():
     assert flagged
     # counterexamples persist enough to recompute the violation
     ce = flagged[0]
-    record = ordering_from_solution(solve_chain(validate(ce.p)))
+    record = ordering_from_solution(solve_chain(validate(_rebuilt(ce).p)))
     assert np.array_equal(record.violations["c_vs_pi"], ce.ordering.violations["c_vs_pi"])
 
 
@@ -362,8 +374,8 @@ def test_scan_result_does_not_depend_on_block_size(monkeypatch):
     assert cut.hard_failures == whole.hard_failures
     assert len(found_cut) == len(found_whole) == cut.counterexamples > 0
     for a, b in zip(found_cut, found_whole):
-        assert (a.m, a.trial, a.seed) == (b.m, b.trial, b.seed)
-        assert a.p.tobytes() == b.p.tobytes()
+        assert (a.m, a.trial, a.seed, a.sparsity) == (b.m, b.trial, b.seed, b.sparsity)
+        assert a.ordering.digest == b.ordering.digest == _digest(_rebuilt(a))
         assert a.ordering.digest == b.ordering.digest
         assert all(np.array_equal(a.ordering.violations[name], b.ordering.violations[name])
                    for name in RELATIONS)

@@ -10,6 +10,8 @@ orjson's Ryu writer in JSON), so read(write(M)) preserves matrix bits.
 Every JSON byte the package writes comes from orjson through `dumps`, or
 through `array_json` for an array `json_ready` has checked and converted
 once.  Both send what orjson does not encode itself to one hook, `_plain`.
+JSON has no NaN or infinity, and orjson would write them as ``null``: both
+refuse them with the one ValueError of `_refusal`, which names the number.
 
 Reading (`load_matrix`) decodes the file's text once.  `parse_csv` reads
 each CSV line through orjson where it can and through ``float()`` where it
@@ -31,12 +33,13 @@ def json_ready(a: np.ndarray) -> np.ndarray:
     once for the whole array: a float array as C-contiguous native float64,
     any other in native byte order.
 
-    A float array holding NaN or infinity raises ValueError: JSON has no
-    spelling for them and orjson would write ``null``.
+    A float array holding NaN or infinity raises `_refusal` of the first:
+    JSON has no spelling for them and orjson would write ``null``.
     """
     if a.dtype.kind == "f":
-        if not np.isfinite(a).all():
-            raise ValueError("cannot write a non-finite array as JSON")
+        finite = np.isfinite(a)
+        if not finite.all():
+            raise _refusal(a[~finite][0])
         # orjson writes float32 in its own shortest form, which parses to
         # another float64 than the float32 holds.
         return a.astype(np.float64, order="C", copy=False)
@@ -64,9 +67,39 @@ def _plain(obj):
 
 def dumps(obj) -> bytes:
     """`obj`, which may hold arrays and dataclasses, as one line of compact
-    JSON.  orjson writes a NaN or infinite float as ``null``, raises TypeError
-    on a lone surrogate, and takes integers in [-2^63, 2^64) only."""
-    return orjson.dumps(obj, default=_plain, option=orjson.OPT_PASSTHROUGH_DATACLASS)
+    JSON.  Raises `_refusal` of the first NaN or infinity in `obj`; orjson
+    writes one as ``null`` or refuses it with its own TypeError, and only
+    then is `obj` searched.  orjson raises TypeError on a lone surrogate and
+    takes integers in [-2^63, 2^64) only."""
+    try:
+        out = orjson.dumps(obj, default=_plain, option=orjson.OPT_PASSTHROUGH_DATACLASS)
+    except TypeError:
+        if (bad := _first_non_finite(obj)) is None:
+            raise
+        raise _refusal(bad) from None
+    if b"null" in out and (bad := _first_non_finite(obj)) is not None:
+        raise _refusal(bad)
+    return out
+
+
+def _refusal(x) -> ValueError:
+    """The error that refuses to write the non-finite number `x`."""
+    return ValueError(f"cannot write the non-finite number {float(x)!r} as JSON")
+
+
+def _first_non_finite(obj):
+    """The first NaN or infinity in `obj`, walked as `dumps` writes it, or None."""
+    if isinstance(obj, (float, np.floating, np.ndarray)):  # np.float64 is a float
+        a = np.asarray(obj)
+        bad = a[~np.isfinite(a)] if a.dtype.kind == "f" else ()
+        return bad[0] if len(bad) else None
+    if is_dataclass(obj):
+        obj = _plain(obj)
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return None
+    return next((x for x in map(_first_non_finite, obj) if x is not None), None)
 
 
 #: The bytes of a CSV matrix line that `parse_csv` reads through orjson:
@@ -157,19 +190,21 @@ def parse_json(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "p" not in obj:
         raise ValueError('expected a JSON object with a "p" field')
-    if not isinstance(obj.get("states", []), list):  # a string would give one label per character
-        raise ValueError('"states" must be a JSON array of state names')
+    labels = obj.get("states")
+    if "states" in obj:  # a string would give one label per character
+        if not isinstance(labels, list):
+            raise ValueError('"states" must be a JSON array of state names')
+        for k, s in enumerate(labels):  # str() would make 1 and null labels "1" and "None"
+            if type(s) is not str:
+                raise ValueError(f'"states" entry {k + 1}: {_shown(s)} is not a string')
+        labels = tuple(labels)  # an empty one too, which validate refuses
     rows = obj["p"] if isinstance(obj["p"], list) else [obj["p"]]
     # numpy would take true, false and quoted numbers as floats; refuse them
     # as the CSV reader does (a null would become NaN)
     for i, row in enumerate(rows):
         if isinstance(row, list) and not set(map(type, row)) <= {int, float}:
             j, x = next((j, x) for j, x in enumerate(row) if type(x) not in (int, float))
-            try:
-                shown = dumps(x).decode()
-            except TypeError:  # a lone surrogate, or an integer beyond 64 bits in a list
-                shown = repr(x)
-            raise ValueError(f'"p" row {i + 1}, column {j + 1}: {shown} is not a number')
+            raise ValueError(f'"p" row {i + 1}, column {j + 1}: {_shown(x)} is not a number')
     if len({len(row) if isinstance(row, list) else None for row in rows}) > 1:
         raise ValueError("rows have inconsistent lengths")
     try:
@@ -184,8 +219,16 @@ def parse_json(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
         raise ValueError(
             f'"p" row {i + 1}, column {j + 1}: integer too large to convert to float'
         ) from None
-    labels = tuple(str(s) for s in obj["states"]) if obj.get("states") else None
     return p, labels
+
+
+def _shown(x) -> str:
+    """A JSON input value as compact JSON, or as ``repr`` where `dumps`
+    refuses it (a lone surrogate, a NaN or an integer beyond 64 bits)."""
+    try:
+        return dumps(x).decode()
+    except (TypeError, ValueError):
+        return repr(x)
 
 
 def render_json(p: np.ndarray, labels: tuple[str, ...] | None = None) -> str:

@@ -32,14 +32,16 @@ CONDITION_WARN_THRESHOLD = 1e8
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Everything the package computes for one chain.
+    """What the package computes for one chain, less what the report's own
+    values rebuild bit for bit.
 
     P itself is not echoed: ``ordering.digest`` is the sha256 of the analysed
     (possibly reordered) P's bytes, and ``ordering.violations`` holds, per
     relation, the (k, 2) array of pairs that break it, whose compared
-    vectors are all in the report.  The canonical ``kemeny`` value is the
-    trace of the fundamental matrix; all three variants and their spread are
-    kept alongside it.
+    vectors are all in the report.  Nor is the fundamental matrix Z:
+    ``ginv.z_from_h(h_matrix, stationary)`` gives it back bit for bit.  The
+    canonical ``kemeny`` value is the trace of Z; all three variants and
+    their spread are kept alongside it.
     When the chain was reordered, ``permutation[k]`` is the original index
     of state k and the labels travel with their states.
     """
@@ -54,7 +56,6 @@ class ChainReport:
     kemeny_spread: float
     mfpt: np.ndarray
     h_matrix: np.ndarray
-    z_matrix: np.ndarray
     theorem2_residuals: dict[str, float]
     identity_residuals: dict[str, float]
     bounds: BoundsReport
@@ -96,7 +97,6 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         kemeny_spread=spread,
         mfpt=sol.mfpt,
         h_matrix=sol.h,
-        z_matrix=sol.z,
         theorem2_residuals={name: rows[name] for name in THEOREM2_ROWS},
         identity_residuals={name: rows[name] for name in IDENTITY_ROWS},
         bounds=bounds_check(sol),
@@ -118,8 +118,8 @@ def write_json(obj, fh, depth: int = 0) -> None:
     `depth`: a report dataclass or dict one key per line, a float matrix one
     row per line (each through `array_json`), and any other value on one line,
     an array through `array_json` and the rest through `dumps`.  Each array is
-    checked by `json_ready` before any of it is written; it and a float scalar
-    raise ValueError on NaN or infinity, which orjson would write as ``null``."""
+    checked by `json_ready` before any of it is written; it and `dumps` raise
+    ValueError on NaN or infinity, which orjson would write as ``null``."""
     if isinstance(obj, np.ndarray):
         a = json_ready(obj)
         if a.ndim < 2 or a.dtype.kind != "f" or not len(a):
@@ -138,7 +138,5 @@ def write_json(obj, fh, depth: int = 0) -> None:
             write_json(value, fh, depth + 1)
             sep = b","
         fh.write(pad + b"}" if sep == b"," else b"{}")
-    elif isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
-        raise ValueError(f"cannot write the non-finite number {obj!r} as JSON")
     else:
         fh.write(dumps(obj))

@@ -148,6 +148,8 @@ def test_analyze_json_integer_beyond_float_range_exits_2(tmp_path, capsys):
     ('{"p": [[0.5, 0.5], [1]]}', "rows have inconsistent lengths"),
     ('{"states": "ab", "p": [[0.5, 0.5], [0.5, 0.5]]}', '"states" must be a JSON array'),
     ('{"states": ["a", "a"], "p": [[0.5, 0.5], [0.5, 0.5]]}', "error: state label 'a' is repeated"),
+    ('{"states": [1, null], "p": [[0.5, 0.5], [0.5, 0.5]]}', 'error: "states" entry 1: 1 is not a string'),
+    ('{"states": [], "p": [[0.5, 0.5], [0.5, 0.5]]}', "error: 0 labels for 2 states"),
 ])
 def test_analyze_malformed_json_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "m.json"

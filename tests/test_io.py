@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -401,10 +402,20 @@ JSON_GUARD_CASES = {
     ),
     "ragged rows": ('{"p": [[0.5, 0.5], [1]]}', "rows have inconsistent lengths"),
     "a row that is a number": ('{"p": [[0.5, 0.5], 1]}', "rows have inconsistent lengths"),
+    "NaN in a list": ('{"p": [[[NaN], 1], [0.5, 0.5]]}', '"p" row 1, column 1: [nan] is not a number'),
     "states as a string": (
         '{"states": "ab", "p": [[0.5, 0.5], [0.5, 0.5]]}',
         '"states" must be a JSON array of state names',
     ),
+    # str() would have made these the labels "1" and "None"
+    "a number as a label": (
+        '{"states": [1, null], "p": [[0.5, 0.5], [0.5, 0.5]]}', '"states" entry 1: 1 is not a string'),
+    "null as a label": (
+        '{"states": ["a", null], "p": [[0.5, 0.5], [0.5, 0.5]]}', '"states" entry 2: null is not a string'),
+    "a list as a label": (
+        '{"states": ["a", ["b"]], "p": [[0.5, 0.5], [0.5, 0.5]]}', '"states" entry 2: ["b"] is not a string'),
+    # one label per state, as for the CSV header: no fallback to 1..m
+    "no labels": ('{"states": [], "p": [[0.5, 0.5], [0.5, 0.5]]}', "0 labels for 2 states"),
 }
 
 
@@ -477,3 +488,34 @@ def test_signed_csv_reads_alike_on_either_reader(tmp_path_factory, data, fields)
     want = np.array([[float(f) for f in row] for row in fields])
     got, labels = io.load_matrix(csv_path)
     assert (got.shape, got.tobytes(), labels) == (want.shape, want.tobytes(), None)
+
+
+@dataclass
+class _Holder:
+    value: object
+
+
+@pytest.mark.parametrize("value, shown", [
+    ([float("nan")], "nan"),
+    ([np.float64("nan")], "nan"),
+    (np.float32(np.inf), "inf"),
+    (-np.inf, "-inf"),
+    (np.array([[0.5, 0.5], [0.25, -np.inf]]), "-inf"),
+    (np.array(np.nan), "nan"),
+    ({"labels": ["null"], "k": (1.5, [float("inf")])}, "inf"),
+    (_Holder(np.array([1.0, np.nan])), "nan"),
+])
+def test_dumps_refuses_a_non_finite_number_by_name(value, shown):
+    # orjson would write a Python NaN as null and refuse a numpy one with a TypeError
+    with pytest.raises(ValueError, match=rf"^cannot write the non-finite number {shown} as JSON$"):
+        io.dumps(value)
+
+
+def test_dumps_still_writes_none_and_a_null_label():
+    assert io.dumps([None, "null", 1.5, np.float64(0.25), _Holder(None)]) == b'[null,"null",1.5,0.25,{}]'
+
+
+@pytest.mark.parametrize("value", ["\ud800", [2**64], object()])
+def test_dumps_passes_on_orjsons_other_refusals(value):
+    with pytest.raises(TypeError):
+        io.dumps(value)

@@ -14,7 +14,7 @@ from mcsum import fixtures
 from mcsum.analysis import IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, residuals, solve_chain
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.errors import SingularMatrix
-from mcsum.ginv import colsum_system
+from mcsum.ginv import colsum_system, z_from_h
 from mcsum.report import CONDITION_WARN_THRESHOLD, analyze, report_to_dict, write_json
 from mcsum.scan import random_chain
 from tests.conftest import (
@@ -105,6 +105,32 @@ def test_report_dict_round_trips(fix5):
     assert back["doubly_stochastic"]["applicable"] is False
     assert list(back["ordering"]) == ["digest", "m", "violations"]
     assert back["ordering"]["digest"] == hashlib.sha256(fix5.p.tobytes()).hexdigest()
+
+
+Z_CASES = {
+    "fix5": (fixtures.fix5, False),
+    "fix5_reordered": (fixtures.fix5, True),
+    "fix8": (fixtures.fix8, False),
+    "fix8_reordered": (fixtures.fix8, True),
+    "dense_m80": (lambda: random_chain(80, 11, 0.0), False),
+}
+
+
+@pytest.mark.parametrize("name", Z_CASES)
+def test_report_rebuilds_z_bit_for_bit(name):
+    """The report leaves Z out: its own H and pi give it back, the pipeline's
+    Z bit for bit, with Kemeny's constant as its trace."""
+    make, reorder = Z_CASES[name]
+    tm = make()
+    rep = analyze(tm, reorder=reorder)
+    assert "z_matrix" not in report_to_dict(rep)
+    r = json.loads(_written(rep))
+    assert "z_matrix" not in r
+    z = z_from_h(np.array(r["h_matrix"]), np.array(r["stationary"]))
+    want = solve_chain(reorder_by_column_sums(tm)[0] if reorder else tm).z
+    assert z.shape == (tm.n, tm.n)
+    assert z.tobytes() == want.tobytes()
+    assert z.trace() == r["kemeny"]
 
 
 def test_kemeny_variants_consistent(fix5, fix8, cycle3):
@@ -348,7 +374,7 @@ def test_write_json_layout(name):
     top = [line for line in lines if re.match(r'  "', line)]
     assert [line.split('"')[1] for line in top] == list(report_to_dict(rep))
     assert all(re.match(r'  "\w+": ', line) for line in top)
-    for key in ("mfpt", "h_matrix", "z_matrix"):
+    for key in ("mfpt", "h_matrix"):
         start = lines.index(f'  "{key}": [')
         rows = lines[start + 1:start + 1 + rep.m]
         assert [json.loads(row.strip().rstrip(",")) for row in rows] == getattr(rep, key).tolist()

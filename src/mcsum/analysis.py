@@ -8,9 +8,9 @@ writes each RESIDUAL_ROWS row's formula once, beside its name.
 
 Conventions: M stores the mean recurrence time 1/pi_j on the diagonal, so
 Kemeny's constant K = sum_j pi_j m_ij includes the diagonal term, equals
-tr(Z), and is bounded below by (m+1)/2.  Column totals of M always mean
-sums down a column (total expected time into a state), row totals sums
-across a row (total expected time out of a state).
+1 - 1/m + tr(H), and is bounded below by (m+1)/2.  Column totals of M
+always mean sums down a column (total expected time into a state), row
+totals sums across a row (total expected time out of a state).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 from . import oracle
 from .chain import TransitionMatrix, column_sums
 from .errors import SingularMatrix
-from .ginv import compute_h, z_from_h
+from .ginv import compute_h
 
 #: Chains whose column sums deviate from 1 by less than this are treated as
 #: doubly stochastic.
@@ -53,11 +53,6 @@ def kemeny_from_h(h: np.ndarray) -> float | np.ndarray:
     return 1.0 - 1.0 / h.shape[-1] + h.trace(axis1=-2, axis2=-1)
 
 
-def kemeny_from_z(z: np.ndarray) -> float | np.ndarray:
-    """K = tr(Z)."""
-    return z.trace(axis1=-2, axis2=-1)
-
-
 def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Reconstruct H from the passage times and column sums.
 
@@ -74,9 +69,9 @@ def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     return pi / m + (c_off - off) * pi
 
 
-#: The structural identities of H (and its link to Z) among RESIDUAL_ROWS.
+#: The structural identities of H among RESIDUAL_ROWS.
 THEOREM2_ROWS = ("H - PH = I - e pi^T", "H - HP = I - e c^T/m", "He = e/m",
-                 "e^T H = e^T - (m-1) pi^T", "(1+m) pi^T = m pi^T H + c^T Z")
+                 "e^T H = e^T - (m-1) pi^T")
 
 #: The passage-time/column-sum identity chain among RESIDUAL_ROWS.
 IDENTITY_ROWS = (
@@ -95,14 +90,14 @@ RESIDUAL_ROWS = ("c^T H = pi^T", "sum_j c_j = m", *THEOREM2_ROWS, *IDENTITY_ROWS
 @dataclass(frozen=True)
 class BoundsReport:
     """Margins of the inequality suite; every margin is left minus right of
-    a claimed >= (or > for the strict per-state bound), per chain of a stack."""
+    a claimed >= (or > for the strict per-state bound), per chain of a stack.
+    As K = 1 - 1/m + tr H, ``kemeny_margin`` is also the margin of the trace
+    bound tr H >= (m-1)/2 + 1/m."""
 
     kemeny: float
     kemeny_lower: float
     kemeny_margin: float
     trace_h: float
-    trace_h_lower: float
-    trace_h_margin: float
     trace_h_weak_lower: float
     trace_h_weak_margin: float
     pi_upper_margins: np.ndarray  # m h_jj - pi_j, strictly positive
@@ -115,7 +110,7 @@ class BoundsReport:
         per_state = (self.pi_upper_margins, self.pi_lower_offdiag_margins,
                      self.pi_lower_colsum_margins)
         return np.minimum(
-            np.min((self.kemeny_margin, self.trace_h_margin, self.trace_h_weak_margin), axis=0),
+            np.minimum(self.kemeny_margin, self.trace_h_weak_margin),
             np.concatenate(per_state, axis=-1).min(axis=-1),
         )
 
@@ -131,8 +126,6 @@ def bounds_check(sol: ChainSolution) -> BoundsReport:
         kemeny_lower=(m + 1) / 2.0,
         kemeny_margin=kemeny - (m + 1) / 2.0,
         trace_h=trace_h,
-        trace_h_lower=(m - 1) / 2.0 + 1.0 / m,
-        trace_h_margin=trace_h - ((m - 1) / 2.0 + 1.0 / m),
         trace_h_weak_lower=1.0 / m,
         trace_h_weak_margin=trace_h - 1.0 / m,
         pi_upper_margins=m * sol.h_diag - pi,
@@ -149,7 +142,7 @@ def _row_errors(sol: ChainSolution) -> dict[str, np.ndarray]:
     one row.  The pi_j rows are cross-multiplied (pi_j * denominator - numerator):
     the same identities, immune to the 0/0 equality cases of the quotient forms
     on boundary chains."""
-    p, h, z, mfpt, pi, c, m = sol.tm.p, sol.h, sol.z, sol.mfpt, sol.pi, sol.c, sol.tm.n
+    p, h, mfpt, pi, c, m = sol.tm.p, sol.h, sol.mfpt, sol.pi, sol.c, sol.tm.n
     m_d, h_d, col_totals, c_weighted, c_off = (
         sol.m_diag, sol.h_diag, sol.col_totals, sol.c_weighted, sol.c_off)
     off_totals = col_totals - m_d  # sum_{i != j} m_ij
@@ -164,8 +157,6 @@ def _row_errors(sol: ChainSolution) -> dict[str, np.ndarray]:
         "H - HP = I - e c^T/m": h - h @ p - eye + c_row / m,
         "He = e/m": h.sum(axis=-1) - 1.0 / m,
         "e^T H = e^T - (m-1) pi^T": h.sum(axis=-2) - 1.0 + (m - 1) * pi,
-        "(1+m) pi^T = m pi^T H + c^T Z":
-            ((1 + m) * pi_row - m * (pi_row @ h) - c_row @ z)[..., 0, :],
         "(I-P)M = E - P M_d": (eye - p) @ mfpt - 1.0 + p * m_d[..., None, :],
         "m_.j - sum_i c_i m_ij = m - c_j m_jj": (col_totals - c_weighted) - (m - c * m_d),
         "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj": c_weighted - (c * m_d - 1.0 + m * h_d * m_d),
@@ -217,9 +208,7 @@ class DoublyStochasticReport:
     applicable: bool
     colsum_deviation: float
     pi_uniform_residual: float | None = None
-    h_shift_residual: float | None = None
     col_total_vs_h_residual: float | None = None
-    col_total_vs_z_residual: float | None = None
     row_total_vs_kemeny_residual: float | None = None
     grand_total_vs_kemeny_residual: float | None = None
     row_total_margins: np.ndarray | None = None  # m_i. - m(m+1)/2
@@ -228,27 +217,24 @@ class DoublyStochasticReport:
 def doubly_stochastic_report(sol: ChainSolution) -> DoublyStochasticReport:
     """Verify the uniform-stationary specializations when c = e.
 
-    Checks pi = e/m, the constant shift H = Z + (1-m)/m^2 E, the column
-    totals m_.j = m - 1 + m^2 h_jj = m^2 z_jj, the constant row totals
-    m_i. = m K, the grand total K = m_../m^2, and the row-total floor
-    m(m+1)/2.  Everything is read off the chain's existing solution.
+    Checks pi = e/m, the column totals m_.j = m - 1 + m^2 h_jj, the constant
+    row totals m_i. = m K, the grand total K = m_../m^2, and the row-total
+    floor m(m+1)/2.  Everything is read off the chain's existing solution.
     """
     deviation = float(np.abs(sol.c - 1.0).max())
     if deviation >= DOUBLY_STOCHASTIC_TOL:
         return DoublyStochasticReport(applicable=False, colsum_deviation=deviation)
 
     m = sol.tm.n
-    pi, h, z, mfpt = sol.pi, sol.h, sol.z, sol.mfpt
-    kemeny = kemeny_from_z(z)
+    pi, mfpt = sol.pi, sol.mfpt
+    kemeny = kemeny_from_h(sol.h)
     h_d, col_totals = sol.h_diag, sol.col_totals
     row_totals = mfpt.sum(axis=1)
     return DoublyStochasticReport(
         applicable=True,
         colsum_deviation=deviation,
         pi_uniform_residual=float(np.abs(pi - 1.0 / m).max()),
-        h_shift_residual=float(np.abs(h - z - (1.0 - m) / m**2).max()),
         col_total_vs_h_residual=float(np.abs(col_totals - (m - 1.0 + m**2 * h_d)).max()),
-        col_total_vs_z_residual=float(np.abs(col_totals - m**2 * z.diagonal()).max()),
         row_total_vs_kemeny_residual=float(np.abs(row_totals - m * kemeny).max()),
         grand_total_vs_kemeny_residual=float(abs(kemeny - mfpt.sum() / m**2)),
         row_total_margins=row_totals - m * (m + 1) / 2.0,
@@ -265,7 +251,6 @@ class ChainSolution:
     c: np.ndarray
     pi: np.ndarray
     h: np.ndarray
-    z: np.ndarray
     mfpt: np.ndarray
     cond: float | np.ndarray
     h_diag: np.ndarray  # h_jj
@@ -276,11 +261,10 @@ class ChainSolution:
 
 
 def solve_chain(tm: TransitionMatrix) -> ChainSolution:
-    """Run the standard pipeline: column sums, pi (direct solver), H, Z, M.
+    """Run the standard pipeline: column sums, pi (direct solver), H, M.
 
-    H is the one inversion, and Z = H + Pi - Pi H is read off it in O(m^2): so
-    the (1+m) row of ``residuals``, ``h_shift_residual`` and the Kemeny spread
-    measure rounding, not an independent Z.  pi stays independent of H.
+    H is the one inversion; pi stays independent of H.  Z, which H
+    determines, is not formed: ``ginv.z_from_h(sol.h, sol.pi)`` gives it.
 
     Raises SingularMatrix when a stationary probability is not positive or a
     passage time overflows: the direct solver rounded a tiny pi_j to zero or
@@ -293,7 +277,6 @@ def solve_chain(tm: TransitionMatrix) -> ChainSolution:
             "too close to reducible for the direct solver"
         )
     h, cond = compute_h(tm)
-    z = z_from_h(h, pi)
     c = column_sums(tm)
     with np.errstate(over="ignore"):  # an overflow is refused just below
         mfpt = mfpt_from_h(h, pi)
@@ -304,6 +287,6 @@ def solve_chain(tm: TransitionMatrix) -> ChainSolution:
         )
     h_diag, m_diag = h.diagonal(axis1=-2, axis2=-1), mfpt.diagonal(axis1=-2, axis2=-1)
     c_weighted = (c[..., None, :] @ mfpt)[..., 0, :]
-    return ChainSolution(tm=tm, c=c, pi=pi, h=h, z=z, mfpt=mfpt, cond=cond, h_diag=h_diag,
+    return ChainSolution(tm=tm, c=c, pi=pi, h=h, mfpt=mfpt, cond=cond, h_diag=h_diag,
                          m_diag=m_diag, col_totals=mfpt.sum(axis=-2), c_weighted=c_weighted,
                          c_off=c_weighted - c * m_diag)

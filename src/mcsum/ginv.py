@@ -1,12 +1,12 @@
-"""The column-sum generalized inverse H, the fundamental matrix Z, and the
-group inverse, plus the conversions tying them together.
+"""The column-sum generalized inverse H, and what reads the fundamental
+matrix Z and the passage times off it.
 
 H = (I - P + e c^T)^{-1} where c is the column-sum vector of P; its rows sum
-to 1/m and c^T H recovers the stationary vector.  Z = (I - P + e pi^T)^{-1}
-is the classical fundamental matrix, and Z - e pi^T is the group inverse of
-I - P.  Each matrix determines the others through rank-one corrections,
-and ``mfpt_general`` and ``kemeny_general`` read the passage times and
-Kemeny's constant off any one-condition inverse G of I - P (Hunter).
+to 1/m, c^T H recovers the stationary vector, and Kemeny's constant is
+K = 1 - 1/m + tr(H).  Z = (I - P + e pi^T)^{-1} is the classical
+fundamental matrix, which H determines through a rank-one correction, and
+``mfpt_general`` reads the passage times off any one-condition inverse G of
+I - P (Hunter).
 
 Every function takes and returns plain arrays, for one chain or a
 (..., m, m) stack.  ``compute_h`` is the one LAPACK inversion per chain: it
@@ -49,11 +49,6 @@ def compute_h(tm: TransitionMatrix) -> tuple[np.ndarray, float | np.ndarray]:
     return h, cond
 
 
-def group_inverse(z: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """The group inverse of I - P: Z minus the rank-one stationary projector."""
-    return z - np.asarray(pi)[..., None, :]
-
-
 def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Passage times from any one-condition inverse G of I - P.
 
@@ -66,13 +61,6 @@ def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
     core = (gp - gp.diagonal(axis1=-2, axis2=-1)[..., None, :] + np.eye(g.shape[-1]) - g
             + g.diagonal(axis1=-2, axis2=-1)[..., None, :])
     return core / pi
-
-
-def kemeny_general(g: np.ndarray, pi: np.ndarray) -> float | np.ndarray:
-    """K = 1 + tr(G) - tr(G Pi) for any one-condition inverse G of I - P."""
-    g = np.asarray(g, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)[..., None, :]  # as a row
-    return 1.0 + g.trace(axis1=-2, axis2=-1) - (pi @ g.sum(axis=-1)[..., None])[..., 0, 0]
 
 
 def z_from_h(h: np.ndarray, pi: np.ndarray) -> np.ndarray:

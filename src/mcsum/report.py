@@ -20,9 +20,8 @@ import orjson
 
 from .analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, BoundsReport,
                        DoublyStochasticReport, bounds_check, doubly_stochastic_report,
-                       kemeny_from_h, kemeny_from_z, residuals, solve_chain)
+                       residuals, solve_chain)
 from .chain import TransitionMatrix, reorder_by_column_sums
-from .ginv import group_inverse, kemeny_general
 from .io import _plain, array_json, dumps, json_ready
 from .scan import OrderingRecord, ordering_from_solution
 
@@ -39,9 +38,7 @@ class ChainReport:
     (possibly reordered) P's bytes, and ``ordering.violations`` holds, per
     relation, the (k, 2) array of pairs that break it, whose compared
     vectors are all in the report.  Nor is the fundamental matrix Z:
-    ``ginv.z_from_h(h_matrix, stationary)`` gives it back bit for bit.  The
-    canonical ``kemeny`` value is the trace of Z; all three variants and
-    their spread are kept alongside it.
+    ``ginv.z_from_h(h_matrix, stationary)`` gives it back bit for bit.
     When the chain was reordered, ``permutation[k]`` is the original index
     of state k and the labels travel with their states.
     """
@@ -52,8 +49,6 @@ class ChainReport:
     column_sums: np.ndarray
     stationary: np.ndarray
     kemeny: float
-    kemeny_variants: dict[str, float]
-    kemeny_spread: float
     mfpt: np.ndarray
     h_matrix: np.ndarray
     theorem2_residuals: dict[str, float]
@@ -77,13 +72,7 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         permutation = tuple(int(i) for i in perm)
 
     sol = solve_chain(tm)
-    variants = {
-        "colsum_inverse": kemeny_from_h(sol.h),
-        "fundamental": kemeny_from_z(sol.z),
-        "group_inverse": kemeny_general(group_inverse(sol.z, sol.pi), sol.pi),
-    }
-    values = list(variants.values())
-    spread = max(values) - min(values)
+    bounds = bounds_check(sol)
     rows = dict(zip(RESIDUAL_ROWS, residuals(sol)))
 
     return ChainReport(
@@ -92,14 +81,12 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         permutation=permutation,
         column_sums=sol.c,
         stationary=sol.pi,
-        kemeny=variants["fundamental"],
-        kemeny_variants=variants,
-        kemeny_spread=spread,
+        kemeny=bounds.kemeny,
         mfpt=sol.mfpt,
         h_matrix=sol.h,
         theorem2_residuals={name: rows[name] for name in THEOREM2_ROWS},
         identity_residuals={name: rows[name] for name in IDENTITY_ROWS},
-        bounds=bounds_check(sol),
+        bounds=bounds,
         doubly_stochastic=doubly_stochastic_report(sol),
         ordering=ordering_from_solution(sol),
         condition_estimate=sol.cond,

@@ -1,6 +1,7 @@
 """Reference solvers that only the tests call: power iteration for pi, a
 Monte Carlo passage-time estimator (with its stream stepper, `advance`), a
-chain's period, and the Z-to-H conversion.
+chain's period, the Z-to-H conversion, the group inverse and Hunter's
+Kemeny formula for any one-condition inverse of I - P.
 
 They are independent of the pipeline's one inversion per chain, which is
 why the suite keeps them: criterion 09 checks the pipeline's passage times
@@ -129,3 +130,15 @@ def h_from_z(z: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Convert Z to H:  H = Z + (1/m) Pi - (1/m) e c^T Z."""
     pi, c = np.asarray(pi, dtype=np.float64), np.asarray(c, dtype=np.float64)
     return z + ((pi - (c[..., None, :] @ z)[..., 0, :]) / z.shape[-1])[..., None, :]
+
+
+def group_inverse(z: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """The group inverse of I - P: Z minus the rank-one stationary projector."""
+    return z - np.asarray(pi)[..., None, :]
+
+
+def kemeny_general(g: np.ndarray, pi: np.ndarray) -> float | np.ndarray:
+    """K = 1 + tr(G) - tr(G Pi) for any one-condition inverse G of I - P."""
+    g = np.asarray(g, dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.float64)[..., None, :]  # as a row
+    return 1.0 + g.trace(axis1=-2, axis2=-1) - (pi @ g.sum(axis=-1)[..., None])[..., 0, 0]

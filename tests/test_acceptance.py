@@ -14,18 +14,13 @@ from mcsum.analysis import (
     bounds_check,
     doubly_stochastic_report,
     h_from_mfpt,
-    kemeny_from_z,
+    kemeny_from_h,
     residuals,
     solve_chain,
     stationary_from_h,
 )
 from mcsum.chain import validate
-from mcsum.ginv import (
-    group_inverse,
-    kemeny_general,
-    mfpt_general,
-    z_from_h,
-)
+from mcsum.ginv import mfpt_general, z_from_h
 from mcsum.oracle import (
     mfpt_direct,
     stationary_direct,
@@ -49,7 +44,7 @@ from tests.conftest import (
     random_doubly_stochastic,
     two_state,
 )
-from tests.oracles import h_from_z, mc_estimate
+from tests.oracles import group_inverse, h_from_z, kemeny_general, mc_estimate
 from tests.test_oracle import sample_admissible_three_state
 
 
@@ -99,9 +94,9 @@ def test_criterion_03_two_state_closed_forms():
                 worst,
                 np.abs(sol.pi - f.pi).max(),
                 np.abs(sol.h - f.h).max(),
-                np.abs(sol.z - f.z).max(),
+                np.abs(z_from_h(sol.h, sol.pi) - f.z).max(),
                 np.abs(sol.mfpt - f.mfpt).max(),
-                abs(kemeny_from_z(sol.z) - f.kemeny),
+                abs(kemeny_from_h(sol.h) - f.kemeny),
             )
             if f.kemeny < kmin:
                 kmin, argmin = f.kemeny, (a, b)
@@ -118,15 +113,15 @@ def test_criterion_04_three_state_closed_forms():
             worst,
             np.abs(sol.pi - f.pi).max(),
             np.abs(sol.h - f.h).max(),
-            np.abs(sol.z - f.z).max(),
+            np.abs(z_from_h(sol.h, sol.pi) - f.z).max(),
             np.abs(sol.mfpt - f.mfpt).max(),
-            abs(kemeny_from_z(sol.z) - f.kemeny),
+            abs(kemeny_from_h(sol.h) - f.kemeny),
         )
     cyc = three_state_closed_form(1, 0, 0, 1, 1, 0)
     cyc_sol = solve_chain(cycle3_matrix())
     cycle_ok = (
         abs(cyc.kemeny - 2.0) < 1e-12
-        and abs(kemeny_from_z(cyc_sol.z) - 2.0) < 1e-12
+        and abs(kemeny_from_h(cyc_sol.h) - 2.0) < 1e-12
     )
     ok = worst < 1e-10 and cycle_ok
     _report("criterion 04 (three-state closed forms)", ok, f"max dev {worst:.2e} over 500 draws")
@@ -173,7 +168,8 @@ def test_criterion_05_identity_suite():
 def test_criterion_06_g_invariance(chain_suite):
     worst_m, worst_k = 0.0, 0.0
     for sol in chain_suite:
-        candidates = (sol.h, sol.z, group_inverse(sol.z, sol.pi))
+        z = independent_z(sol.tm, sol.pi)
+        candidates = (sol.h, z, group_inverse(z, sol.pi))
         mfpts = [mfpt_general(g, sol.pi) for g in candidates]
         kemenys = [kemeny_general(g, sol.pi) for g in candidates]
         for other in mfpts[1:]:
@@ -192,7 +188,6 @@ def test_criterion_07_bound_suite(chain_suite):
         worst = min(
             worst,
             b.kemeny_margin,
-            b.trace_h_margin,
             float(b.pi_lower_offdiag_margins.min()),
             float(b.pi_lower_colsum_margins.min()),
         )
@@ -202,9 +197,7 @@ def test_criterion_07_bound_suite(chain_suite):
     minimal3 = bounds_check(cyc_sol)
     equality_ok = (
         abs(minimal2.kemeny_margin) < 1e-12
-        and abs(minimal2.trace_h_margin) < 1e-12
         and abs(minimal3.kemeny_margin) < 1e-12
-        and abs(minimal3.trace_h_margin) < 1e-12
     )
     ok = worst > -1e-9 and strict_ok and equality_ok
     _report("criterion 07 (bound suite)", ok, f"worst margin {worst:.2e}")
@@ -215,14 +208,16 @@ def test_criterion_08_doubly_stochastic_suite():
     for i in range(200):
         m = 3 + (i % 6)
         tm = random_doubly_stochastic(m, 95_000 + i)
-        rep = doubly_stochastic_report(solve_chain(tm))
+        sol = solve_chain(tm)
+        rep = doubly_stochastic_report(sol)
         assert rep.applicable
         worst_pi = max(worst_pi, rep.pi_uniform_residual)
+        z = independent_z(tm, sol.pi)  # the shift H = Z + (1-m)/m^2 E, m_.j = m^2 z_jj
         worst_resid = max(
             worst_resid,
-            rep.h_shift_residual,
+            float(np.abs(sol.h - z - (1.0 - m) / m**2).max()),
             rep.col_total_vs_h_residual,
-            rep.col_total_vs_z_residual,
+            float(np.abs(sol.col_totals - m**2 * z.diagonal()).max()),
             rep.row_total_vs_kemeny_residual,
             rep.grand_total_vs_kemeny_residual,
         )

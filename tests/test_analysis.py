@@ -12,7 +12,6 @@ from mcsum.analysis import (
     doubly_stochastic_report,
     h_from_mfpt,
     kemeny_from_h,
-    kemeny_from_z,
     mfpt_from_h,
     residuals,
     solve_chain,
@@ -20,7 +19,7 @@ from mcsum.analysis import (
 )
 from mcsum.chain import TransitionMatrix, column_sums, validate
 from mcsum.errors import SingularMatrix
-from mcsum.ginv import compute_h, group_inverse, kemeny_general, mfpt_general
+from mcsum.ginv import compute_h, mfpt_general, z_from_h
 from mcsum.oracle import stationary_direct, two_state_closed_form
 from mcsum.report import report_to_dict
 from mcsum.rng import derive_stream
@@ -31,9 +30,11 @@ from tests.conftest import (
     FIX5_PI,
     FIX8_KEMENY,
     FIX8_PI,
+    independent_z,
     random_doubly_stochastic,
     two_state,
 )
+from tests.oracles import group_inverse, kemeny_general
 
 
 def _pi_from_h(tm):
@@ -102,21 +103,25 @@ def test_mfpt_matrix_invariants(fix5, fix8):
 def test_mfpt_general_invariance(fix5):
     sol = solve_chain(fix5)
     from_h = mfpt_general(sol.h, sol.pi)
-    from_z = mfpt_general(sol.z, sol.pi)
-    from_gi = mfpt_general(group_inverse(sol.z, sol.pi), sol.pi)
+    z = independent_z(fix5, sol.pi)
+    from_z = mfpt_general(z, sol.pi)
+    from_gi = mfpt_general(group_inverse(z, sol.pi), sol.pi)
     np.testing.assert_allclose(from_h, sol.mfpt, atol=1e-9)
     np.testing.assert_allclose(from_z, from_h, atol=1e-9)
     np.testing.assert_allclose(from_gi, from_h, atol=1e-9)
 
 
 def test_kemeny_variants_fixtures(fix5, fix8):
+    # K from H, from Z's trace and from Hunter's formula on the group inverse
     sol5 = solve_chain(fix5)
+    z5 = independent_z(fix5, sol5.pi)
     assert kemeny_from_h(sol5.h) == pytest.approx(FIX5_KEMENY, abs=5e-3)
-    assert kemeny_from_z(sol5.z) == pytest.approx(FIX5_KEMENY, abs=5e-3)
-    k_group = kemeny_general(group_inverse(sol5.z, sol5.pi), sol5.pi)
+    assert np.trace(z5) == pytest.approx(FIX5_KEMENY, abs=5e-3)
+    k_group = kemeny_general(group_inverse(z5, sol5.pi), sol5.pi)
     assert k_group == pytest.approx(FIX5_KEMENY, abs=5e-3)
     sol8 = solve_chain(fix8)
-    assert kemeny_from_z(sol8.z) == pytest.approx(FIX8_KEMENY, abs=1e-3)
+    assert kemeny_from_h(sol8.h) == pytest.approx(FIX8_KEMENY, abs=1e-3)
+    assert np.trace(z_from_h(sol8.h, sol8.pi)) == pytest.approx(kemeny_from_h(sol8.h), rel=1e-14)
 
 
 def test_kemeny_two_state():
@@ -124,17 +129,17 @@ def test_kemeny_two_state():
     assert kemeny_from_h(sol.h) == pytest.approx(3.5, abs=1e-12)
     assert kemeny_general(sol.h, sol.pi) == pytest.approx(3.5, abs=1e-12)
     minimal = solve_chain(two_state(1.0, 1.0))
-    assert kemeny_from_z(minimal.z) == pytest.approx(1.5, abs=1e-14)
+    assert kemeny_from_h(minimal.h) == pytest.approx(1.5, abs=1e-14)
 
 
 def test_kemeny_cycle(cycle3):
     sol = solve_chain(cycle3)
-    assert kemeny_from_z(sol.z) == pytest.approx(2.0, abs=1e-14)
+    assert kemeny_from_h(sol.h) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_kemeny_row_constancy(fix8):
     sol = solve_chain(fix8)
-    k = kemeny_from_z(sol.z)
+    k = kemeny_from_h(sol.h)
     per_row = sol.mfpt @ sol.pi
     assert np.abs(per_row - k).max() < 1e-9
 
@@ -196,17 +201,15 @@ def test_each_residual_row_is_its_own_formula(fix8):
     c = sol.c + 1e-5 * g.standard_normal(m)
     pi = sol.pi - np.linspace(1e-3, 1.2e-2, m)  # pi_8 < 0 breaks a lower bound
     h = sol.h + 1e-4 * g.standard_normal((m, m))
-    z = sol.z + 3e-4 * g.standard_normal((m, m))
     mfpt = sol.mfpt + 1e-2 * g.standard_normal((m, m))
     h_d, m_d, col, cm = np.diag(h), np.diag(mfpt), mfpt.sum(axis=0), c @ mfpt
     c_off, off = cm - c * m_d, col - m_d  # the sums over i != j
-    sol = replace(sol, c=c, pi=pi, h=h, z=z, mfpt=mfpt, h_diag=h_d, m_diag=m_d,
+    sol = replace(sol, c=c, pi=pi, h=h, mfpt=mfpt, h_diag=h_d, m_diag=m_d,
                   col_totals=col, c_weighted=cm, c_off=c_off)
     e, eye = np.ones(m), np.eye(m)
     trace_h = np.trace(h)
-    margins = [1 - 1 / m + trace_h - (m + 1) / 2, trace_h - ((m - 1) / 2 + 1 / m),
-               trace_h - 1 / m, *(m * h_d - pi), *(pi - 1 / (m + c_off)),
-               *(pi - c / (1 + cm))]
+    margins = [1 - 1 / m + trace_h - (m + 1) / 2, trace_h - 1 / m, *(m * h_d - pi),
+               *(pi - 1 / (m + c_off)), *(pi - c / (1 + cm))]
     want = {
         "c^T H = pi^T": c @ h - pi,
         "sum_j c_j = m": c.sum() - m,
@@ -214,7 +217,6 @@ def test_each_residual_row_is_its_own_formula(fix8):
         "H - HP = I - e c^T/m": h - h @ p - (eye - np.outer(e, c) / m),
         "He = e/m": h @ e - e / m,
         "e^T H = e^T - (m-1) pi^T": e @ h - (e - (m - 1) * pi),
-        "(1+m) pi^T = m pi^T H + c^T Z": (1 + m) * pi - (m * pi @ h + c @ z),
         "(I-P)M = E - P M_d": (eye - p) @ mfpt - (np.ones((m, m)) - p @ np.diag(m_d)),
         "m_.j - sum_i c_i m_ij = m - c_j m_jj": col - cm - (m - c * m_d),
         "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj": cm - (c * m_d - 1 + m * h_d * m_d),
@@ -277,7 +279,6 @@ def test_bounds_equality_two_state():
     sol = solve_chain(two_state(1.0, 1.0))
     b = bounds_check(sol)
     assert b.kemeny_margin == pytest.approx(0.0, abs=1e-12)
-    assert b.trace_h_margin == pytest.approx(0.0, abs=1e-12)
     assert (b.pi_upper_margins > 0).all()
 
 
@@ -289,7 +290,7 @@ def test_bounds_worst_margin():
             for f in fields(b)
             if f.name.endswith(("_margin", "_margins"))
         ]
-        assert len(margins) == 6
+        assert len(margins) == 5
         assert b.worst_margin == min(margins)
         assert "worst_margin" not in report_to_dict(b)
     assert bounds_check(solve_chain(two_state(1.0, 1.0))).worst_margin == pytest.approx(
@@ -301,7 +302,6 @@ def test_bounds_equality_cycle(cycle3):
     sol = solve_chain(cycle3)
     b = bounds_check(sol)
     assert b.kemeny_margin == pytest.approx(0.0, abs=1e-12)
-    assert b.trace_h_margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bounds_fix5(fix5):
@@ -317,7 +317,7 @@ def test_bounds_margins_recompute(fix8):
     sol = solve_chain(fix8)
     b = bounds_check(sol)
     assert b.kemeny_margin == pytest.approx(b.kemeny - b.kemeny_lower, abs=1e-12)
-    assert b.trace_h_margin == pytest.approx(b.trace_h - b.trace_h_lower, abs=1e-12)
+    assert b.trace_h_weak_margin == pytest.approx(b.trace_h - b.trace_h_weak_lower, abs=1e-12)
     np.testing.assert_allclose(
         b.pi_upper_margins, fix8.n * sol.h.diagonal() - sol.pi, atol=1e-12
     )
@@ -328,9 +328,7 @@ def test_doubly_stochastic_cycle(cycle3):
     assert rep.applicable
     assert rep.pi_uniform_residual < 1e-12
     assert max(
-        rep.h_shift_residual,
         rep.col_total_vs_h_residual,
-        rep.col_total_vs_z_residual,
         rep.row_total_vs_kemeny_residual,
         rep.grand_total_vs_kemeny_residual,
     ) < 1e-9
@@ -345,9 +343,7 @@ def test_doubly_stochastic_random_mixtures():
         assert rep.applicable
         assert rep.pi_uniform_residual < 1e-10
         assert max(
-            rep.h_shift_residual,
             rep.col_total_vs_h_residual,
-            rep.col_total_vs_z_residual,
             rep.row_total_vs_kemeny_residual,
             rep.grand_total_vs_kemeny_residual,
         ) < 1e-9
@@ -379,7 +375,7 @@ def test_kemeny_lower_bound_random():
     for i in range(25):
         tm = random_chain(2 + (i % 9), 66_000 + i)
         sol = solve_chain(tm)
-        assert kemeny_from_z(sol.z) >= (tm.n + 1) / 2.0 - 1e-9
+        assert kemeny_from_h(sol.h) >= (tm.n + 1) / 2.0 - 1e-9
 
 
 def tiny_link(e: float) -> np.ndarray:

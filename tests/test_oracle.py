@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsum.analysis import mfpt_from_h, solve_chain
+from mcsum.analysis import kemeny_from_h, mfpt_from_h, solve_chain
 from mcsum.chain import validate
 from mcsum.errors import Degenerate, NotIrreducible
 from mcsum import ginv
@@ -288,9 +288,9 @@ def test_three_state_generic_matches_pipeline():
     sol = solve_chain(validate(f.p))
     np.testing.assert_allclose(sol.pi, f.pi, atol=1e-10)
     np.testing.assert_allclose(sol.h, f.h, atol=1e-10)
-    np.testing.assert_allclose(sol.z, f.z, atol=1e-10)
+    np.testing.assert_allclose(ginv.z_from_h(sol.h, sol.pi), f.z, atol=1e-10)
     np.testing.assert_allclose(mfpt_from_h(sol.h, sol.pi), f.mfpt, atol=1e-10)
-    assert sol.z.trace() == pytest.approx(f.kemeny, abs=1e-10)
+    assert kemeny_from_h(sol.h) == pytest.approx(f.kemeny, abs=1e-10)
 
 
 FLOATS_01 = st.floats(min_value=0.01, max_value=1.0)
@@ -303,9 +303,9 @@ def test_two_state_closed_form_matches_pipeline(a, b):
     sol = solve_chain(two_state(a, b))
     assert np.abs(sol.pi - f.pi).max() < 1e-10
     assert np.abs(sol.h - f.h).max() < 1e-10
-    assert np.abs(sol.z - f.z).max() < 1e-10
+    assert np.abs(ginv.z_from_h(sol.h, sol.pi) - f.z).max() < 1e-10
     assert np.abs(mfpt_from_h(sol.h, sol.pi) - f.mfpt).max() < 1e-10
-    assert abs(sol.z.trace() - f.kemeny) < 1e-10
+    assert abs(kemeny_from_h(sol.h) - f.kemeny) < 1e-10
 
 
 def _sign(x: float, tol: float = 1e-12) -> int:
@@ -358,7 +358,7 @@ def test_three_state_random_sample_matches_pipeline():
         sol = solve_chain(validate(f.p))
         assert np.abs(sol.pi - f.pi).max() < 1e-10
         assert np.abs(sol.h - f.h).max() < 1e-10
-        assert np.abs(sol.z - f.z).max() < 1e-10
+        assert np.abs(ginv.z_from_h(sol.h, sol.pi) - f.z).max() < 1e-10
         assert np.abs(mfpt_from_h(sol.h, sol.pi) - f.mfpt).max() < 1e-10
 
 
@@ -374,9 +374,9 @@ def test_two_state_500_random_match_pipeline():
             worst,
             np.abs(sol.pi - f.pi).max(),
             np.abs(sol.h - f.h).max(),
-            np.abs(sol.z - f.z).max(),
+            np.abs(ginv.z_from_h(sol.h, sol.pi) - f.z).max(),
             np.abs(sol.mfpt - f.mfpt).max(),
-            abs(sol.z.trace() - f.kemeny),
+            abs(kemeny_from_h(sol.h) - f.kemeny),
         )
     assert worst < 1e-10
 

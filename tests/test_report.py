@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcsum import fixtures
-from mcsum.analysis import IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, residuals, solve_chain
+from mcsum.analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, kemeny_from_h, residuals,
+                            solve_chain)
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.errors import SingularMatrix
 from mcsum.ginv import colsum_system, z_from_h
@@ -36,7 +37,7 @@ def test_analyze_fix5(fix5):
     np.testing.assert_allclose(rep.h_matrix, FIX5_H, atol=5e-4)
     np.testing.assert_allclose(rep.mfpt, FIX5_M, atol=5e-4)
     assert rep.kemeny == pytest.approx(FIX5_KEMENY, abs=5e-3)
-    assert rep.kemeny_spread < 1e-9
+    assert rep.kemeny == rep.bounds.kemeny
     assert rep.permutation is None
     assert not rep.condition_warning
     assert max(rep.theorem2_residuals.values()) < 1e-9
@@ -101,7 +102,7 @@ def test_report_dict_round_trips(fix5):
     assert back["labels"] == ["1", "2", "3", "4", "5"]
     assert "p" not in back
     np.testing.assert_allclose(np.array(back["mfpt"]), FIX5_M, atol=5e-4)
-    assert set(back["bounds"]) >= {"kemeny_margin", "trace_h_margin", "pi_upper_margins"}
+    assert set(back["bounds"]) >= {"kemeny_margin", "trace_h_weak_margin", "pi_upper_margins"}
     assert back["doubly_stochastic"]["applicable"] is False
     assert list(back["ordering"]) == ["digest", "m", "violations"]
     assert back["ordering"]["digest"] == hashlib.sha256(fix5.p.tobytes()).hexdigest()
@@ -118,8 +119,9 @@ Z_CASES = {
 
 @pytest.mark.parametrize("name", Z_CASES)
 def test_report_rebuilds_z_bit_for_bit(name):
-    """The report leaves Z out: its own H and pi give it back, the pipeline's
-    Z bit for bit, with Kemeny's constant as its trace."""
+    """The report leaves Z out: its own H and pi give it back, bit for bit
+    what the pipeline's H and pi give, with Kemeny's constant as its trace
+    up to rounding (K is read off H, exactly)."""
     make, reorder = Z_CASES[name]
     tm = make()
     rep = analyze(tm, reorder=reorder)
@@ -127,18 +129,28 @@ def test_report_rebuilds_z_bit_for_bit(name):
     r = json.loads(_written(rep))
     assert "z_matrix" not in r
     z = z_from_h(np.array(r["h_matrix"]), np.array(r["stationary"]))
-    want = solve_chain(reorder_by_column_sums(tm)[0] if reorder else tm).z
+    sol = solve_chain(reorder_by_column_sums(tm)[0] if reorder else tm)
     assert z.shape == (tm.n, tm.n)
-    assert z.tobytes() == want.tobytes()
-    assert z.trace() == r["kemeny"]
+    assert z.tobytes() == z_from_h(sol.h, sol.pi).tobytes()
+    assert r["kemeny"] == kemeny_from_h(np.array(r["h_matrix"]))
+    assert z.trace() == pytest.approx(r["kemeny"], rel=1e-14)
 
 
-def test_kemeny_variants_consistent(fix5, fix8, cycle3):
-    for tm in (fix5, fix8, cycle3):
-        rep = analyze(tm)
-        values = list(rep.kemeny_variants.values())
-        assert max(values) - min(values) < 1e-9
-        assert rep.kemeny == rep.kemeny_variants["fundamental"]
+@pytest.mark.parametrize("name", ["fix5", "fix8", "cycle3"])
+def test_report_has_one_kemeny_value(name, request):
+    """`kemeny` and `bounds.kemeny` are the one K read off H, and no value
+    that only restated H through Z is written."""
+    tm = request.getfixturevalue(name)
+    rep = analyze(tm)
+    want = kemeny_from_h(solve_chain(tm).h)
+    assert np.float64(rep.kemeny).tobytes() == want.tobytes()
+    assert np.float64(rep.bounds.kemeny).tobytes() == want.tobytes()
+    r = json.loads(_written(rep))
+    assert r["kemeny"] == r["bounds"]["kemeny"] == want
+    assert not {"kemeny_variants", "kemeny_spread"} & set(r)
+    assert not {"trace_h_lower", "trace_h_margin"} & set(r["bounds"])
+    assert not {"h_shift_residual", "col_total_vs_z_residual"} & set(r["doubly_stochastic"])
+    assert not [key for key in r["theorem2_residuals"] if "(1+m)" in key]
 
 
 def test_condition_warning_on_near_reducible_chain():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -416,12 +417,17 @@ def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
 
 
 def test_scan_judges_the_whole_residual_table(monkeypatch):
-    # Z enters only the (1+m) row of theorem 2: an error in Z must fail there
-    z_from_h = analysis.z_from_h
-    monkeypatch.setattr(analysis, "z_from_h", lambda h, pi: z_from_h(h, pi) + 1e-6)
+    # the bounds enter only the table's last row: a failed bound must fail there
+    bounds_check = analysis.bounds_check
+
+    def failing_bounds(sol):
+        b = bounds_check(sol)
+        return replace(b, kemeny_margin=np.full_like(b.kemeny_margin, -1e-6))
+
+    monkeypatch.setattr(analysis, "bounds_check", failing_bounds)
     result = scan(ScanConfig(state_counts=(3, 5), trials=20, seed=1))
     assert len(result.hard_failures) == 40
-    row = "'(1+m) pi^T = m pi^T H + c^T Z'"
+    row = "'inequality margins (negative part)'"
     assert all(f"identity residual {row} = " in line for line in result.hard_failures)
 
 

@@ -11,15 +11,15 @@ from mcsum.analysis import (
     bounds_check,
     h_from_mfpt,
     kemeny_from_h,
-    kemeny_from_z,
     residuals,
     solve_chain,
     stationary_from_h,
 )
 from mcsum.chain import TransitionMatrix
-from mcsum.ginv import group_inverse, kemeny_general, mfpt_general, z_from_h
+from mcsum.ginv import mfpt_general, z_from_h
+from mcsum.report import analyze
 from mcsum.scan import RELATIONS, ordering_masks, random_chain, random_chains
-from tests.oracles import h_from_z
+from tests.oracles import group_inverse, h_from_z, kemeny_general
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -60,7 +60,7 @@ def test_stack_calls_match_single_calls(m, seeds, sparsity):
     assert flags.shape == (len(RELATIONS), len(seeds), m * (m - 1) // 2)
     for k, tm in enumerate(singles):
         one = solve_chain(tm)
-        for a, b in ((sol.pi, one.pi), (sol.h, one.h), (sol.z, one.z),
+        for a, b in ((sol.pi, one.pi), (sol.h, one.h),
                      (sol.mfpt, one.mfpt), (sol.cond, one.cond), (sol.c, one.c)):
             assert _bits(a[k]) == _bits(b)
         one_rows = dict(zip(RESIDUAL_ROWS, residuals(one)))
@@ -77,13 +77,13 @@ def test_stack_calls_match_single_calls(m, seeds, sparsity):
 
 def _conversions(sol) -> dict:
     """Every read-off and conversion of the chain solution's arrays."""
-    h, z, pi, c = sol.h, sol.z, sol.pi, sol.c
+    h, pi, c = sol.h, sol.pi, sol.c
+    z = z_from_h(h, pi)
     return {
         "stationary_from_h": stationary_from_h(h, c),
         "kemeny_from_h": kemeny_from_h(h),
-        "kemeny_from_z": kemeny_from_z(z),
         "group_inverse": group_inverse(z, pi),
-        "z_from_h": z_from_h(h, pi),
+        "z_from_h": z,
         "h_from_z": h_from_z(z, pi, c),
         "h_from_mfpt": h_from_mfpt(sol.mfpt, pi, c),
         "mfpt_general": mfpt_general(z, pi),
@@ -104,6 +104,18 @@ def test_conversions_broadcast_over_a_stack(m, seeds):
         for name, value in one.items():
             assert np.shape(stack[name][k]) == np.shape(value), name
             assert _bits(stack[name][k]) == _bits(value), name
+
+
+def test_one_kemeny_value_on_a_stack():
+    """The stack's K, as `bounds_check` reports it, is `kemeny_from_h` of its H,
+    and each chain's entry is the K that `analyze` reports for it alone."""
+    seeds = [3, 17, 2**63 + 5, 12345]
+    sol = solve_chain(TransitionMatrix(p=random_chains(6, np.array(seeds, dtype=np.uint64))))
+    kemeny = bounds_check(sol).kemeny
+    assert kemeny.shape == (len(seeds),)
+    assert _bits(kemeny) == _bits(kemeny_from_h(sol.h))
+    for k, seed in enumerate(seeds):
+        assert _bits(kemeny[k]) == _bits(analyze(random_chain(6, seed)).kemeny)
 
 
 @settings(max_examples=100, deadline=None)

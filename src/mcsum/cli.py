@@ -23,7 +23,7 @@ from .chain import validate
 from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .ginv import z_from_h
 from .report import analyze, write_json
-from .scan import ScanConfig, scan as run_scan
+from .scan import ScanConfig, flagged_pairs, scan as run_scan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,8 +31,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IDENTITY = 4
 
-#: Ordering-violation pairs printed per relation by ``analyze``; the report
-#: written with ``--output`` lists them all.
+#: Ordering-violation pairs printed per relation by ``analyze``; ``--output``
+#: writes their counts, and ``report.rebuild`` of the report lists them all.
 SHOWN_PAIRS = 5
 
 #: States listed in ``analyze``'s per-state table; the report written with
@@ -116,12 +116,13 @@ def _cmd_analyze(args) -> int:
     print(f"min per-state margin m*h_jj-pi: {b.pi_upper_margins.min():.6f}")
     if rep.doubly_stochastic.applicable:
         print("column sums are all one: uniform-stationary checks applied")
-    flagged = {name: pairs for name, pairs in rep.ordering.violations.items() if len(pairs)}
+    flagged = {name: count for name, count in rep.ordering.violations.items() if count}
     if flagged:
-        for name, pairs in flagged.items():
-            shown = ", ".join(f"({i + 1},{j + 1})" for i, j in pairs[:SHOWN_PAIRS])
-            more = ", ..." if len(pairs) > SHOWN_PAIRS else ""
-            print(f"ordering violation [{name}]: {len(pairs)} pair(s) {shown}{more}")
+        for name, count in flagged.items():
+            pairs = flagged_pairs(rep.ordering.flags[name], rep.m, SHOWN_PAIRS).tolist()
+            shown = ", ".join(f"({i + 1},{j + 1})" for i, j in pairs)
+            more = ", ..." if count > SHOWN_PAIRS else ""
+            print(f"ordering violation [{name}]: {count} pair(s) {shown}{more}")
     else:
         print("no ordering violations among the tracked relations")
     if rep.condition_warning:

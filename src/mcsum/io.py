@@ -57,11 +57,12 @@ def array_json(a: np.ndarray) -> bytes:
 def _plain(obj):
     """orjson's ``default`` hook: an array or numpy scalar as (nested lists of)
     Python values, through `json_ready`; a dataclass as the dict of its fields
-    that are not None."""
+    that are not None, less those marked ``metadata={"json": False}``."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return json_ready(np.asarray(obj)).tolist()
     if is_dataclass(obj):
-        return {f.name: v for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
+        return {f.name: v for f in fields(obj)
+                if f.metadata.get("json", True) and (v := getattr(obj, f.name)) is not None}
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

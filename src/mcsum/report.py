@@ -1,7 +1,8 @@
 """Full single-chain analysis assembled into one serializable report.
 
 ``analyze`` reads the residual blocks off the rows of ``analysis.residuals``
-and the violation pairs off ``scan.ordering_masks``, computing neither again.
+and the violation counts off ``scan.ordering_masks``, computing neither again;
+``rebuild`` gives back what the report leaves out: M, Z and the pairs.
 
 ``write_json`` writes the ``analyze --output`` file as bytes, and
 ``report_to_dict`` is what it parses to.  Both encode through `io`, the
@@ -13,20 +14,35 @@ the shortest decimal that round-trips.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
+import hashlib
+from dataclasses import dataclass, field, is_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import orjson
 
 from .analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, BoundsReport,
                        DoublyStochasticReport, bounds_check, doubly_stochastic_report,
-                       residuals, solve_chain)
+                       mfpt_from_h, residuals, solve_chain)
 from .chain import TransitionMatrix, reorder_by_column_sums
+from .ginv import z_from_h
 from .io import _plain, array_json, dumps, json_ready
-from .scan import OrderingRecord, ordering_from_solution
+from .scan import RELATIONS, flagged_pairs, ordering_masks
 
 #: Condition numbers at or above this set ``condition_warning``.
 CONDITION_WARN_THRESHOLD = 1e8
+
+
+@dataclass(frozen=True)
+class OrderingReport:
+    """Per relation, the number of pairs i < j that break it, and the sha256 of
+    P's bytes; ``flags``, each relation's ``scan.ordering_masks`` row (whose
+    ``scan.flagged_pairs`` are its pairs), is never written."""
+
+    digest: str
+    m: int
+    violations: dict[str, int]
+    flags: dict[str, np.ndarray] = field(repr=False, compare=False, metadata={"json": False})
 
 
 @dataclass(frozen=True)
@@ -35,12 +51,11 @@ class ChainReport:
     values rebuild bit for bit.
 
     P itself is not echoed: ``ordering.digest`` is the sha256 of the analysed
-    (possibly reordered) P's bytes, and ``ordering.violations`` holds, per
-    relation, the (k, 2) array of pairs that break it, whose compared
-    vectors are all in the report.  Nor is the fundamental matrix Z:
-    ``ginv.z_from_h(h_matrix, stationary)`` gives it back bit for bit.
-    When the chain was reordered, ``permutation[k]`` is the original index
-    of state k and the labels travel with their states.
+    (possibly reordered) P's bytes.  Nor are the passage times M, the
+    fundamental matrix Z or the violating pairs, of which ``ordering`` holds
+    only the count per relation: ``rebuild`` gives all three back from the
+    parsed report.  When the chain was reordered, ``permutation[k]`` is the
+    original index of state k and the labels travel with their states.
     """
 
     labels: tuple[str, ...]
@@ -49,13 +64,12 @@ class ChainReport:
     column_sums: np.ndarray
     stationary: np.ndarray
     kemeny: float
-    mfpt: np.ndarray
     h_matrix: np.ndarray
     theorem2_residuals: dict[str, float]
     identity_residuals: dict[str, float]
     bounds: BoundsReport
     doubly_stochastic: DoublyStochasticReport
-    ordering: OrderingRecord
+    ordering: OrderingReport
     condition_estimate: float
     condition_warning: bool
 
@@ -74,6 +88,7 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
     sol = solve_chain(tm)
     bounds = bounds_check(sol)
     rows = dict(zip(RESIDUAL_ROWS, residuals(sol)))
+    flags = dict(zip(RELATIONS, ordering_masks(sol)))
 
     return ChainReport(
         labels=tm.labels,
@@ -82,21 +97,36 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         column_sums=sol.c,
         stationary=sol.pi,
         kemeny=bounds.kemeny,
-        mfpt=sol.mfpt,
         h_matrix=sol.h,
         theorem2_residuals={name: rows[name] for name in THEOREM2_ROWS},
         identity_residuals={name: rows[name] for name in IDENTITY_ROWS},
         bounds=bounds,
         doubly_stochastic=doubly_stochastic_report(sol),
-        ordering=ordering_from_solution(sol),
+        ordering=OrderingReport(
+            digest=hashlib.sha256(np.ascontiguousarray(tm.p)).hexdigest(),
+            m=tm.n,
+            violations={name: int(np.count_nonzero(f)) for name, f in flags.items()},
+            flags=flags,
+        ),
         condition_estimate=sol.cond,
         condition_warning=bool(sol.cond >= CONDITION_WARN_THRESHOLD),
     )
 
 
+def rebuild(r: dict) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """M, Z and each relation's violating pairs (``scan.flagged_pairs``) of the
+    parsed report `r`, bit for bit what the pipeline's H and pi give."""
+    h, pi = np.array(r["h_matrix"]), np.array(r["stationary"])
+    mfpt = mfpt_from_h(h, pi)
+    vectors = SimpleNamespace(c=np.array(r["column_sums"]), pi=pi, h_diag=h.diagonal(),
+                              col_totals=mfpt.sum(axis=-2), m_diag=mfpt.diagonal())
+    pairs = {name: flagged_pairs(f, len(h)) for name, f in zip(RELATIONS, ordering_masks(vectors))}
+    return mfpt, z_from_h(h, pi), pairs
+
+
 def report_to_dict(obj) -> dict:
     """What `io.dumps` and `write_json` of `obj` parse to: dicts in field
-    order, lists and scalars, with the fields that are None left out."""
+    order, lists and scalars, less the fields that `io._plain` leaves out."""
     return orjson.loads(dumps(obj))
 
 

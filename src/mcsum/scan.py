@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -86,17 +87,6 @@ class ScanConfig:
             raise ValueError("sparsity must lie in [0, 0.8]")
 
 
-@dataclass(frozen=True)
-class OrderingRecord:
-    """Per relation, the pairs (i, j), i < j, that violate it for one chain,
-    as a (k, 2) integer array whose rows are in ``np.triu_indices`` order;
-    ``digest`` is the sha256 of the chain's P bytes."""
-
-    digest: str
-    m: int
-    violations: dict[str, np.ndarray]
-
-
 def random_chains(m: int, seeds: np.ndarray, sparsity: float = 0.0) -> np.ndarray:
     """Irreducible chains with flat-Dirichlet rows, one (m, m) matrix per seed.
 
@@ -141,20 +131,20 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod((r[:, None] < r).ravel().nonzero()[0], m)
 
 
-def ordering_masks(
-    sol: ChainSolution, pairs: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
+def ordering_masks(sol: ChainSolution) -> np.ndarray:
     """Per relation of RELATIONS, in its order, the flags of the pairs i < j
     (``np.triu_indices`` order) that violate it, as one (relations, ...,
     m(m-1)/2) bool array for one chain or a stack; a tie never violates.
-    `pairs` is ``_pairs(m)`` when the caller has built it already.  The compared
-    vectors are gathered by ``np.take`` when the pairs outnumber their rows (one
-    chain: three times faster than ``v[..., i]`` at m = 300) and by ``v[..., i]``
-    otherwise (a stack of small chains, where ``np.take`` is the slower)."""
+    `sol` is a ChainSolution or holds its c, pi, h_diag, col_totals and m_diag.
+    The compared vectors are gathered by ``np.take`` when the pairs outnumber
+    their rows (one chain: three times faster than ``v[..., i]`` at m = 300) and
+    by ``v[..., i]`` otherwise (a stack of small chains, where ``np.take`` is
+    the slower)."""
     names = ("colsum", "pi", "h_diag", "m_col_total", "m_recurrence")
     v = np.array((sol.c, sol.pi, sol.h_diag, sol.col_totals, sol.m_diag))
-    i, j = _pairs(sol.tm.n) if pairs is None else pairs
-    take = len(i) > v.size // sol.tm.n
+    m = v.shape[-1]
+    i, j = _pairs(m)
+    take = len(i) > v.size // m
     diff = np.take(v, i, axis=-1) if take else v[..., i]
     diff -= np.take(v, j, axis=-1) if take else v[..., j]  # in place: at m = 600 each is 7 MB
     signs = (diff >= SIGN_TIE_TOL).view(np.int8) - (diff <= -SIGN_TIE_TOL).view(np.int8)
@@ -166,34 +156,15 @@ def ordering_masks(
     return signs[left] * signs[right] == -direction.reshape(-1, *[1] * (diff.ndim - 1))
 
 
-def _records(p, flags, pairs, chains=slice(None)) -> list[OrderingRecord]:
-    """Ordering records of `chains` of the stacked p and its ``ordering_masks``
-    flags over `pairs` (one chain is a stack of one), gathered so that no record
-    keeps the stack alive.  A relation's flags give its pairs through one
-    ``np.flatnonzero``, split into chain and pair by ``np.divmod``; the digest
-    hashes each chain's C-ordered P through the buffer protocol, without the
-    copy ``tobytes()`` would make."""
-    m = p.shape[-1]
-    p = p.reshape(-1, m, m)
-    flags = flags.reshape(len(flags), len(p), flags.shape[-1])[:, chains]
-    p = np.ascontiguousarray(p[chains])
-    ij = np.stack(pairs, axis=-1)
-    by_relation = {}
-    for name, f in zip(RELATIONS, flags):
-        t, k = np.divmod(np.flatnonzero(f), f.shape[-1])  # by chain, then pair
-        by_relation[name] = np.split(np.take(ij, k, axis=0),
-                                     np.searchsorted(t, np.arange(1, len(p))))
-    return [
-        OrderingRecord(hashlib.sha256(p[k]).hexdigest(), m,
-                       {name: found[k] for name, found in by_relation.items()})
-        for k in range(len(p))
-    ]
-
-
-def ordering_from_solution(sol: ChainSolution) -> OrderingRecord:
-    """Ordering record computed from an existing pipeline solution."""
-    pairs = _pairs(sol.tm.n)
-    return _records(sol.tm.p, ordering_masks(sol, pairs), pairs)[0]
+def flagged_pairs(flags: np.ndarray, m: int, limit: int | None = None) -> np.ndarray:
+    """The first `limit` (or all) pairs (i, j) that one relation's ``ordering_masks``
+    flags of one chain mark, as a (k, 2) int array in ``np.triu_indices`` order;
+    split by the row starts of the triangle, so no (m(m-1)/2,) array is built."""
+    k = np.flatnonzero(flags)[:limit]
+    r = np.arange(m)
+    starts = r * (2 * m - 1 - r) // 2  # the index of the pair (i, i + 1)
+    i = np.searchsorted(starts, k, side="right") - 1
+    return np.stack((i, k - starts[i] + i + 1), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -211,13 +182,15 @@ class RelationSummary:
 @dataclass(frozen=True)
 class Counterexample:
     """A trial that violates a relation: ``io.dumps`` of it is one ``scan --log``
-    line, and ``random_chain(m, seed, sparsity)`` rebuilds its P bit for bit."""
+    line.  ``random_chain(m, seed, sparsity)`` rebuilds its P, whose sha256 is
+    ``digest``; ``violated`` names the broken relations in RELATIONS order."""
 
     m: int
     trial: int
     seed: int
     sparsity: float
-    ordering: OrderingRecord
+    digest: str
+    violated: list[str]
 
 
 @dataclass(frozen=True)
@@ -254,20 +227,23 @@ def scan(
     for m in sorted(config.state_counts):
         step = max(1, BLOCK_ENTRIES // (m * m))
         theorems = [r.proven_for(m) for r in RELATIONS.values()]
-        pairs = i, j = _pairs(m)
         for start in range(0, config.trials, step):
             trials = np.arange(start, min(start + step, config.trials))
             seeds = rng.derive_stream(config.seed, m, trials)
             p = random_chains(m, seeds, config.sparsity)
             sol = solve_chain(TransitionMatrix(p=p))
-            flags = ordering_masks(sol, pairs)
+            flags = ordering_masks(sol)
             hits = flags.any(axis=-1)  # (relations, trials)
             counts[m] += np.count_nonzero(hits, axis=1)
             violated = np.flatnonzero(hits.any(axis=0))
             counterexamples += len(violated)
             if found is not None:
-                for t, record in zip(violated.tolist(), _records(p, flags, pairs, violated)):
-                    found(Counterexample(m, int(trials[t]), int(seeds[t]), config.sparsity, record))
+                # the digest hashes each C-ordered P through the buffer protocol,
+                # without the copy ``tobytes()`` would make
+                for t, broken in zip(violated.tolist(), hits[:, violated].T.tolist()):
+                    found(Counterexample(m, int(trials[t]), int(seeds[t]), config.sparsity,
+                                         hashlib.sha256(p[t]).hexdigest(),
+                                         list(compress(RELATIONS, broken))))
             table = residuals(sol)
             worst = table.argmax(axis=0)  # the first of equal largest residuals
             failed = np.flatnonzero((table.max(axis=0) > IDENTITY_TOL) | hits[theorems].any(axis=0))
@@ -275,7 +251,7 @@ def scan(
                 trial = int(trials[t])
                 hard_failures += [
                     f"m={m} trial={trial}: theorem relation {name} violated on "
-                    f"{list(zip(i[f[t]].tolist(), j[f[t]].tolist()))}"
+                    f"{list(map(tuple, flagged_pairs(f[t], m).tolist()))}"
                     for name, f, theorem in zip(RELATIONS, flags, theorems)
                     if theorem and f[t].any()
                 ]

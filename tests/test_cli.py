@@ -14,8 +14,8 @@ from mcsum.analysis import RESIDUAL_ROWS, residuals, solve_chain
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.cli import main
 from mcsum.io import dumps
-from mcsum.report import analyze, report_to_dict
-from mcsum.scan import ScanConfig, random_chain, scan as run_scan
+from mcsum.report import analyze, rebuild, report_to_dict
+from mcsum.scan import RELATIONS, ScanConfig, ordering_masks, random_chain, scan as run_scan
 from tests.conftest import FIVE_STATE_UNSORTED, two_block
 
 
@@ -112,7 +112,7 @@ def test_analyze_removes_a_partial_report(fix8_csv, tmp_path, monkeypatch, capsy
     out = tmp_path / "r.json"
 
     def write_one_row_then_fail(rep, fh):
-        fh.write(b'{\n  "mfpt": [\n    ' + io.array_json(io.json_ready(rep.mfpt)[0]))
+        fh.write(b'{\n  "h_matrix": [\n    ' + io.array_json(io.json_ready(rep.h_matrix)[0]))
         fh.flush()
         assert out.stat().st_size > 0
         raise ValueError("cannot write a non-finite array as JSON")
@@ -286,10 +286,9 @@ def test_scan_cli_runs_and_logs(tmp_path, capsys):
     for line in lines:
         entry = json.loads(line)
         assert entry["m"] == 3
-        assert list(entry) == ["m", "trial", "seed", "sparsity", "ordering"]
-        assert "signs" not in entry["ordering"]
+        assert list(entry) == ["m", "trial", "seed", "sparsity", "digest", "violated"]
         tm = random_chain(entry["m"], entry["seed"], entry["sparsity"])
-        assert entry["ordering"]["digest"] == hashlib.sha256(tm.p.tobytes()).hexdigest()
+        assert entry["digest"] == hashlib.sha256(tm.p.tobytes()).hexdigest()
 
 
 def test_scan_log_lines_replay_through_random_chain(tmp_path, capsys):
@@ -303,7 +302,9 @@ def test_scan_log_lines_replay_through_random_chain(tmp_path, capsys):
     for line in lines:
         entry = json.loads(line)
         tm = random_chain(entry["m"], entry["seed"], entry["sparsity"])
-        assert hashlib.sha256(tm.p.tobytes()).hexdigest() == entry["ordering"]["digest"]
+        assert hashlib.sha256(tm.p.tobytes()).hexdigest() == entry["digest"]
+        flags = ordering_masks(solve_chain(tm))
+        assert entry["violated"] == [name for name, f in zip(RELATIONS, flags) if f.any()]
 
 
 def test_scan_log_line_is_dumps_of_counterexample(tmp_path):
@@ -316,8 +317,24 @@ def test_scan_log_line_is_dumps_of_counterexample(tmp_path):
     assert log.read_bytes().splitlines() == [dumps(ce) for ce in found]
     for ce in found:
         entry = report_to_dict(ce)
-        assert list(entry) == ["m", "trial", "seed", "sparsity", "ordering"]
-        assert list(entry["ordering"]) == ["digest", "m", "violations"]
+        assert list(entry) == ["m", "trial", "seed", "sparsity", "digest", "violated"]
+        assert entry["violated"] and set(entry["violated"]) <= set(RELATIONS)
+
+
+def test_scan_is_the_same_with_and_without_found(tmp_path, capsys):
+    # handing counterexamples to a callback (or to --log) changes neither the
+    # summaries, the hard failures and the count, nor the printed table
+    config = ScanConfig(state_counts=(2, 3, 5, 10), trials=300, seed=5, sparsity=0.4)
+    found = []
+    quiet, logged = run_scan(config), run_scan(config, found.append)
+    assert [s.__dict__ for s in quiet.summaries] == [s.__dict__ for s in logged.summaries]
+    assert quiet.hard_failures == logged.hard_failures == []
+    assert quiet.counterexamples == logged.counterexamples == len(found) > 0
+    argv = "scan --states 2,3,5,10 --trials 300 --sparsity 0.4 --seed 5".split()
+    assert main(argv) == 0
+    without = capsys.readouterr().out
+    assert main([*argv, "--log", str(tmp_path / "cx.jsonl")]) == 0
+    assert capsys.readouterr().out == without
 
 
 def test_scan_cli_generation_failed_truncates_no_log_line(tmp_path, capsys):
@@ -359,7 +376,9 @@ def test_scan_cli_output_pinned(tmp_path, capsys):
     # sha256 of the stdout and the --log file of this scan: the stdout as
     # recorded when each chain was still drawn and solved one trial at a
     # time; the log as that recording with each line's ordering.signs and p
-    # removed, sparsity added, and written through orjson
+    # removed, sparsity added, written through orjson, and its ordering
+    # block replaced by its digest and the names of the relations whose
+    # pair lists were not empty
     log = tmp_path / "scan.jsonl"
     argv = "scan --states 2,3,5,10 --trials 300 --sparsity 0.4 --seed 5 --log".split()
     assert main([*argv, str(log)]) == 0
@@ -368,7 +387,7 @@ def test_scan_cli_output_pinned(tmp_path, capsys):
         "0b082fb07f8e73e9221ddc9512f0f7628c75618f8ee1974bfe82cbd9a7a09d75"
     )
     assert hashlib.sha256(log.read_bytes()).hexdigest() == (
-        "588c6560a997d4df984abe6824515bf9cdd31c3d9dd423bffc0693246de07516"
+        "1d438064e75222c21cf0b06aa538e9f4ab9b915d608ad243db861f59f614fb6c"
     )
 
 
@@ -390,15 +409,17 @@ def test_analyze_ordering_lines_bounded_on_dense_chain(tmp_path, capsys):
     table = lines[lines.index(f"{'state':>8}{'colsum':>16}{'stationary':>16}") + 1:][:21]
     assert [line.split()[0] for line in table[:20]] == [str(k) for k in range(1, 21)]
     assert table[20] == "... 100 more state(s); --output writes them all"
-    violations = json.loads(out.read_text())["ordering"]["violations"]
+    r = json.loads(out.read_text())
+    counts, (_, _, violations) = r["ordering"]["violations"], rebuild(r)
     want = []
     for name, pairs in violations.items():
-        if pairs:
-            shown = ", ".join(f"({i + 1},{j + 1})" for i, j in pairs[:5])
+        assert counts[name] == len(pairs), name
+        if len(pairs):
+            shown = ", ".join(f"({i + 1},{j + 1})" for i, j in pairs[:5].tolist())
             more = ", ..." if len(pairs) > 5 else ""
             want.append(f"ordering violation [{name}]: {len(pairs)} pair(s) {shown}{more}")
     assert printed == want
-    assert sum(map(len, violations.values())) > 1000  # the full lists stay in the file
+    assert sum(counts.values()) > 1000  # the file counts every pair; rebuild lists them
     assert max(map(len, printed)) < 150
 
 

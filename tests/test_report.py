@@ -16,8 +16,8 @@ from mcsum.analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, kemeny_
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.errors import SingularMatrix
 from mcsum.ginv import colsum_system, z_from_h
-from mcsum.report import CONDITION_WARN_THRESHOLD, analyze, report_to_dict, write_json
-from mcsum.scan import random_chain
+from mcsum.report import CONDITION_WARN_THRESHOLD, analyze, rebuild, report_to_dict, write_json
+from mcsum.scan import RELATIONS, flagged_pairs, ordering_masks, random_chain
 from tests.conftest import (
     FIVE_STATE_UNSORTED,
     FIX5_H,
@@ -35,7 +35,7 @@ def test_analyze_fix5(fix5):
     rep = analyze(fix5)
     np.testing.assert_allclose(rep.stationary, FIX5_PI, atol=5e-4)
     np.testing.assert_allclose(rep.h_matrix, FIX5_H, atol=5e-4)
-    np.testing.assert_allclose(rep.mfpt, FIX5_M, atol=5e-4)
+    np.testing.assert_allclose(rebuild(report_to_dict(rep))[0], FIX5_M, atol=5e-4)
     assert rep.kemeny == pytest.approx(FIX5_KEMENY, abs=5e-3)
     assert rep.kemeny == rep.bounds.kemeny
     assert rep.permutation is None
@@ -47,7 +47,8 @@ def test_analyze_fix5(fix5):
 def test_analyze_fix8(fix8):
     rep = analyze(fix8)
     assert rep.kemeny == pytest.approx(FIX8_KEMENY, abs=1e-3)
-    assert [0, 1] in rep.ordering.violations["c_vs_pi"].tolist()
+    assert [0, 1] in flagged_pairs(rep.ordering.flags["c_vs_pi"], 8).tolist()
+    assert rep.ordering.violations["c_vs_pi"] == 9
     assert not rep.doubly_stochastic.applicable
 
 
@@ -55,7 +56,7 @@ def test_analyze_cycle(cycle3):
     rep = analyze(cycle3)
     assert rep.doubly_stochastic.applicable
     assert rep.kemeny == pytest.approx(2.0, abs=1e-12)
-    np.testing.assert_allclose(rep.mfpt.sum(axis=1), 6.0, atol=1e-12)
+    np.testing.assert_allclose(rebuild(report_to_dict(rep))[0].sum(axis=1), 6.0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,12 +101,16 @@ def test_report_dict_round_trips(fix5):
     back = json.loads(blob)
     assert back["m"] == 5
     assert back["labels"] == ["1", "2", "3", "4", "5"]
-    assert "p" not in back
-    np.testing.assert_allclose(np.array(back["mfpt"]), FIX5_M, atol=5e-4)
+    assert "p" not in back and "mfpt" not in back
+    np.testing.assert_allclose(rebuild(back)[0], FIX5_M, atol=5e-4)
     assert set(back["bounds"]) >= {"kemeny_margin", "trace_h_weak_margin", "pi_upper_margins"}
     assert back["doubly_stochastic"]["applicable"] is False
     assert list(back["ordering"]) == ["digest", "m", "violations"]
     assert back["ordering"]["digest"] == hashlib.sha256(fix5.p.tobytes()).hexdigest()
+    counts = back["ordering"]["violations"]
+    assert counts == {"pi_vs_recurrence": 0, "c_vs_pi": 0, "c_vs_h_diag": 3,
+                      "h_diag_vs_m_col_total": 3, "c_vs_m_col_total": 0}
+    assert rebuild(back)[2]["c_vs_h_diag"].tolist() == [[1, 2], [1, 3], [2, 3]]
 
 
 Z_CASES = {
@@ -134,6 +139,44 @@ def test_report_rebuilds_z_bit_for_bit(name):
     assert z.tobytes() == z_from_h(sol.h, sol.pi).tobytes()
     assert r["kemeny"] == kemeny_from_h(np.array(r["h_matrix"]))
     assert z.trace() == pytest.approx(r["kemeny"], rel=1e-14)
+
+
+REBUILD_CASES = {
+    "fix5": (fixtures.fix5, False),
+    "fix8": (fixtures.fix8, False),
+    "fix8_reordered": (fixtures.fix8, True),
+    "dense_m300": (lambda: random_chain(300, 1), False),  # flat-Dirichlet rows
+}
+
+
+@pytest.mark.parametrize("name", REBUILD_CASES)
+def test_rebuild_bit_for_bit(name, tmp_path):
+    """The report leaves out M, Z and the violating pairs: `rebuild` of the
+    written file gives back the pipeline's, bit for bit, and each relation's
+    written count is the number of its pairs."""
+    make, reorder = REBUILD_CASES[name]
+    tm = make()
+    rep = analyze(tm, reorder=reorder)
+    path = tmp_path / "report.json"
+    with open(path, "wb") as fh:
+        write_json(rep, fh)
+    r = json.loads(path.read_bytes())
+    assert "mfpt" not in r and "z_matrix" not in r
+    assert list(r["ordering"]) == ["digest", "m", "violations"]  # the flags are not written
+    mfpt, z, pairs = rebuild(r)
+    sol = solve_chain(reorder_by_column_sums(tm)[0] if reorder else tm)
+    assert mfpt.dtype == z.dtype == np.float64
+    assert mfpt.tobytes() == sol.mfpt.tobytes()
+    assert z.tobytes() == z_from_h(sol.h, sol.pi).tobytes()
+    i, j = np.triu_indices(tm.n, k=1)
+    assert list(pairs) == list(r["ordering"]["violations"]) == list(RELATIONS)
+    for (relation, got), f in zip(pairs.items(), ordering_masks(sol)):
+        want = np.stack((i[f], j[f]), axis=-1)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), relation
+        assert np.array_equal(flagged_pairs(rep.ordering.flags[relation], tm.n), want), relation
+        assert r["ordering"]["violations"][relation] == len(want), relation
+    if name == "dense_m300":
+        assert sum(r["ordering"]["violations"].values()) > 1000
 
 
 @pytest.mark.parametrize("name", ["fix5", "fix8", "cycle3"])
@@ -252,7 +295,7 @@ def test_write_json_matches_indent2_dump(name, reorder):
     if name == "cycle3":
         assert rep.doubly_stochastic.row_total_margins is not None
     if name == "two_state":
-        assert not any(map(len, rep.ordering.violations.values()))
+        assert not any(rep.ordering.violations.values())
     _assert_written_as_indent2(rep)
 
 
@@ -386,13 +429,12 @@ def test_write_json_layout(name):
     top = [line for line in lines if re.match(r'  "', line)]
     assert [line.split('"')[1] for line in top] == list(report_to_dict(rep))
     assert all(re.match(r'  "\w+": ', line) for line in top)
-    for key in ("mfpt", "h_matrix"):
-        start = lines.index(f'  "{key}": [')
-        rows = lines[start + 1:start + 1 + rep.m]
-        assert [json.loads(row.strip().rstrip(",")) for row in rows] == getattr(rep, key).tolist()
-        assert lines[start + 1 + rep.m] == "  ],"
-    for relation, pairs in rep.ordering.violations.items():
-        line = f'      "{relation}": {json.dumps(pairs.tolist(), separators=(",", ":"))}'
+    start = lines.index('  "h_matrix": [')
+    rows = lines[start + 1:start + 1 + rep.m]
+    assert [json.loads(row.strip().rstrip(",")) for row in rows] == rep.h_matrix.tolist()
+    assert lines[start + 1 + rep.m] == "  ],"
+    for relation, count in rep.ordering.violations.items():
+        line = f'      "{relation}": {count}'
         assert line in lines or line + "," in lines
 
 
@@ -406,8 +448,9 @@ def test_readme_library_snippet():
     np.testing.assert_allclose(report.stationary, [0.25, 0.75], atol=1e-14)
     assert report.kemeny == pytest.approx(3.5, abs=1e-13)
     np.testing.assert_allclose(
-        report.mfpt, [[4.0, 10 / 3], [10.0, 4 / 3]], rtol=1e-13
+        namespace["mfpt"], [[4.0, 10 / 3], [10.0, 4 / 3]], rtol=1e-13
     )
+    assert report.ordering.violations == dict.fromkeys(RELATIONS, 0)
 
 
 if __name__ == "__main__":

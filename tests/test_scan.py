@@ -14,6 +14,7 @@ from mcsum import scan as scan_module
 from mcsum.analysis import RESIDUAL_ROWS, residuals, solve_chain
 from mcsum.chain import TransitionMatrix, validate
 from mcsum.errors import GenerationFailed
+from mcsum.report import analyze
 from mcsum.rng import derive_stream
 from mcsum.scan import (
     M2_THEOREM_RELATIONS,
@@ -21,7 +22,7 @@ from mcsum.scan import (
     SIGN_TIE_TOL,
     Relation,
     ScanConfig,
-    ordering_from_solution,
+    flagged_pairs,
     ordering_masks,
     random_chain,
     scan,
@@ -74,45 +75,55 @@ def test_scan_config_rejects_repeated_state_counts():
         ScanConfig(state_counts=(5, 3, 4, 3, 5), trials=10, seed=0)
 
 
+def _violations(tm: TransitionMatrix) -> dict[str, list[list[int]]]:
+    """Per relation, the pairs that break it in one chain, as lists."""
+    m = tm.n
+    return {name: flagged_pairs(f, m).tolist()
+            for name, f in zip(RELATIONS, ordering_masks(solve_chain(tm)))}
+
+
 def test_ordering_two_state_equivalences_hold():
     for i in range(200):
-        record = ordering_from_solution(solve_chain(random_chain(2, 71_000 + i)))
+        violations = _violations(random_chain(2, 71_000 + i))
         for name in M2_THEOREM_RELATIONS:
-            assert record.violations[name].tolist() == []
+            assert violations[name] == []
 
 
 def test_ordering_fix8_flags_colsum_pi_reversal(fix8):
-    record = ordering_from_solution(solve_chain(fix8))
-    assert [0, 1] in record.violations["c_vs_pi"].tolist()
-    assert record.violations["pi_vs_recurrence"].tolist() == []
+    violations = _violations(fix8)
+    assert [0, 1] in violations["c_vs_pi"]
+    assert violations["pi_vs_recurrence"] == []
 
 
 def test_ordering_fix5_clean(fix5):
-    record = ordering_from_solution(solve_chain(fix5))
-    assert record.violations["c_vs_pi"].tolist() == []
-    assert record.violations["c_vs_m_col_total"].tolist() == []
-    assert record.violations["pi_vs_recurrence"].tolist() == []
+    violations = _violations(fix5)
+    assert violations["c_vs_pi"] == []
+    assert violations["c_vs_m_col_total"] == []
+    assert violations["pi_vs_recurrence"] == []
 
 
 def test_ordering_record_recomputes(fix8):
-    a = ordering_from_solution(solve_chain(fix8))
-    b = ordering_from_solution(solve_chain(fix8))
+    a = analyze(fix8).ordering
+    b = analyze(fix8).ordering
     assert a.digest == b.digest
     assert a.m == 8
-    assert {k: v.tolist() for k, v in a.violations.items()} == {
-        k: v.tolist() for k, v in b.violations.items()}
+    assert a.violations == b.violations
+    assert list(a.flags) == list(b.flags) == list(RELATIONS)
+    assert all(np.array_equal(a.flags[name], b.flags[name]) for name in RELATIONS)
 
 
 def test_ordering_record_builds_its_pairs_once(fix8, monkeypatch):
-    want = ordering_from_solution(solve_chain(fix8))
+    # analyze builds the pair indices for ordering_masks only; the counts and
+    # the pairs are read off the flags
+    want = analyze(fix8).ordering
     calls = []
     pairs = scan_module._pairs
     monkeypatch.setattr(scan_module, "_pairs", lambda m: calls.append(m) or pairs(m))
-    got = ordering_from_solution(solve_chain(fix8))
+    got = analyze(fix8).ordering
+    shown = {name: flagged_pairs(f, fix8.n).tolist() for name, f in got.flags.items()}
     assert calls == [fix8.n]
-    assert got.digest == want.digest
-    assert {k: v.tolist() for k, v in got.violations.items()} == {
-        k: v.tolist() for k, v in want.violations.items()}
+    assert got.digest == want.digest and got.violations == want.violations
+    assert shown == {name: flagged_pairs(f, fix8.n).tolist() for name, f in want.flags.items()}
 
 
 def test_ordering_masks_lie_above_the_diagonal(fix5):
@@ -121,31 +132,39 @@ def test_ordering_masks_lie_above_the_diagonal(fix5):
     flags = ordering_masks(sol)
     assert flags.shape == (len(RELATIONS), 10) and flags.dtype == bool
     i, j = np.triu_indices(5, k=1)
-    violations = ordering_from_solution(sol).violations
+    violations = _violations(fix5)
     assert list(violations) == list(RELATIONS)
     for name, f in zip(RELATIONS, flags):
         want = list(map(list, zip(i[f].tolist(), j[f].tolist())))
-        assert violations[name].tolist() == want, name
-        assert all(a < b for a, b in violations[name].tolist()), name
+        assert violations[name] == want, name
+        assert all(a < b for a, b in violations[name]), name
 
 
-def _assert_pair_arrays(violations, flags, m):
-    """Each relation's violations are a (k, 2) integer array: the flagged
-    pairs in ``np.triu_indices`` order, each with i < j."""
+def _assert_pair_arrays(flags, m):
+    """Each relation's ``flagged_pairs`` of one chain's flags are a (k, 2)
+    integer array: the flagged pairs in ``np.triu_indices`` order, each with
+    i < j, and its first `limit` rows for any limit."""
     i, j = np.triu_indices(m, k=1)
-    assert list(violations) == list(RELATIONS)
+    assert len(flags) == len(RELATIONS)
     for name, f in zip(RELATIONS, flags):
-        pairs = violations[name]
+        pairs = flagged_pairs(f, m)
         assert isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i", name
         assert pairs.shape == (np.count_nonzero(f), 2), name
         assert np.array_equal(pairs, np.stack((i[f], j[f]), axis=-1)), name
         assert np.all(pairs[:, 0] < pairs[:, 1]), name
+        for limit in (0, 1, 5, len(pairs), len(pairs) + 1):
+            assert np.array_equal(flagged_pairs(f, m, limit), pairs[:limit]), (name, limit)
 
 
 @pytest.mark.parametrize("name", ["fix5", "fix8", "cycle3"])
 def test_ordering_violations_are_pair_arrays(name, request):
-    sol = solve_chain(request.getfixturevalue(name))
-    _assert_pair_arrays(ordering_from_solution(sol).violations, ordering_masks(sol), sol.tm.n)
+    tm = request.getfixturevalue(name)
+    flags = ordering_masks(solve_chain(tm))
+    _assert_pair_arrays(flags, tm.n)
+    ordering = analyze(tm).ordering
+    assert ordering.violations == dict(zip(RELATIONS, map(int, flags.sum(axis=-1))))
+    for name, f in zip(RELATIONS, flags):
+        assert np.array_equal(ordering.flags[name], f), name
 
 
 def _digest(tm: TransitionMatrix) -> str:
@@ -156,23 +175,25 @@ def _rebuilt(ce) -> TransitionMatrix:
     """A counterexample's chain, rebuilt from its seed; it must hash to the
     digest the scan recorded."""
     tm = random_chain(ce.m, ce.seed, ce.sparsity)
-    assert _digest(tm) == ce.ordering.digest
+    assert _digest(tm) == ce.digest
     return tm
 
 
 def test_scan_hands_found_pair_arrays():
+    # each counterexample names the relations its rebuilt chain's flags break
     found = []
     scan(ScanConfig(state_counts=(3, 6), trials=60, seed=5, sparsity=0.3), found.append)
     assert {ce.m for ce in found} == {3, 6}
     for ce in found:
         flags = ordering_masks(solve_chain(_rebuilt(ce)))
-        _assert_pair_arrays(ce.ordering.violations, flags, ce.m)
+        assert ce.violated == [name for name, f in zip(RELATIONS, flags) if f.any()]
+        assert ce.violated
+        _assert_pair_arrays(flags, ce.m)
 
 
 def test_sign_ties_never_violate(cycle3):
     sol = solve_chain(cycle3)  # fully tied: uniform everything
-    record = ordering_from_solution(sol)
-    assert all(v.tolist() == [] for v in record.violations.values())
+    assert not any(analyze(cycle3).ordering.violations.values())
     assert not ordering_masks(sol).any()
 
 
@@ -242,18 +263,16 @@ def test_ordering_record_violations_keep_their_order(stack):
     p = np.stack([_tied_chain(kind, m, seed) for kind, seed in kinds])
     sol = solve_chain(TransitionMatrix(p=p))
     masks = _square_masks(sol)
-    pairs = scan_module._pairs(m)
-    records = scan_module._records(p, ordering_masks(sol, pairs), pairs)
-    assert len(records) == len(kinds)
-    for k, record in enumerate(records):
-        assert list(record.violations) == list(RELATIONS)
-        for name, mask in masks.items():
+    flags = ordering_masks(sol)
+    for k in range(len(kinds)):
+        one = analyze(TransitionMatrix(p=p[k])).ordering
+        assert list(one.violations) == list(RELATIONS)
+        for (name, mask), f in zip(masks.items(), flags[:, k]):
             want = list(map(list, zip(*(a.tolist() for a in mask[k].nonzero()))))
-            assert record.violations[name].tolist() == want, name
-        one = ordering_from_solution(solve_chain(TransitionMatrix(p=p[k])))
-        assert all(np.array_equal(one.violations[name], record.violations[name])
-                   for name in RELATIONS)
-        assert one.digest == record.digest
+            assert flagged_pairs(f, m).tolist() == want, name
+            assert np.array_equal(one.flags[name], f), name
+            assert one.violations[name] == len(want), name
+        assert one.digest == hashlib.sha256(p[k].tobytes()).hexdigest()
 
 
 def _brute_force_pairs(sol, t: int) -> dict[str, np.ndarray]:
@@ -301,31 +320,30 @@ def test_ordering_pairs_match_a_double_loop(stack, data):
     p = np.stack([_ordering_chain(kind, m, seed) for kind, seed in draws])
     for chain_p in p:
         sol = solve_chain(TransitionMatrix(p=chain_p))
-        record = ordering_from_solution(sol)
+        record = analyze(sol.tm).ordering
         assert record.digest == hashlib.sha256(chain_p.tobytes()).hexdigest()
         want = _brute_force_pairs(sol, 0)
         assert list(record.violations) == list(want)
-        for name, pairs in record.violations.items():
+        for name in RELATIONS:
+            pairs = flagged_pairs(record.flags[name], m)
             assert pairs.dtype == want[name].dtype and np.array_equal(pairs, want[name]), name
+            assert record.violations[name] == len(want[name]), name
     sol = solve_chain(TransitionMatrix(p=p))
-    pairs = scan_module._pairs(m)
-    chains = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(p), max_size=len(p))))
-    flags = ordering_masks(sol, pairs)
-    for chosen, records in ((range(len(p)), scan_module._records(p, flags, pairs)),
-                            (chains, scan_module._records(p, flags, pairs, chains))):
-        assert len(records) == len(chosen)
-        for t, record in zip(chosen, records):
-            assert record.digest == hashlib.sha256(p[t].tobytes()).hexdigest()
-            want = _brute_force_pairs(sol, t)
-            for name, found in record.violations.items():
-                assert found.dtype == want[name].dtype and np.array_equal(found, want[name]), name
+    flags = ordering_masks(sol)
+    limit = data.draw(st.integers(min_value=0, max_value=m * (m - 1) // 2 + 1))
+    for t in range(len(p)):
+        want = _brute_force_pairs(sol, t)
+        for name, f in zip(RELATIONS, flags[:, t]):
+            found = flagged_pairs(f, m)
+            assert found.dtype == want[name].dtype and np.array_equal(found, want[name]), name
+            assert np.array_equal(flagged_pairs(f, m, limit), want[name][:limit]), name
 
 
 def test_ordering_digest_of_a_fortran_ordered_chain(fix8):
     # the digest hashes the C-ordered bytes whatever the array's memory order
     tm = validate(np.asfortranarray(fix8.p), fix8.labels)
     assert not tm.p.flags.c_contiguous
-    record = ordering_from_solution(solve_chain(tm))
+    record = analyze(tm).ordering
     assert record.digest == hashlib.sha256(fix8.p.tobytes()).hexdigest()
 
 
@@ -338,7 +356,8 @@ def test_scan_deterministic():
     assert a.counterexamples == b.counterexamples == len(found_a) == len(found_b)
     for ca, cb in zip(found_a, found_b):
         assert ca.m == cb.m and ca.trial == cb.trial and ca.seed == cb.seed
-        assert ca.ordering.digest == cb.ordering.digest == _digest(_rebuilt(ca))
+        assert ca.digest == cb.digest == _digest(_rebuilt(ca))
+        assert ca.violated == cb.violated
 
 
 def test_scan_m2_no_equivalence_violations():
@@ -354,14 +373,13 @@ def test_scan_m3_finds_colsum_pi_counterexample():
     assert result.violations("c_vs_pi") >= 1
     assert result.violations("pi_vs_recurrence") == 0
     assert result.hard_failures == []
-    flagged = [
-        ce for ce in found if len(ce.ordering.violations["c_vs_pi"])
-    ]
+    flagged = [ce for ce in found if "c_vs_pi" in ce.violated]
     assert flagged
     # counterexamples persist enough to recompute the violation
     ce = flagged[0]
-    record = ordering_from_solution(solve_chain(validate(_rebuilt(ce).p)))
-    assert np.array_equal(record.violations["c_vs_pi"], ce.ordering.violations["c_vs_pi"])
+    record = analyze(validate(_rebuilt(ce).p)).ordering
+    assert record.violations["c_vs_pi"] > 0
+    assert [name for name, n in record.violations.items() if n] == ce.violated
 
 
 def test_scan_result_does_not_depend_on_block_size(monkeypatch):
@@ -376,10 +394,8 @@ def test_scan_result_does_not_depend_on_block_size(monkeypatch):
     assert len(found_cut) == len(found_whole) == cut.counterexamples > 0
     for a, b in zip(found_cut, found_whole):
         assert (a.m, a.trial, a.seed, a.sparsity) == (b.m, b.trial, b.seed, b.sparsity)
-        assert a.ordering.digest == b.ordering.digest == _digest(_rebuilt(a))
-        assert a.ordering.digest == b.ordering.digest
-        assert all(np.array_equal(a.ordering.violations[name], b.ordering.violations[name])
-                   for name in RELATIONS)
+        assert a.digest == b.digest == _digest(_rebuilt(a))
+        assert a.violated == b.violated
 
 
 def test_hard_failure_text_of_a_reversed_two_state_relation(monkeypatch):
@@ -387,7 +403,7 @@ def test_hard_failure_text_of_a_reversed_two_state_relation(monkeypatch):
     found = []
     result = scan(ScanConfig(state_counts=(2,), trials=1, seed=0), found.append)
     assert result.hard_failures == ["m=2 trial=0: theorem relation c_vs_pi violated on [(0, 1)]"]
-    assert [ce.ordering.violations["c_vs_pi"].tolist() for ce in found] == [[[0, 1]]]
+    assert [ce.violated for ce in found] == [["c_vs_pi"]]
 
 
 def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
@@ -401,12 +417,11 @@ def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
     for m in config.state_counts:
         for trial in range(config.trials):
             sol = solve_chain(random_chain(m, derive_stream(3, m, trial), 0.3))
-            violations = ordering_from_solution(sol).violations
-            for name in RELATIONS:
-                if len(violations[name]) and RELATIONS[name].proven_for(m):
+            for name, f in zip(RELATIONS, ordering_masks(sol)):
+                if f.any() and RELATIONS[name].proven_for(m):
                     want.append(
                         f"m={m} trial={trial}: theorem relation {name} violated on "
-                        f"{list(map(tuple, violations[name].tolist()))}"
+                        f"{list(map(tuple, flagged_pairs(f, m).tolist()))}"
                     )
             worst = max(zip(RESIDUAL_ROWS, residuals(sol)), key=lambda kv: kv[1])
             if worst[1] > tol:

@@ -39,6 +39,9 @@ SHOWN_PAIRS = 5
 #: ``--output`` holds every state.
 SHOWN_STATES = 20
 
+#: ``analyze`` warns of lost accuracy at condition estimates at or above this.
+CONDITION_WARN_THRESHOLD = 1e8
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with code 1, not 2."""
@@ -125,7 +128,7 @@ def _cmd_analyze(args) -> int:
             print(f"ordering violation [{name}]: {count} pair(s) {shown}{more}")
     else:
         print("no ordering violations among the tracked relations")
-    if rep.condition_warning:
+    if rep.condition_estimate >= CONDITION_WARN_THRESHOLD:
         print(
             f"warning: condition estimate {rep.condition_estimate:.3e} is large; "
             "results may lose accuracy"

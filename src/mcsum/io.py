@@ -15,8 +15,8 @@ refuse them with the one ValueError of `_refusal`, which names the number.
 
 Reading (`load_matrix`) decodes the file's text once.  `parse_csv` reads
 each CSV line through orjson where it can and through ``float()`` where it
-cannot, so each field gives ``float()``'s bits.  JSON is read by
-``json.loads`` in `parse_json`.
+cannot, so each field gives ``float()``'s bits, but for a zero's sign.  JSON
+is read by ``json.loads`` in `parse_json`.
 """
 from __future__ import annotations
 
@@ -125,14 +125,12 @@ def parse_csv(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     piece of `text` split at "\\n" holding only `_ROW_BYTES` (perhaps ending in
     a CRLF's "\\r") is one line, read as ``orjson.loads(b"[" + piece + b"]")``
     with ``float()``'s rounding.  `_float_row` reads the re-split lines of any
-    other piece and rows orjson refuses (``1.``, ``01``, ``1e400``).  orjson
-    reads ``-0`` as +0.0, so once all rows are in, the rows that read a zero
-    are found in one pass over the matrix, and those among them that orjson
-    read and that hold a ``-`` outside an exponent are read again by `_float_row`.
+    other piece and rows orjson refuses (``1.``, ``01``, ``1e400``).  A zero's
+    sign is not kept (orjson reads ``-0`` as +0.0): `chain.validate` makes
+    every zero +0.0 anyway.
     """
     pieces = text.split("\n")
     labels, p, n, lineno = None, None, 0, 0
-    signed = {}  # row -> (line number, line) of the orjson rows holding a "-"
     for piece in pieces:
         raw = piece.encode()
         fast = not raw.removesuffix(b"\r").translate(None, _ROW_BYTES)  # orjson skips "\r"
@@ -159,18 +157,10 @@ def parse_csv(text: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
             elif n == len(p):  # line ends other than "\n" made more lines than pieces
                 p = np.concatenate((p, np.empty_like(p)))
             p[n] = row
-            if fast and b"-" in raw:
-                signed[n] = lineno, line
             n += 1
     if p is None:
         raise ValueError("no matrix rows found")
-    p = p[:n]
-    if signed:
-        for k in np.flatnonzero(~p.all(axis=1)).tolist():  # the rows that read a zero
-            lineno, line = signed.get(k, (0, ""))  # "": not read by orjson, or no "-"
-            if line.count("-") > line.count("e-") + line.count("E-"):  # it may be -0
-                p[k] = _float_row(lineno, line)
-    return p, labels
+    return p[:n], labels
 
 
 def render_csv(p: np.ndarray, labels: tuple[str, ...] | None = None) -> str:

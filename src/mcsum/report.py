@@ -23,14 +23,11 @@ import orjson
 
 from .analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, BoundsReport,
                        DoublyStochasticReport, bounds_check, doubly_stochastic_report,
-                       mfpt_from_h, residuals, solve_chain)
+                       kemeny_from_h, mfpt_from_h, residuals, solve_chain)
 from .chain import TransitionMatrix, reorder_by_column_sums
 from .ginv import z_from_h
 from .io import _plain, array_json, dumps, json_ready
 from .scan import RELATIONS, flagged_pairs, ordering_masks
-
-#: Condition numbers at or above this set ``condition_warning``.
-CONDITION_WARN_THRESHOLD = 1e8
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,6 @@ class OrderingReport:
     ``scan.flagged_pairs`` are its pairs), is never written."""
 
     digest: str
-    m: int
     violations: dict[str, int]
     flags: dict[str, np.ndarray] = field(repr=False, compare=False, metadata={"json": False})
 
@@ -71,7 +67,6 @@ class ChainReport:
     doubly_stochastic: DoublyStochasticReport
     ordering: OrderingReport
     condition_estimate: float
-    condition_warning: bool
 
 
 def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
@@ -86,7 +81,6 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         permutation = tuple(int(i) for i in perm)
 
     sol = solve_chain(tm)
-    bounds = bounds_check(sol)
     rows = dict(zip(RESIDUAL_ROWS, residuals(sol)))
     flags = dict(zip(RELATIONS, ordering_masks(sol)))
 
@@ -96,20 +90,18 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         permutation=permutation,
         column_sums=sol.c,
         stationary=sol.pi,
-        kemeny=bounds.kemeny,
+        kemeny=kemeny_from_h(sol.h),
         h_matrix=sol.h,
         theorem2_residuals={name: rows[name] for name in THEOREM2_ROWS},
         identity_residuals={name: rows[name] for name in IDENTITY_ROWS},
-        bounds=bounds,
+        bounds=bounds_check(sol),
         doubly_stochastic=doubly_stochastic_report(sol),
         ordering=OrderingReport(
             digest=hashlib.sha256(np.ascontiguousarray(tm.p)).hexdigest(),
-            m=tm.n,
             violations={name: int(np.count_nonzero(f)) for name, f in flags.items()},
             flags=flags,
         ),
         condition_estimate=sol.cond,
-        condition_warning=bool(sol.cond >= CONDITION_WARN_THRESHOLD),
     )
 
 

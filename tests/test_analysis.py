@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsum import analysis
 from mcsum.analysis import (
@@ -30,8 +32,10 @@ from tests.conftest import (
     FIX5_PI,
     FIX8_KEMENY,
     FIX8_PI,
+    cycle3_matrix,
     independent_z,
     random_doubly_stochastic,
+    two_block,
     two_state,
 )
 from tests.oracles import group_inverse, kemeny_general
@@ -290,7 +294,7 @@ def test_bounds_worst_margin():
             for f in fields(b)
             if f.name.endswith(("_margin", "_margins"))
         ]
-        assert len(margins) == 5
+        assert len(margins) == 4
         assert b.worst_margin == min(margins)
         assert "worst_margin" not in report_to_dict(b)
     assert bounds_check(solve_chain(two_state(1.0, 1.0))).worst_margin == pytest.approx(
@@ -304,11 +308,47 @@ def test_bounds_equality_cycle(cycle3):
     assert b.kemeny_margin == pytest.approx(0.0, abs=1e-12)
 
 
+def _check_weak_trace_margin_never_binds(tm):
+    """tr H - 1/m = K - 1 is the margin of tr H >= 1/m, which K >= (m+1)/2
+    implies: it is never below ``kemeny_margin``, so ``worst_margin`` with it
+    put back is, bit for bit, ``worst_margin`` without it."""
+    sol = solve_chain(tm)
+    b = bounds_check(sol)
+    weak = sol.h.trace(axis1=-2, axis2=-1) - 1.0 / tm.n
+    assert np.all(b.kemeny_margin <= weak)
+    per_state = np.concatenate(
+        (b.pi_upper_margins, b.pi_lower_offdiag_margins, b.pi_lower_colsum_margins), axis=-1)
+    with_weak = np.minimum(np.minimum(b.kemeny_margin, weak), per_state.min(axis=-1))
+    assert np.asarray(b.worst_margin).tobytes() == np.asarray(with_weak).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=12),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=9),
+    sparsity=st.sampled_from([0.0, 0.5]),
+)
+def test_weak_trace_margin_never_binds(m, seeds, sparsity):
+    _check_weak_trace_margin_never_binds(
+        TransitionMatrix(p=random_chains(m, np.array(seeds, dtype=np.uint64), sparsity)))
+    _check_weak_trace_margin_never_binds(random_chain(m, seeds[0], sparsity))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: validate(np.array([[1.0]])),  # m = 1: both margins are tr H - 1 = 0
+    lambda: two_state(1.0, 1.0),
+    lambda: two_state(0.3, 0.1),
+    cycle3_matrix,
+    lambda: validate(two_block(10, 1e-10)),  # tr H near 5e9
+], ids=["m1", "flip", "two_state", "cycle3", "near_reducible"])
+def test_weak_trace_margin_never_binds_on_boundary_chains(make):
+    _check_weak_trace_margin_never_binds(make())
+
+
 def test_bounds_fix5(fix5):
     sol = solve_chain(fix5)
     b = bounds_check(sol)
     assert b.kemeny_margin == pytest.approx(FIX5_KEMENY - 3.0, abs=5e-3)
-    assert b.trace_h_weak_margin > 0
     assert (b.pi_lower_offdiag_margins > 0).all()
     assert (b.pi_lower_colsum_margins > 0).all()
 
@@ -316,11 +356,12 @@ def test_bounds_fix5(fix5):
 def test_bounds_margins_recompute(fix8):
     sol = solve_chain(fix8)
     b = bounds_check(sol)
-    assert b.kemeny_margin == pytest.approx(b.kemeny - b.kemeny_lower, abs=1e-12)
-    assert b.trace_h_weak_margin == pytest.approx(b.trace_h - b.trace_h_weak_lower, abs=1e-12)
+    m = fix8.n
+    assert b.kemeny_margin == 1 - 1 / m + np.trace(sol.h) - (m + 1) / 2
+    np.testing.assert_allclose(b.pi_lower_offdiag_margins, sol.pi - 1 / (m + sol.c_off), atol=1e-12)
     np.testing.assert_allclose(
-        b.pi_upper_margins, fix8.n * sol.h.diagonal() - sol.pi, atol=1e-12
-    )
+        b.pi_lower_colsum_margins, sol.pi - sol.c / (1 + sol.c @ sol.mfpt), atol=1e-12)
+    np.testing.assert_allclose(b.pi_upper_margins, m * sol.h.diagonal() - sol.pi, atol=1e-12)
 
 
 def test_doubly_stochastic_cycle(cycle3):

@@ -332,8 +332,8 @@ CSV_GUARD_CASES = {
     "-0": (b"-0,1\n1,0\n", ([[-0.0, 1.0], [1.0, 0.0]], None)),
     "-0.0": (b"-0.0,1\n1,0\n", ([[-0.0, 1.0], [1.0, 0.0]], None)),
     "-0e0": (b"1e-5,-0e0\n1,0\n", ([[1e-05, -0.0], [1.0, 0.0]], None)),
-    # the sign bit is compared too: a row is read again only for a "-" outside
-    # an exponent, and by its own index after the row array has grown
+    # a zero's sign is not compared (orjson reads -0 as +0.0, and validate
+    # makes every zero +0.0); its value and the rows of a grown array are
     "a zero, minus signs in exponents only": (
         b"0,1e-5,2.5E-1\n1,0,0\n", ([[0.0, 1e-05, 0.25], [1.0, 0.0, 0.0]], None)),
     "-0 beside 1e-5": (b"-0,1e-5\n1,0\n", ([[-0.0, 1e-05], [1.0, 0.0]], None)),
@@ -377,8 +377,19 @@ def test_csv_guard_case_matches_text_reader(tmp_path, case):
     else:
         rows, labels = want
         p, got_labels = io.load_matrix(path)
-        assert (p.shape, p.tobytes()) == (np.shape(rows), np.array(rows).tobytes())
+        want = np.array(rows) + 0.0  # + 0.0: a zero's sign is not compared
+        assert (p.shape, (p + 0.0).tobytes()) == (want.shape, want.tobytes())
         assert got_labels == labels
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("zero", ["0", "-0", "-0.0", "-0e0", "-0E+5", "0e-3", "-1e-400"])
+def test_every_zero_spelling_loads_as_plus_zero(tmp_path, fmt, zero):
+    # the commands see validate(*io.load_matrix(path)), whose zeros are all +0.0
+    path = tmp_path / f"m.{fmt}"
+    rows = f"{zero},1\n1,{zero}\n" if fmt == "csv" else f'{{"p": [[{zero}, 1], [1, {zero}]]}}'
+    path.write_text(rows)
+    assert validate(*io.load_matrix(path)).p.tobytes() == np.array([[0.0, 1.0], [1.0, 0.0]]).tobytes()
 
 
 # Each case: a JSON file's text, and the message it is refused with.
@@ -481,13 +492,13 @@ def test_csv_readers_are_bit_exact(data, fields):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), fields=_spelled_matrix(min_value=None))
 def test_signed_csv_reads_alike_on_either_reader(tmp_path_factory, data, fields):
-    # With signs a line may go through float(): -0 and -0e0 must, since
-    # orjson reads them as +0.0.  The bits are float()'s either way.
+    # With signs the bits are float()'s on either reader, but for a zero's
+    # sign: orjson reads -0 as +0.0, and validate makes every zero +0.0.
     csv_path = tmp_path_factory.mktemp("signed") / "m.csv"
     csv_path.write_bytes(data.draw(_csv_text(fields)).encode())
-    want = np.array([[float(f) for f in row] for row in fields])
+    want = np.array([[float(f) for f in row] for row in fields]) + 0.0
     got, labels = io.load_matrix(csv_path)
-    assert (got.shape, got.tobytes(), labels) == (want.shape, want.tobytes(), None)
+    assert (got.shape, (got + 0.0).tobytes(), labels) == (want.shape, want.tobytes(), None)
 
 
 @dataclass

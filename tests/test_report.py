@@ -16,7 +16,9 @@ from mcsum.analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, kemeny_
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.errors import SingularMatrix
 from mcsum.ginv import colsum_system, z_from_h
-from mcsum.report import CONDITION_WARN_THRESHOLD, analyze, rebuild, report_to_dict, write_json
+from mcsum.cli import CONDITION_WARN_THRESHOLD, main
+from mcsum.io import save_matrix
+from mcsum.report import analyze, rebuild, report_to_dict, write_json
 from mcsum.scan import RELATIONS, flagged_pairs, ordering_masks, random_chain
 from tests.conftest import (
     FIVE_STATE_UNSORTED,
@@ -37,9 +39,8 @@ def test_analyze_fix5(fix5):
     np.testing.assert_allclose(rep.h_matrix, FIX5_H, atol=5e-4)
     np.testing.assert_allclose(rebuild(report_to_dict(rep))[0], FIX5_M, atol=5e-4)
     assert rep.kemeny == pytest.approx(FIX5_KEMENY, abs=5e-3)
-    assert rep.kemeny == rep.bounds.kemeny
     assert rep.permutation is None
-    assert not rep.condition_warning
+    assert rep.condition_estimate < CONDITION_WARN_THRESHOLD
     assert max(rep.theorem2_residuals.values()) < 1e-9
     assert max(rep.identity_residuals.values()) < 1e-8
 
@@ -103,9 +104,11 @@ def test_report_dict_round_trips(fix5):
     assert back["labels"] == ["1", "2", "3", "4", "5"]
     assert "p" not in back and "mfpt" not in back
     np.testing.assert_allclose(rebuild(back)[0], FIX5_M, atol=5e-4)
-    assert set(back["bounds"]) >= {"kemeny_margin", "trace_h_weak_margin", "pi_upper_margins"}
+    assert list(back["bounds"]) == ["kemeny_margin", "pi_upper_margins",
+                                    "pi_lower_offdiag_margins", "pi_lower_colsum_margins"]
     assert back["doubly_stochastic"]["applicable"] is False
-    assert list(back["ordering"]) == ["digest", "m", "violations"]
+    assert list(back["ordering"]) == ["digest", "violations"]
+    assert "condition_warning" not in back
     assert back["ordering"]["digest"] == hashlib.sha256(fix5.p.tobytes()).hexdigest()
     counts = back["ordering"]["violations"]
     assert counts == {"pi_vs_recurrence": 0, "c_vs_pi": 0, "c_vs_h_diag": 3,
@@ -162,7 +165,7 @@ def test_rebuild_bit_for_bit(name, tmp_path):
         write_json(rep, fh)
     r = json.loads(path.read_bytes())
     assert "mfpt" not in r and "z_matrix" not in r
-    assert list(r["ordering"]) == ["digest", "m", "violations"]  # the flags are not written
+    assert list(r["ordering"]) == ["digest", "violations"]  # the flags are not written
     mfpt, z, pairs = rebuild(r)
     sol = solve_chain(reorder_by_column_sums(tm)[0] if reorder else tm)
     assert mfpt.dtype == z.dtype == np.float64
@@ -181,26 +184,31 @@ def test_rebuild_bit_for_bit(name, tmp_path):
 
 @pytest.mark.parametrize("name", ["fix5", "fix8", "cycle3"])
 def test_report_has_one_kemeny_value(name, request):
-    """`kemeny` and `bounds.kemeny` are the one K read off H, and no value
-    that only restated H through Z is written."""
+    """`kemeny` is the one K, read off H, and no value that only restated H
+    (through Z, or as tr H) or a constant of m is written."""
     tm = request.getfixturevalue(name)
     rep = analyze(tm)
     want = kemeny_from_h(solve_chain(tm).h)
     assert np.float64(rep.kemeny).tobytes() == want.tobytes()
-    assert np.float64(rep.bounds.kemeny).tobytes() == want.tobytes()
     r = json.loads(_written(rep))
-    assert r["kemeny"] == r["bounds"]["kemeny"] == want
+    assert r["kemeny"] == want
+    assert "kemeny" not in r["bounds"]
     assert not {"kemeny_variants", "kemeny_spread"} & set(r)
-    assert not {"trace_h_lower", "trace_h_margin"} & set(r["bounds"])
+    assert not {"kemeny_lower", "trace_h", "trace_h_weak_lower", "trace_h_weak_margin",
+                "trace_h_lower", "trace_h_margin"} & set(r["bounds"])
     assert not {"h_shift_residual", "col_total_vs_z_residual"} & set(r["doubly_stochastic"])
     assert not [key for key in r["theorem2_residuals"] if "(1+m)" in key]
 
 
-def test_condition_warning_on_near_reducible_chain():
+def test_condition_warning_on_near_reducible_chain(tmp_path, capsys):
     for m in (2, 10):  # at m = 2: [[1 - eps, eps], [eps, 1 - eps]]
         rep = analyze(validate(two_block(m, 1e-10)))
-        assert rep.condition_warning
-        assert rep.condition_estimate > 1e8
+        assert rep.condition_estimate > CONDITION_WARN_THRESHOLD
+        save_matrix(path := tmp_path / f"two_block{m}.csv", two_block(m, 1e-10))
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"warning: condition estimate {rep.condition_estimate:.3e} is large; "
+            "results may lose accuracy")
 
 
 @pytest.mark.parametrize("m", [2, 10])

@@ -107,13 +107,13 @@ def test_conversions_broadcast_over_a_stack(m, seeds):
 
 
 def test_one_kemeny_value_on_a_stack():
-    """The stack's K, as `bounds_check` reports it, is `kemeny_from_h` of its H,
-    and each chain's entry is the K that `analyze` reports for it alone."""
+    """The stack's K, `kemeny_from_h` of its H, holds in each chain's entry the
+    K that `analyze` reports for it alone, and its Kemeny margin is K - (m+1)/2."""
     seeds = [3, 17, 2**63 + 5, 12345]
     sol = solve_chain(TransitionMatrix(p=random_chains(6, np.array(seeds, dtype=np.uint64))))
-    kemeny = bounds_check(sol).kemeny
+    kemeny = kemeny_from_h(sol.h)
     assert kemeny.shape == (len(seeds),)
-    assert _bits(kemeny) == _bits(kemeny_from_h(sol.h))
+    assert _bits(bounds_check(sol).kemeny_margin) == _bits(kemeny - 3.5)
     for k, seed in enumerate(seeds):
         assert _bits(kemeny[k]) == _bits(analyze(random_chain(6, seed)).kemeny)
 

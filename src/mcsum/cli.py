@@ -175,7 +175,7 @@ def _cmd_scan(args) -> int:
         sparsity=args.sparsity,
     )
     with open(args.log, "wb") if args.log else contextlib.nullcontext() as fh:
-        found = None if fh is None else lambda ce: fh.write(io.dumps(ce) + b"\n")
+        found = None if fh is None else lambda line: fh.write(io.dumps(line) + b"\n")
         result = run_scan(config, found)
     print(f"{'relation':<24}{'m':>4}{'trials':>10}{'violations':>12}{'rate':>10}")
     for s in result.summaries:
@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except VALIDATION_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NUMERICAL_ERRORS as exc:

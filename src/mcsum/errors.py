@@ -17,16 +17,12 @@ class SingularMatrix(McsumError):
     """A linear system is singular or too ill-conditioned to solve."""
 
 
-class Degenerate(McsumError):
-    """Closed-form parameters describe a reducible or empty chain."""
-
-
 class GenerationFailed(McsumError):
     """Random chain generation failed to produce an irreducible chain."""
 
 
 #: Errors that signal bad user input (CLI exit code 2).
-VALIDATION_ERRORS = (NotStochastic, NotIrreducible, Degenerate, GenerationFailed)
+VALIDATION_ERRORS = (NotStochastic, NotIrreducible, GenerationFailed)
 
 #: Errors that signal numerical failure on accepted input (CLI exit code 3).
 NUMERICAL_ERRORS = (SingularMatrix,)

@@ -56,8 +56,8 @@ def array_json(a: np.ndarray) -> bytes:
 
 def _plain(obj):
     """orjson's ``default`` hook: an array or numpy scalar as (nested lists of)
-    Python values, through `json_ready`; a dataclass as the dict of its fields
-    that are not None, less those marked ``metadata={"json": False}``."""
+    Python values, through `json_ready`; a report dataclass as the dict of its
+    fields that are not None, less those marked ``metadata={"json": False}``."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return json_ready(np.asarray(obj)).tolist()
     if is_dataclass(obj):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TransitionMatrix
-from .errors import Degenerate, NotIrreducible, SingularMatrix
+from .errors import NotIrreducible, SingularMatrix
 from .ginv import mfpt_general
 
 
@@ -79,14 +79,14 @@ class TwoStateClosedForm:
 def two_state_closed_form(a: float, b: float) -> TwoStateClosedForm:
     """Evaluate the two-state parameter formulas.
 
-    Requires 0 <= a, b <= 1; a + b = 0 leaves two isolated states and is
-    rejected as degenerate, and a = 0 or b = 0 alone makes a state absorbing.
+    Requires 0 <= a, b <= 1; NotIrreducible refuses a + b = 0 (two isolated
+    states) and a = 0 or b = 0 alone (an absorbing state).
     """
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError(f"parameters must lie in [0, 1], got a={a!r}, b={b!r}")
     s = a + b
     if s == 0.0:
-        raise Degenerate("a + b = 0 gives a reducible two-state chain")
+        raise NotIrreducible("a + b = 0 gives a reducible two-state chain")
     if a == 0.0 or b == 0.0:
         raise NotIrreducible(f"a={a!r}, b={b!r} make a state absorbing; the chain is reducible")
     pi = np.array([b / s, a / s])

@@ -7,7 +7,8 @@ of the column sums, pi, diag H, mean recurrence times and column totals of M,
 and ``analysis.residuals`` is the table ``mcsum verify`` prints, held to
 ``analysis.IDENTITY_TOL``.  Relations proved for every chain (or every
 two-state chain) are asserted; the rest are conjectures whose violation
-rates are measured.
+rates are measured.  Each violating trial leaves ``scan`` as a plain dict,
+the very ``scan --log`` line that ``io.dumps`` writes.
 """
 from __future__ import annotations
 
@@ -180,20 +181,6 @@ class RelationSummary:
 
 
 @dataclass(frozen=True)
-class Counterexample:
-    """A trial that violates a relation: ``io.dumps`` of it is one ``scan --log``
-    line.  ``random_chain(m, seed, sparsity)`` rebuilds its P, whose sha256 is
-    ``digest``; ``violated`` names the broken relations in RELATIONS order."""
-
-    m: int
-    trial: int
-    seed: int
-    sparsity: float
-    digest: str
-    violated: list[str]
-
-
-@dataclass(frozen=True)
 class ScanResult:
     config: ScanConfig
     summaries: list[RelationSummary]
@@ -208,17 +195,19 @@ class ScanResult:
         )
 
 
-def scan(
-    config: ScanConfig, found: Callable[[Counterexample], object] | None = None
-) -> ScanResult:
+def scan(config: ScanConfig, found: Callable[[dict], object] | None = None) -> ScanResult:
     """Run the ensemble scan described by `config`.
 
     Each trial that violates a relation is handed to `found`, in trial
-    order, as its block is solved; none is kept, so memory does not grow
-    with the trial count.  Every trial also re-evaluates ``residuals``; a row
-    beyond IDENTITY_TOL or a violated theorem-backed relation is recorded as
-    a hard failure: those are theorems for every accepted chain, so a miss
-    is an implementation bug, not a finding.
+    order, as its block is solved: the dict ``{"m", "trial", "seed",
+    "sparsity", "digest", "violated"}`` whose ``io.dumps`` is its ``scan
+    --log`` line.  ``random_chain(m, seed, sparsity)`` rebuilds its P, whose
+    sha256 is ``digest``; ``violated`` names the broken relations in
+    RELATIONS order.  None is kept, so memory does not grow with the trial
+    count.  Every trial also re-evaluates ``residuals``; a row beyond
+    IDENTITY_TOL or a violated theorem-backed relation is recorded as a hard
+    failure: those are theorems for every accepted chain, so a miss is an
+    implementation bug, not a finding.
     """
     counts = {m: np.zeros(len(RELATIONS), dtype=np.int64) for m in config.state_counts}
     counterexamples = 0
@@ -240,10 +229,11 @@ def scan(
             if found is not None:
                 # the digest hashes each C-ordered P through the buffer protocol,
                 # without the copy ``tobytes()`` would make
-                for t, broken in zip(violated.tolist(), hits[:, violated].T.tolist()):
-                    found(Counterexample(m, int(trials[t]), int(seeds[t]), config.sparsity,
-                                         hashlib.sha256(p[t]).hexdigest(),
-                                         list(compress(RELATIONS, broken))))
+                for t, seed, broken in zip(violated.tolist(), seeds[violated].tolist(),
+                                           hits[:, violated].T.tolist()):
+                    found({"m": m, "trial": start + t, "seed": seed, "sparsity": config.sparsity,
+                           "digest": hashlib.sha256(p[t]).hexdigest(),
+                           "violated": list(compress(RELATIONS, broken))})
             table = residuals(sol)
             worst = table.argmax(axis=0)  # the first of equal largest residuals
             failed = np.flatnonzero((table.max(axis=0) > IDENTITY_TOL) | hits[theorems].any(axis=0))

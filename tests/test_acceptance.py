@@ -261,7 +261,7 @@ def _scan_artifacts(config: ScanConfig) -> tuple[bytes, "ScanResult"]:
     log_lines = []
 
     def found(ce):
-        chain = random_chain(ce.m, ce.seed, ce.sparsity).p.tolist()
+        chain = random_chain(ce["m"], ce["seed"], ce["sparsity"]).p.tolist()
         log_lines.append(json.dumps([report_to_dict(ce), chain], separators=(",", ":")))
 
     result = scan(config, found)

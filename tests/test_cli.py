@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,11 +315,43 @@ def test_scan_log_line_is_dumps_of_counterexample(tmp_path):
     found = []
     run_scan(ScanConfig(state_counts=(2, 3, 5), trials=200, seed=5, sparsity=0.4), found.append)
     assert found
-    assert log.read_bytes().splitlines() == [dumps(ce) for ce in found]
-    for ce in found:
+    lines = log.read_bytes().splitlines()
+    assert lines == [dumps(ce) for ce in found]
+    for ce, line in zip(found, lines):
+        # found gets what json.loads gives of its line: plain Python values
+        assert type(ce) is dict and ce == json.loads(line)
+        assert [type(v) for v in ce.values()] == [int, int, int, float, str, list]
         entry = report_to_dict(ce)
-        assert list(entry) == ["m", "trial", "seed", "sparsity", "digest", "violated"]
+        assert list(entry) == list(ce) == ["m", "trial", "seed", "sparsity", "digest", "violated"]
         assert entry["violated"] and set(entry["violated"]) <= set(RELATIONS)
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch, capsys):
+    # each python block of the README runs as written, the log snippets on
+    # the log of a small scan
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 3
+    monkeypatch.chdir(tmp_path)
+    argv = "scan --states 3..6 --trials 200 --seed 7 --log counterexamples.jsonl".split()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(Path("counterexamples.jsonl").read_bytes().splitlines()) == 718
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_scan_allocation_failure_exits_2(monkeypatch, capsys):
+    # a state count too large to allocate is a bad parameter, not a crash;
+    # the failure is simulated, as an overcommitting host may grant the memory
+    def no_memory(m, seeds, sparsity):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr("mcsum.scan.random_chains", no_memory)
+    assert main(["scan", "--states", "200000", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate 298. GiB for an array\n"
+    assert captured.out == ""
 
 
 def test_scan_is_the_same_with_and_without_found(tmp_path, capsys):
@@ -469,8 +502,9 @@ def test_closed_form_constraint_violation_exits_2(capsys):
     assert "NotIrreducible" in capsys.readouterr().err
 
 
-def test_closed_form_degenerate_two_state_exits_2():
+def test_closed_form_degenerate_two_state_exits_2(capsys):
     assert main(["closed-form", "two-state", "--a", "0", "--b", "0"]) == 2
+    assert "NotIrreducible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("a, b", [("0", "0.5"), ("1", "0")])

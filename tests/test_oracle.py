@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mcsum.analysis import kemeny_from_h, mfpt_from_h, solve_chain
 from mcsum.chain import validate
-from mcsum.errors import Degenerate, NotIrreducible
+from mcsum.errors import NotIrreducible
 from mcsum import ginv
 from mcsum.oracle import (
     mfpt_direct,
@@ -251,7 +251,7 @@ def test_two_state_half_half():
 
 
 def test_two_state_degenerate():
-    with pytest.raises(Degenerate):
+    with pytest.raises(NotIrreducible):
         two_state_closed_form(0.0, 0.0)
     with pytest.raises(ValueError):
         two_state_closed_form(1.5, 0.5)

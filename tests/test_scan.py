@@ -174,8 +174,8 @@ def _digest(tm: TransitionMatrix) -> str:
 def _rebuilt(ce) -> TransitionMatrix:
     """A counterexample's chain, rebuilt from its seed; it must hash to the
     digest the scan recorded."""
-    tm = random_chain(ce.m, ce.seed, ce.sparsity)
-    assert _digest(tm) == ce.digest
+    tm = random_chain(ce["m"], ce["seed"], ce["sparsity"])
+    assert _digest(tm) == ce["digest"]
     return tm
 
 
@@ -183,12 +183,12 @@ def test_scan_hands_found_pair_arrays():
     # each counterexample names the relations its rebuilt chain's flags break
     found = []
     scan(ScanConfig(state_counts=(3, 6), trials=60, seed=5, sparsity=0.3), found.append)
-    assert {ce.m for ce in found} == {3, 6}
+    assert {ce["m"] for ce in found} == {3, 6}
     for ce in found:
         flags = ordering_masks(solve_chain(_rebuilt(ce)))
-        assert ce.violated == [name for name, f in zip(RELATIONS, flags) if f.any()]
-        assert ce.violated
-        _assert_pair_arrays(flags, ce.m)
+        assert ce["violated"] == [name for name, f in zip(RELATIONS, flags) if f.any()]
+        assert ce["violated"]
+        _assert_pair_arrays(flags, ce["m"])
 
 
 def test_sign_ties_never_violate(cycle3):
@@ -355,9 +355,9 @@ def test_scan_deterministic():
     assert [s.__dict__ for s in a.summaries] == [s.__dict__ for s in b.summaries]
     assert a.counterexamples == b.counterexamples == len(found_a) == len(found_b)
     for ca, cb in zip(found_a, found_b):
-        assert ca.m == cb.m and ca.trial == cb.trial and ca.seed == cb.seed
-        assert ca.digest == cb.digest == _digest(_rebuilt(ca))
-        assert ca.violated == cb.violated
+        assert ca["m"] == cb["m"] and ca["trial"] == cb["trial"] and ca["seed"] == cb["seed"]
+        assert ca["digest"] == cb["digest"] == _digest(_rebuilt(ca))
+        assert ca["violated"] == cb["violated"]
 
 
 def test_scan_m2_no_equivalence_violations():
@@ -373,13 +373,13 @@ def test_scan_m3_finds_colsum_pi_counterexample():
     assert result.violations("c_vs_pi") >= 1
     assert result.violations("pi_vs_recurrence") == 0
     assert result.hard_failures == []
-    flagged = [ce for ce in found if "c_vs_pi" in ce.violated]
+    flagged = [ce for ce in found if "c_vs_pi" in ce["violated"]]
     assert flagged
     # counterexamples persist enough to recompute the violation
     ce = flagged[0]
     record = analyze(validate(_rebuilt(ce).p)).ordering
     assert record.violations["c_vs_pi"] > 0
-    assert [name for name, n in record.violations.items() if n] == ce.violated
+    assert [name for name, n in record.violations.items() if n] == ce["violated"]
 
 
 def test_scan_result_does_not_depend_on_block_size(monkeypatch):
@@ -393,9 +393,10 @@ def test_scan_result_does_not_depend_on_block_size(monkeypatch):
     assert cut.hard_failures == whole.hard_failures
     assert len(found_cut) == len(found_whole) == cut.counterexamples > 0
     for a, b in zip(found_cut, found_whole):
-        assert (a.m, a.trial, a.seed, a.sparsity) == (b.m, b.trial, b.seed, b.sparsity)
-        assert a.digest == b.digest == _digest(_rebuilt(a))
-        assert a.violated == b.violated
+        keys = ("m", "trial", "seed", "sparsity")
+        assert [a[k] for k in keys] == [b[k] for k in keys]
+        assert a["digest"] == b["digest"] == _digest(_rebuilt(a))
+        assert a["violated"] == b["violated"]
 
 
 def test_hard_failure_text_of_a_reversed_two_state_relation(monkeypatch):
@@ -403,7 +404,7 @@ def test_hard_failure_text_of_a_reversed_two_state_relation(monkeypatch):
     found = []
     result = scan(ScanConfig(state_counts=(2,), trials=1, seed=0), found.append)
     assert result.hard_failures == ["m=2 trial=0: theorem relation c_vs_pi violated on [(0, 1)]"]
-    assert [ce.violated for ce in found] == [["c_vs_pi"]]
+    assert [ce["violated"] for ce in found] == [["c_vs_pi"]]
 
 
 def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
@@ -449,7 +450,7 @@ def test_scan_judges_the_whole_residual_table(monkeypatch):
 def test_scan_counterexamples_ordered():
     found = []
     scan(ScanConfig(state_counts=(2, 3), trials=100, seed=9), found.append)
-    keys = [(ce.m, ce.trial) for ce in found]
+    keys = [(ce["m"], ce["trial"]) for ce in found]
     assert keys == sorted(keys)
 
 

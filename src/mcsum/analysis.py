@@ -1,5 +1,13 @@
-"""Stationary distributions, mean first passage times, Kemeny's constant,
-and the identity/inequality suite connecting them to the column sums.
+"""The column-sum generalized inverse H, everything read off it, and the
+identity/inequality suite connecting it to the column sums.
+
+H = (I - P + e c^T)^{-1} where c is the column-sum vector of P.
+``compute_h`` is the one LAPACK inversion per chain, and yields the 1-norm
+condition number; pi, M, K and the fundamental matrix
+Z = (I - P + e pi^T)^{-1} are read off H in O(m^2).  Every threshold
+refusal of a chain is made here: a condition number at or above
+CONDITION_LIMIT, a stationary probability that is not positive, passage
+times that overflow.
 
 Read-offs and conversions take and return plain arrays, for one chain or
 a (..., m, m) stack; ``solve_chain`` computes each array once.
@@ -21,7 +29,10 @@ import numpy as np
 from . import oracle
 from .chain import TransitionMatrix, column_sums
 from .errors import SingularMatrix
-from .ginv import compute_h
+
+#: Inversions whose 1-norm condition number reaches this are refused: with
+#: cond * eps above about 0.02 the inverse keeps fewer than two digits.
+CONDITION_LIMIT = 1e14
 
 #: Chains whose column sums deviate from 1 by less than this are treated as
 #: doubly stochastic.
@@ -30,6 +41,30 @@ DOUBLY_STOCHASTIC_TOL = 1e-9
 #: A row of ``residuals`` above this fails the verdict of ``mcsum verify``
 #: (its default ``--tol-identity``) and is a hard failure in ``scan``.
 IDENTITY_TOL = 1e-8
+
+
+def colsum_system(tm: TransitionMatrix) -> np.ndarray:
+    """The nonsingular matrix I - P + e c^T whose inverse is H."""
+    c = column_sums(tm)
+    return np.eye(tm.n) - tm.p + c[..., None, :]
+
+
+def compute_h(tm: TransitionMatrix) -> tuple[np.ndarray, float | np.ndarray]:
+    """H = (I - P + e c^T)^{-1} and the 1-norm condition number of I - P + e c^T,
+    per matrix; SingularMatrix on an exact zero pivot or a condition number that
+    is non-finite or reaches CONDITION_LIMIT: the chain is numerically reducible."""
+    a = colsum_system(tm)
+    try:
+        h = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"matrix is singular: {exc}") from None
+    cond = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(h).sum(axis=-2).max(axis=-1)
+    if not np.all(cond < CONDITION_LIMIT):  # written so that NaN is refused too
+        raise SingularMatrix(
+            f"condition number {np.max(cond):.3e} is not below {CONDITION_LIMIT:.0e}; "
+            "matrix is numerically singular"
+        )
+    return h, cond
 
 
 def stationary_from_h(h: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -46,6 +81,12 @@ def mfpt_from_h(h: np.ndarray, pi: np.ndarray) -> np.ndarray:
     mfpt.reshape(*mfpt.shape[:-2], m * m)[..., :: m + 1] += 1.0
     mfpt /= pi[..., None, :]
     return mfpt
+
+
+def z_from_h(h: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Convert H to Z:  Z = H + Pi - Pi H  with Pi = e pi^T."""
+    pi = np.asarray(pi, dtype=np.float64)
+    return h + (pi - (pi[..., None, :] @ h)[..., 0, :])[..., None, :]
 
 
 def kemeny_from_h(h: np.ndarray) -> float | np.ndarray:
@@ -248,7 +289,7 @@ def solve_chain(tm: TransitionMatrix) -> ChainSolution:
     """Run the standard pipeline: column sums, pi (direct solver), H, M.
 
     H is the one inversion; pi stays independent of H.  Z, which H
-    determines, is not formed: ``ginv.z_from_h(sol.h, sol.pi)`` gives it.
+    determines, is not formed: ``z_from_h(sol.h, sol.pi)`` gives it.
 
     Raises SingularMatrix when a stationary probability is not positive or a
     passage time overflows: the direct solver rounded a tiny pi_j to zero or

@@ -13,15 +13,15 @@ import argparse
 import contextlib
 import math
 import os
+import stat
 import sys
 
 import numpy as np
 
 from . import fixtures, io, oracle
-from .analysis import IDENTITY_TOL, RESIDUAL_ROWS, kemeny_from_h, residuals, solve_chain
+from .analysis import IDENTITY_TOL, RESIDUAL_ROWS, kemeny_from_h, residuals, solve_chain, z_from_h
 from .chain import validate
 from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS
-from .ginv import z_from_h
 from .report import analyze, write_json
 from .scan import ScanConfig, flagged_pairs, scan as run_scan
 
@@ -101,12 +101,15 @@ def _cmd_analyze(args) -> int:
         # short key or value at a time; a 1 MB buffer gathers them into few
         # system calls, where the default 8 kB one would make one per row.
         fh = open(args.output, "wb", buffering=1 << 20)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         try:
             with fh:
                 write_json(rep, fh)
                 fh.write(b"\n")
-        except BaseException:  # leave no partial report behind
-            os.unlink(args.output)
+        except BaseException:  # leave no partial report behind, and never unlink a device
+            if regular:
+                with contextlib.suppress(OSError):  # the write's error is the one to report
+                    os.unlink(args.output)
             raise
     if rep.permutation is not None:
         print("state order:", " ".join(rep.labels))

@@ -5,9 +5,10 @@ independence comes from solving different systems.  Stationary vectors
 come from (I - P)^T pi = 0 with a normalization row.  Passage times come
 from one elimination toward the most-visited state, I - P with that
 state's row and column deleted, read off through Hunter's one-condition
-inverse formula; neither solver forms I - P + e c^T or I - P + e pi^T.
-The 2- and 3-state closed forms are evaluated from explicit parameter
-formulas.
+inverse formula ``mfpt_general``; neither solver forms I - P + e c^T or
+I - P + e pi^T.  This module imports only ``chain`` and ``errors``, so it
+runs no code of the H path in ``analysis``.  The 2- and 3-state closed
+forms are evaluated from explicit parameter formulas.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .chain import TransitionMatrix
 from .errors import NotIrreducible, SingularMatrix
-from .ginv import mfpt_general
 
 
 def stationary_direct(tm: TransitionMatrix) -> np.ndarray:
@@ -37,13 +37,27 @@ def stationary_direct(tm: TransitionMatrix) -> np.ndarray:
     return pi[..., 0]
 
 
+def mfpt_general(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Passage times from any one-condition inverse G of I - P.
+
+    M = [G Pi - E (G Pi)_d + I - G + E G_d] D with D = diag(1/pi); the
+    result is the same for every valid G.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.float64)[..., None, :]  # as a row
+    gp = g.sum(axis=-1)[..., None] * pi  # G Pi = (G e) pi^T, rank one
+    core = (gp - gp.diagonal(axis1=-2, axis2=-1)[..., None, :] + np.eye(g.shape[-1]) - g
+            + g.diagonal(axis1=-2, axis2=-1)[..., None, :])
+    return core / pi
+
+
 def mfpt_direct(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
     """Mean first passage times from one elimination toward the most-visited state.
 
     Deleting the row and column of a target t from I - P leaves the absorbing
     chain's system, whose inverse is its fundamental matrix N (Kemeny and
     Snell); N padded with zeros is a one-condition inverse G of I - P, and
-    Hunter's formula (``ginv.mfpt_general``) reads every passage time off G.
+    Hunter's formula (``mfpt_general``) reads every passage time off G.
     The target is t = argmax(pi) (the first on ties): N counts the visits
     made before reaching t, so its entries, and the rounding that Hunter's
     formula then divides by pi_j, are smallest when t is the state the
@@ -64,10 +78,8 @@ def mfpt_direct(tm: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoStateClosedForm:
-    """Closed-form quantities of the chain [[1-a, a], [b, 1-b]]."""
+    """Closed-form quantities of the chain [[1-a, a], [b, 1-b]]; d = 1 - a - b."""
 
-    a: float
-    b: float
     d: float
     pi: np.ndarray
     h: np.ndarray
@@ -93,9 +105,7 @@ def two_state_closed_form(a: float, b: float) -> TwoStateClosedForm:
     h = np.array([[1.0 + a, -(1.0 - b)], [-(1.0 - a), 1.0 + b]]) / (2.0 * s)
     z = np.array([[b + a / s, a - a / s], [b - b / s, a + b / s]]) / s
     mfpt = np.array([[s / b, 1.0 / a], [1.0 / b, s / a]])
-    return TwoStateClosedForm(
-        a=a, b=b, d=1.0 - s, pi=pi, h=h, z=z, mfpt=mfpt, kemeny=1.0 + 1.0 / s
-    )
+    return TwoStateClosedForm(d=1.0 - s, pi=pi, h=h, z=z, mfpt=mfpt, kemeny=1.0 + 1.0 / s)
 
 
 @dataclass(frozen=True)
@@ -107,12 +117,6 @@ class ThreeStateClosedForm:
     the stationary probabilities; the tau_ij are the passage-time numerators.
     """
 
-    p2: float
-    p3: float
-    q1: float
-    q3: float
-    r1: float
-    r2: float
     delta1: float
     delta2: float
     delta3: float
@@ -196,7 +200,6 @@ def three_state_closed_form(
         assert np.abs(u @ combo).max() < 1e-12, "component matrices failed to annihilate u"
 
     return ThreeStateClosedForm(
-        p2=p2, p3=p3, q1=q1, q3=q3, r1=r1, r2=r2,
         delta1=d1, delta2=d2, delta3=d3, delta=delta,
         tau12=t12, tau13=t13, tau21=t21, tau23=t23, tau31=t31, tau32=t32, tau=tau,
         p=p, pi=pi, h=h, z=z, mfpt=mfpt, kemeny=1.0 + tau / delta,

@@ -23,9 +23,8 @@ import orjson
 
 from .analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, BoundsReport,
                        DoublyStochasticReport, bounds_check, doubly_stochastic_report,
-                       kemeny_from_h, mfpt_from_h, residuals, solve_chain)
+                       kemeny_from_h, mfpt_from_h, residuals, solve_chain, z_from_h)
 from .chain import TransitionMatrix, reorder_by_column_sums
-from .ginv import z_from_h
 from .io import _plain, array_json, dumps, json_ready
 from .scan import RELATIONS, flagged_pairs, ordering_masks
 

@@ -18,11 +18,12 @@ from mcsum.analysis import (
     residuals,
     solve_chain,
     stationary_from_h,
+    z_from_h,
 )
 from mcsum.chain import validate
-from mcsum.ginv import mfpt_general, z_from_h
 from mcsum.oracle import (
     mfpt_direct,
+    mfpt_general,
     stationary_direct,
     three_state_closed_form,
     two_state_closed_form,

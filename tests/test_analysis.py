@@ -11,6 +11,7 @@ from mcsum.analysis import (
     IDENTITY_ROWS,
     RESIDUAL_ROWS,
     bounds_check,
+    compute_h,
     doubly_stochastic_report,
     h_from_mfpt,
     kemeny_from_h,
@@ -18,11 +19,11 @@ from mcsum.analysis import (
     residuals,
     solve_chain,
     stationary_from_h,
+    z_from_h,
 )
 from mcsum.chain import TransitionMatrix, column_sums, validate
 from mcsum.errors import SingularMatrix
-from mcsum.ginv import compute_h, mfpt_general, z_from_h
-from mcsum.oracle import stationary_direct, two_state_closed_form
+from mcsum.oracle import mfpt_general, stationary_direct, two_state_closed_form
 from mcsum.report import report_to_dict
 from mcsum.rng import derive_stream
 from mcsum.scan import random_chain, random_chains

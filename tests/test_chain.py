@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mcsum.analysis import kemeny_from_h, solve_chain
+from mcsum.analysis import compute_h, kemeny_from_h, solve_chain
 from mcsum.chain import (
     _communicating_classes,
     column_sums,
@@ -14,7 +14,6 @@ from mcsum.chain import (
     validate,
 )
 from mcsum.errors import NotIrreducible, NotStochastic
-from mcsum.ginv import compute_h
 from tests.conftest import FIVE_STATE_UNSORTED, cycle3_matrix, two_state
 from tests.oracles import period
 

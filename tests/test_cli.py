@@ -124,6 +124,53 @@ def test_analyze_removes_a_partial_report(fix8_csv, tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+def _record_unlinks(monkeypatch, error=None):
+    """Replace os.unlink with a recorder, raising ``error`` if one is given:
+    a failed write must never reach the real unlink of a device node."""
+    calls = []
+
+    def unlink(path, *args, **kwargs):
+        calls.append(str(path))
+        if error is not None:
+            raise error
+
+    monkeypatch.setattr(cli.os, "unlink", unlink)
+    return calls
+
+
+def test_analyze_full_device_keeps_the_device(fix8_csv, monkeypatch, capsys):
+    calls = _record_unlinks(monkeypatch)
+    assert main(["analyze", "--input", str(fix8_csv), "--output", "/dev/full"]) == 2
+    assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_analyze_interrupted_on_null_device_keeps_the_device(fix8_csv, monkeypatch):
+    calls = _record_unlinks(monkeypatch)
+
+    def interrupted(rep, fh):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_json", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["analyze", "--input", str(fix8_csv), "--output", "/dev/null"])
+    assert calls == []
+
+
+def test_analyze_failed_unlink_keeps_the_write_error(fix8_csv, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r.json"
+    calls = _record_unlinks(monkeypatch, PermissionError(13, "Permission denied", str(out)))
+
+    def fail(rep, fh):
+        raise ValueError("cannot write a non-finite array as JSON")
+
+    monkeypatch.setattr(cli, "write_json", fail)
+    assert main(["analyze", "--input", str(fix8_csv), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write a non-finite array" in err and "Permission denied" not in err
+    assert calls == [str(out)]
+
+
 def test_analyze_not_stochastic_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     io.save_matrix(path, np.array([[0.6, 0.3], [0.5, 0.5]]))

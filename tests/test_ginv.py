@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsum.analysis import RESIDUAL_ROWS, THEOREM2_ROWS, residuals, solve_chain
+from mcsum.analysis import (RESIDUAL_ROWS, THEOREM2_ROWS, colsum_system, compute_h, residuals,
+                            solve_chain, z_from_h)
 from mcsum.chain import TransitionMatrix, column_sums, validate
 from mcsum.errors import SingularMatrix
-from mcsum.ginv import colsum_system, compute_h, z_from_h
 from mcsum.oracle import stationary_direct
 from mcsum.scan import random_chain
 from tests.conftest import (

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mcsum.analysis import kemeny_from_h, mfpt_from_h, solve_chain
 from mcsum.chain import validate
 from mcsum.errors import NotIrreducible
-from mcsum import ginv
+from mcsum import analysis, oracle
 from mcsum.oracle import (
     mfpt_direct,
     stationary_direct,
@@ -166,8 +166,16 @@ def test_mfpt_direct_never_forms_the_colsum_or_fundamental_system(fix5, monkeypa
         raise AssertionError("the oracle must not use the H/Z path")
 
     for name in ("colsum_system", "compute_h", "z_from_h"):
-        monkeypatch.setattr(ginv, name, forbidden)
+        monkeypatch.setattr(analysis, name, forbidden)
     np.testing.assert_allclose(mfpt_direct(fix5, stationary_direct(fix5)), FIX5_M, atol=5e-4)
+
+
+def test_oracle_shares_no_code_with_the_h_path():
+    # the oracle's independence follows from its imports: no function or
+    # class it holds comes from the module that forms and reads off H
+    shared = [name for name, value in vars(oracle).items()
+              if callable(value) and getattr(value, "__module__", None) == analysis.__name__]
+    assert shared == []
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -288,7 +296,7 @@ def test_three_state_generic_matches_pipeline():
     sol = solve_chain(validate(f.p))
     np.testing.assert_allclose(sol.pi, f.pi, atol=1e-10)
     np.testing.assert_allclose(sol.h, f.h, atol=1e-10)
-    np.testing.assert_allclose(ginv.z_from_h(sol.h, sol.pi), f.z, atol=1e-10)
+    np.testing.assert_allclose(analysis.z_from_h(sol.h, sol.pi), f.z, atol=1e-10)
     np.testing.assert_allclose(mfpt_from_h(sol.h, sol.pi), f.mfpt, atol=1e-10)
     assert kemeny_from_h(sol.h) == pytest.approx(f.kemeny, abs=1e-10)
 
@@ -303,7 +311,7 @@ def test_two_state_closed_form_matches_pipeline(a, b):
     sol = solve_chain(two_state(a, b))
     assert np.abs(sol.pi - f.pi).max() < 1e-10
     assert np.abs(sol.h - f.h).max() < 1e-10
-    assert np.abs(ginv.z_from_h(sol.h, sol.pi) - f.z).max() < 1e-10
+    assert np.abs(analysis.z_from_h(sol.h, sol.pi) - f.z).max() < 1e-10
     assert np.abs(mfpt_from_h(sol.h, sol.pi) - f.mfpt).max() < 1e-10
     assert abs(kemeny_from_h(sol.h) - f.kemeny) < 1e-10
 
@@ -358,7 +366,7 @@ def test_three_state_random_sample_matches_pipeline():
         sol = solve_chain(validate(f.p))
         assert np.abs(sol.pi - f.pi).max() < 1e-10
         assert np.abs(sol.h - f.h).max() < 1e-10
-        assert np.abs(ginv.z_from_h(sol.h, sol.pi) - f.z).max() < 1e-10
+        assert np.abs(analysis.z_from_h(sol.h, sol.pi) - f.z).max() < 1e-10
         assert np.abs(mfpt_from_h(sol.h, sol.pi) - f.mfpt).max() < 1e-10
 
 
@@ -374,7 +382,7 @@ def test_two_state_500_random_match_pipeline():
             worst,
             np.abs(sol.pi - f.pi).max(),
             np.abs(sol.h - f.h).max(),
-            np.abs(ginv.z_from_h(sol.h, sol.pi) - f.z).max(),
+            np.abs(analysis.z_from_h(sol.h, sol.pi) - f.z).max(),
             np.abs(sol.mfpt - f.mfpt).max(),
             abs(kemeny_from_h(sol.h) - f.kemeny),
         )

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,12 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mcsum
 from mcsum import fixtures
-from mcsum.analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, kemeny_from_h, residuals,
-                            solve_chain)
+from mcsum.analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, colsum_system, kemeny_from_h,
+                            residuals, solve_chain, z_from_h)
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.errors import SingularMatrix
-from mcsum.ginv import colsum_system, z_from_h
 from mcsum.cli import CONDITION_WARN_THRESHOLD, main
 from mcsum.io import save_matrix
 from mcsum.report import analyze, rebuild, report_to_dict, write_json
@@ -459,6 +461,21 @@ def test_readme_library_snippet():
         namespace["mfpt"], [[4.0, 10 / 3], [10.0, 4 / 3]], rtol=1e-13
     )
     assert report.ordering.violations == dict.fromkeys(RELATIONS, 0)
+
+
+def test_readme_package_references_resolve():
+    # every backticked `mcsum.<module>` imports, and every `<module>.<name>`
+    # of a package module exists: a deleted module or a name moved to another
+    # module cannot linger in the README
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for module in re.findall(r"`mcsum\.(\w+)", readme):
+        importlib.import_module(f"mcsum.{module}")
+    modules = sorted(m.name for m in pkgutil.iter_modules(mcsum.__path__))
+    refs = set(re.findall(r"`(?:mcsum\.)?(%s)\.(\w+)" % "|".join(modules), readme))
+    assert len(refs) >= 30, sorted(refs)
+    missing = [f"{module}.{name}" for module, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"mcsum.{module}"), name)]
+    assert missing == []
 
 
 if __name__ == "__main__":

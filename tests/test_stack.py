@@ -14,9 +14,10 @@ from mcsum.analysis import (
     residuals,
     solve_chain,
     stationary_from_h,
+    z_from_h,
 )
 from mcsum.chain import TransitionMatrix
-from mcsum.ginv import mfpt_general, z_from_h
+from mcsum.oracle import mfpt_general
 from mcsum.report import analyze
 from mcsum.scan import RELATIONS, ordering_masks, random_chain, random_chains
 from tests.oracles import group_inverse, h_from_z, kemeny_general

@@ -11,8 +11,8 @@ times that overflow.
 
 Read-offs and conversions take and return plain arrays, for one chain or
 a (..., m, m) stack; ``solve_chain`` computes each array once.
-``residuals`` reduces the verdict's table from ``_row_errors``, which
-writes each RESIDUAL_ROWS row's formula once, beside its name.
+``residuals`` (H's own rows and the bounds) and ``identity_residuals`` (the
+passage-time rows) reduce dicts that write each row's formula beside its name.
 
 Conventions: M stores the mean recurrence time 1/pi_j on the diagonal, so
 Kemeny's constant K = sum_j pi_j m_ij includes the diagonal term, equals
@@ -38,8 +38,8 @@ CONDITION_LIMIT = 1e14
 #: doubly stochastic.
 DOUBLY_STOCHASTIC_TOL = 1e-9
 
-#: A row of ``residuals`` above this fails the verdict of ``mcsum verify``
-#: (its default ``--tol-identity``) and is a hard failure in ``scan``.
+#: A row above this fails the verdict of ``mcsum verify`` (its default
+#: ``--tol-identity``); a row of ``residuals`` above it is a hard failure in ``scan``.
 IDENTITY_TOL = 1e-8
 
 
@@ -114,7 +114,8 @@ def h_from_mfpt(mfpt: np.ndarray, pi: np.ndarray, c: np.ndarray) -> np.ndarray:
 THEOREM2_ROWS = ("H - PH = I - e pi^T", "H - HP = I - e c^T/m", "He = e/m",
                  "e^T H = e^T - (m-1) pi^T")
 
-#: The passage-time/column-sum identity chain among RESIDUAL_ROWS.
+#: The rows of ``identity_residuals``: the paper's passage-time/column-sum
+#: identity chain.
 IDENTITY_ROWS = (
     "(I-P)M = E - P M_d", "m_.j - sum_i c_i m_ij = m - c_j m_jj",
     "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj", "m_.j = m - 1 + m h_jj m_jj",
@@ -123,8 +124,8 @@ IDENTITY_ROWS = (
     "pi_j (1 + m_.j - m) = m h_jj", "pi_j (1 + sum_i!=j m_ij - m) = m h_jj - 1",
 )
 
-#: The rows of ``residuals``, in ``verify``'s order.
-RESIDUAL_ROWS = ("c^T H = pi^T", "sum_j c_j = m", *THEOREM2_ROWS, *IDENTITY_ROWS,
+#: The rows of ``residuals``, in ``verify``'s order: H's own rows and the bounds.
+RESIDUAL_ROWS = ("c^T H = pi^T", "sum_j c_j = m", *THEOREM2_ROWS,
                  "inequality margins (negative part)")
 
 
@@ -159,30 +160,44 @@ def bounds_check(sol: ChainSolution) -> BoundsReport:
     )
 
 
-def _row_errors(sol: ChainSolution) -> dict[str, np.ndarray]:
-    """Each RESIDUAL_ROWS row's unreduced error, keyed by its name: a (..., m, m)
-    matrix (a fresh array, which ``residuals`` overwrites), a (..., m) vector,
-    or a (..., 1) scalar per chain.  Row, column and
-    element forms of one matrix identity coincide in floating point, so each is
-    one row.  The pi_j rows are cross-multiplied (pi_j * denominator - numerator):
-    the same identities, immune to the 0/0 equality cases of the quotient forms
-    on boundary chains."""
-    p, h, mfpt, pi, c, m = sol.tm.p, sol.h, sol.mfpt, sol.pi, sol.c, sol.tm.n
-    m_d, h_d, col_totals, c_weighted, c_off = (
-        sol.m_diag, sol.h_diag, sol.col_totals, sol.c_weighted, sol.c_off)
-    off_totals = col_totals - m_d  # sum_{i != j} m_ij
-    eye, pi_row, c_row = np.eye(m), pi[..., None, :], c[..., None, :]
+def _h_minus(h: np.ndarray, prod: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """h - prod - I + e row^T written over `prod`, rounded as that expression."""
+    np.subtract(h, prod, out=prod)
+    prod.reshape(*prod.shape[:-2], -1)[..., :: prod.shape[-1] + 1] -= 1.0
+    prod += row[..., None, :]
+    return prod
+
+
+def _h_errors(sol: ChainSolution) -> dict[str, np.ndarray]:
+    """Each RESIDUAL_ROWS row's unreduced error by name: a fresh (..., m, m)
+    matrix, which ``_max_abs`` overwrites, a (..., m) vector or a (..., 1) scalar
+    per chain.  The row, column and element forms of a matrix identity are one row."""
+    p, h, pi, c, m = sol.tm.p, sol.h, sol.pi, sol.c, sol.tm.n
     worst_margin = bounds_check(sol).worst_margin  # before the rows: its temporaries go first
     return {
         "c^T H = pi^T": stationary_from_h(h, c) - pi,
         "sum_j c_j = m": c.sum(axis=-1, keepdims=True) - m,
         # (I - P) H = I - e pi^T: the row/column/element "stationary" forms
-        "H - PH = I - e pi^T": h - p @ h - eye + pi_row,
+        "H - PH = I - e pi^T": _h_minus(h, p @ h, pi),
         # H (I - P) = I - e c^T / m: the row/column/element "column sum" forms
-        "H - HP = I - e c^T/m": h - h @ p - eye + c_row / m,
+        "H - HP = I - e c^T/m": _h_minus(h, h @ p, c / m),
         "He = e/m": h.sum(axis=-1) - 1.0 / m,
         "e^T H = e^T - (m-1) pi^T": h.sum(axis=-2) - 1.0 + (m - 1) * pi,
-        "(I-P)M = E - P M_d": (eye - p) @ mfpt - 1.0 + p * m_d[..., None, :],
+        # the negative part; its absolute value is 0.0, never -0.0, where no bound fails
+        "inequality margins (negative part)": np.fmin(worst_margin, 0.0)[..., None],
+    }
+
+
+def _identity_errors(sol: ChainSolution) -> dict[str, np.ndarray]:
+    """Each IDENTITY_ROWS row's unreduced error by name, as in ``_h_errors``.  The
+    pi_j rows are cross-multiplied (pi_j * denominator - numerator), immune to
+    the 0/0 cases of the quotient forms on boundary chains."""
+    p, mfpt, pi, c, m = sol.tm.p, sol.mfpt, sol.pi, sol.c, sol.tm.n
+    m_d, h_d, col_totals, c_weighted, c_off = (
+        sol.m_diag, sol.h_diag, sol.col_totals, sol.c_weighted, sol.c_off)
+    off_totals = col_totals - m_d  # sum_{i != j} m_ij
+    return {
+        "(I-P)M = E - P M_d": (np.eye(m) - p) @ mfpt - 1.0 + p * m_d[..., None, :],
         "m_.j - sum_i c_i m_ij = m - c_j m_jj": (col_totals - c_weighted) - (m - c * m_d),
         "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj": c_weighted - (c * m_d - 1.0 + m * h_d * m_d),
         "m_.j = m - 1 + m h_jj m_jj": col_totals - (m - 1.0 + m * h_d * m_d),
@@ -192,22 +207,17 @@ def _row_errors(sol: ChainSolution) -> dict[str, np.ndarray]:
         "pi_j (1 + sum_i!=j c_i m_ij) = m h_jj": pi * (1.0 + c_off) - m * h_d,
         "pi_j (1 + m_.j - m) = m h_jj": pi * (1.0 + col_totals - m) - m * h_d,
         "pi_j (1 + sum_i!=j m_ij - m) = m h_jj - 1": pi * (1.0 + off_totals - m) - (m * h_d - 1.0),
-        # the negative part; its absolute value is 0.0, never -0.0, where no bound fails
-        "inequality margins (negative part)": np.fmin(worst_margin, 0.0)[..., None],
     }
 
 
-def residuals(sol: ChainSolution) -> np.ndarray:
-    """The verdict's table and the report's residual blocks: every residual
-    that ``verify`` and ``scan`` hold to IDENTITY_TOL, as one (rows, ...) array
-    whose rows RESIDUAL_ROWS names, each the max-abs of its ``_row_errors``
-    entry.  Each matrix row is a temporary of ``_row_errors``, so it is reduced
-    in place, with no stacked copy; the vector and scalar rows go through
-    one stacked reduction with their state axis first, as numpy reduces one
-    long axis far faster than many short.  No other path reduces them."""
-    errors = _row_errors(sol)
-    if tuple(errors) != RESIDUAL_ROWS:
-        raise RuntimeError(f"residual formulas are named {tuple(errors)}, not RESIDUAL_ROWS")
+def _max_abs(errors: dict[str, np.ndarray], rows: tuple[str, ...], label: str,
+             sol: ChainSolution) -> np.ndarray:
+    """Each error's max-abs as one (rows, ...) array; RuntimeError unless they are
+    named `rows` (the tuple `label`) in order.  A matrix is reduced in place, with
+    no stacked copy; the vectors and scalars in one reduction with their state
+    axis first, as numpy reduces one long axis far faster than many short."""
+    if tuple(errors) != rows:
+        raise RuntimeError(f"residual formulas are named {tuple(errors)}, not {label}")
     matrix = np.array([e.ndim > sol.c.ndim for e in errors.values()])
     table = np.empty((len(errors), *sol.c.shape[:-1]))
     for r, (e, is_matrix) in enumerate(zip(errors.values(), matrix)):
@@ -219,6 +229,17 @@ def residuals(sol: ChainSolution) -> np.ndarray:
         by_row[k] = e  # a scalar row fills its chain's states
     table[~matrix] = np.abs(vectors, out=vectors).max(axis=0)
     return table
+
+
+def residuals(sol: ChainSolution) -> np.ndarray:
+    """The verdict's table, which ``verify`` and ``scan`` hold to IDENTITY_TOL:
+    H's own rows and the bounds, as one (rows, ...) array named by RESIDUAL_ROWS."""
+    return _max_abs(_h_errors(sol), RESIDUAL_ROWS, "RESIDUAL_ROWS", sol)
+
+
+def identity_residuals(sol: ChainSolution) -> np.ndarray:
+    """``verify``'s passage-time rows, as one (rows, ...) array named by IDENTITY_ROWS."""
+    return _max_abs(_identity_errors(sol), IDENTITY_ROWS, "IDENTITY_ROWS", sol)
 
 
 @dataclass(frozen=True)

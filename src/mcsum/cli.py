@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import fixtures, io, oracle
-from .analysis import IDENTITY_TOL, RESIDUAL_ROWS, kemeny_from_h, residuals, solve_chain, z_from_h
+from .analysis import (IDENTITY_ROWS, IDENTITY_TOL, RESIDUAL_ROWS, identity_residuals,
+                       kemeny_from_h, residuals, solve_chain, z_from_h)
 from .chain import validate
 from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .report import analyze, write_json
@@ -154,7 +155,8 @@ def _cmd_verify(args) -> int:
     table = list(zip(RESIDUAL_ROWS, residuals(sol)))
     mfpt_oracle = oracle.mfpt_direct(sol.tm, sol.pi)
     rel = np.abs(sol.mfpt - mfpt_oracle) / np.maximum(np.abs(mfpt_oracle), 1.0)
-    table.insert(-1, ("M from H = M from elimination (relative)", rel.max()))
+    table[-1:-1] = [*zip(IDENTITY_ROWS, identity_residuals(sol)),
+                    ("M from H = M from elimination (relative)", rel.max())]
     rows = [(name, value, value <= args.tol_identity) for name, value in table]
     reference = fixtures.reference_values(sol.tm)
     if reference is not None:

@@ -1,6 +1,6 @@
 """Full single-chain analysis assembled into one serializable report.
 
-``analyze`` reads the residual blocks off the rows of ``analysis.residuals``
+``analyze`` reads the residual block off the rows of ``analysis.residuals``
 and the violation counts off ``scan.ordering_masks``, computing neither again;
 ``rebuild`` gives back what the report leaves out: M, Z and the pairs.
 
@@ -9,7 +9,7 @@ and the violation counts off ``scan.ordering_masks``, computing neither again;
 package's one JSON encoder: each array is checked once by `io.json_ready`
 (an array holding NaN or infinity is refused), then goes out through orjson's
 numpy encoder, `io.array_json`, one call per float matrix row; every other
-value (labels, scalars, residual dicts) goes through `io.dumps`.  Floats are
+value (labels, scalars, the residual dict) goes through `io.dumps`.  Floats are
 the shortest decimal that round-trips.
 """
 from __future__ import annotations
@@ -21,9 +21,9 @@ from types import SimpleNamespace
 import numpy as np
 import orjson
 
-from .analysis import (IDENTITY_ROWS, RESIDUAL_ROWS, THEOREM2_ROWS, BoundsReport,
-                       DoublyStochasticReport, bounds_check, doubly_stochastic_report,
-                       kemeny_from_h, mfpt_from_h, residuals, solve_chain, z_from_h)
+from .analysis import (RESIDUAL_ROWS, THEOREM2_ROWS, BoundsReport, DoublyStochasticReport,
+                       bounds_check, doubly_stochastic_report, kemeny_from_h, mfpt_from_h,
+                       residuals, solve_chain, z_from_h)
 from .chain import TransitionMatrix, reorder_by_column_sums
 from .io import _plain, array_json, dumps, json_ready
 from .scan import RELATIONS, flagged_pairs, ordering_masks
@@ -49,8 +49,11 @@ class ChainReport:
     (possibly reordered) P's bytes.  Nor are the passage times M, the
     fundamental matrix Z or the violating pairs, of which ``ordering`` holds
     only the count per relation: ``rebuild`` gives all three back from the
-    parsed report.  When the chain was reordered, ``permutation[k]`` is the
-    original index of state k and the labels travel with their states.
+    parsed report.  ``theorem2_residuals`` holds the THEOREM2_ROWS of
+    ``analysis.residuals``; ``analysis.identity_residuals``, which combines H's
+    rows when M is read off H, is not written (``mcsum verify`` prints it).
+    When the chain was reordered, ``permutation[k]`` is the original index
+    of state k and the labels travel with their states.
     """
 
     labels: tuple[str, ...]
@@ -61,7 +64,6 @@ class ChainReport:
     kemeny: float
     h_matrix: np.ndarray
     theorem2_residuals: dict[str, float]
-    identity_residuals: dict[str, float]
     bounds: BoundsReport
     doubly_stochastic: DoublyStochasticReport
     ordering: OrderingReport
@@ -92,7 +94,6 @@ def analyze(tm: TransitionMatrix, reorder: bool = False) -> ChainReport:
         kemeny=kemeny_from_h(sol.h),
         h_matrix=sol.h,
         theorem2_residuals={name: rows[name] for name in THEOREM2_ROWS},
-        identity_residuals={name: rows[name] for name in IDENTITY_ROWS},
         bounds=bounds_check(sol),
         doubly_stochastic=doubly_stochastic_report(sol),
         ordering=OrderingReport(

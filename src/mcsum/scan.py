@@ -4,7 +4,7 @@
 solves them with the functions that solve one chain, and judges each block in
 one pass: ``ordering_masks`` flags every relation at once on the pairs i < j
 of the column sums, pi, diag H, mean recurrence times and column totals of M,
-and ``analysis.residuals`` is the table ``mcsum verify`` prints, held to
+and ``analysis.residuals`` (H's rows and the bounds) is held to
 ``analysis.IDENTITY_TOL``.  Relations proved for every chain (or every
 two-state chain) are asserted; the rest are conjectures whose violation
 rates are measured.  Each violating trial leaves ``scan`` as a plain dict,
@@ -207,7 +207,8 @@ def scan(config: ScanConfig, found: Callable[[dict], object] | None = None) -> S
     count.  Every trial also re-evaluates ``residuals``; a row beyond
     IDENTITY_TOL or a violated theorem-backed relation is recorded as a hard
     failure: those are theorems for every accepted chain, so a miss is an
-    implementation bug, not a finding.
+    implementation bug, not a finding.  The passage-time rows are not judged:
+    on M read off H and pi, each combines rows of ``residuals``.
     """
     counts = {m: np.zeros(len(RELATIONS), dtype=np.int64) for m in config.state_counts}
     counterexamples = 0

@@ -1,11 +1,15 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from mcsum import fixtures
+from mcsum import analysis, fixtures, oracle
 from mcsum.analysis import ChainSolution, solve_chain
 from mcsum.chain import TransitionMatrix, validate
-from mcsum.rng import SplitMix64, derive_stream
+from mcsum.rng import derive_stream
 from mcsum.scan import random_chain
+from tests.oracles import SplitMix64
 
 # The 1000-chain ensemble shared by the property and acceptance suites:
 # state counts cycle through 2..10, seeds are fixed.
@@ -101,6 +105,23 @@ def random_doubly_stochastic(m: int, seed: int, components: int | None = None) -
         except Exception:
             continue
     raise RuntimeError("no irreducible doubly stochastic chain found")
+
+
+@contextlib.contextmanager
+def injected_errors(dh=0.0, dpi=0.0):
+    """Within the block, ``solve_chain`` gets H + dh and pi + dpi from its
+    inversion and its direct solver, and reads M and every derived vector off
+    them, as it would off an H and a pi that carry those errors; `dh` and
+    `dpi` broadcast over a stack."""
+    compute_h, stationary_direct = analysis.compute_h, oracle.stationary_direct
+
+    def h_with_error(tm):
+        h, cond = compute_h(tm)
+        return h + dh, cond
+
+    with mock.patch.object(analysis, "compute_h", h_with_error), \
+            mock.patch.object(oracle, "stationary_direct", lambda tm: stationary_direct(tm) + dpi):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """Reference solvers that only the tests call: power iteration for pi, a
 Monte Carlo passage-time estimator (with its stream stepper, `advance`), a
 chain's period, the Z-to-H conversion, the group inverse and Hunter's
-Kemeny formula for any one-condition inverse of I - P.
+Kemeny formula for any one-condition inverse of I - P; and the pure-Python
+splitmix64 (`mix64`, `SplitMix64`) that `mcsum.rng`'s array code must match.
 
 They are independent of the pipeline's one inversion per chain, which is
 why the suite keeps them: criterion 09 checks the pipeline's passage times
@@ -18,6 +19,32 @@ import numpy as np
 from mcsum import rng
 from mcsum.chain import TransitionMatrix, _levels
 from mcsum.errors import McsumError
+
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z: int) -> int:
+    """Scalar splitmix64 finalizer."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """Scalar sequential generator over one stream."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK
+
+    def next_uint64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK
+        return mix64(self._state)
+
+    def next_float(self) -> float:
+        return (self.next_uint64() >> 11) * 2.0**-53
 
 
 class NoConvergence(McsumError):

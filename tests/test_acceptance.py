@@ -14,6 +14,7 @@ from mcsum.analysis import (
     bounds_check,
     doubly_stochastic_report,
     h_from_mfpt,
+    identity_residuals,
     kemeny_from_h,
     residuals,
     solve_chain,
@@ -154,7 +155,8 @@ def test_criterion_05_identity_suite():
             ),
         }
         rows = dict(zip(RESIDUAL_ROWS, residuals(sol)))
-        resid.update({name: rows[name] for name in THEOREM2_ROWS + IDENTITY_ROWS})
+        resid.update({name: rows[name] for name in THEOREM2_ROWS})
+        resid.update(zip(IDENTITY_ROWS, identity_residuals(sol)))
         name, value = max(resid.items(), key=lambda kv: kv[1])
         if value > worst:
             worst_name, worst = name, value

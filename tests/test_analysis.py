@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from mcsum import analysis
 from mcsum.analysis import (
     IDENTITY_ROWS,
+    IDENTITY_TOL,
     RESIDUAL_ROWS,
     bounds_check,
     compute_h,
     doubly_stochastic_report,
     h_from_mfpt,
+    identity_residuals,
     kemeny_from_h,
     mfpt_from_h,
     residuals,
@@ -35,6 +37,7 @@ from tests.conftest import (
     FIX8_PI,
     cycle3_matrix,
     independent_z,
+    injected_errors,
     random_doubly_stochastic,
     two_block,
     two_state,
@@ -183,8 +186,7 @@ def test_rank_one_colsum_identities(fix5):
 
 def test_identity_residuals_fixtures(fix5, fix8):
     for tm in (fix5, fix8):
-        rows = dict(zip(RESIDUAL_ROWS, residuals(solve_chain(tm))))
-        resid = {name: rows[name] for name in IDENTITY_ROWS}
+        resid = dict(zip(IDENTITY_ROWS, identity_residuals(solve_chain(tm))))
         assert len(resid) == 10
         assert max(resid.values()) < 1e-8
 
@@ -192,8 +194,7 @@ def test_identity_residuals_fixtures(fix5, fix8):
 def test_identity_residuals_random():
     for i in range(25):
         tm = random_chain(2 + (i % 9), 61_000 + i)
-        rows = dict(zip(RESIDUAL_ROWS, residuals(solve_chain(tm))))
-        resid = {name: rows[name] for name in IDENTITY_ROWS}
+        resid = dict(zip(IDENTITY_ROWS, identity_residuals(solve_chain(tm))))
         assert max(resid.values()) < 1e-8
 
 
@@ -222,6 +223,7 @@ def test_each_residual_row_is_its_own_formula(fix8):
         "H - HP = I - e c^T/m": h - h @ p - (eye - np.outer(e, c) / m),
         "He = e/m": h @ e - e / m,
         "e^T H = e^T - (m-1) pi^T": e @ h - (e - (m - 1) * pi),
+        "inequality margins (negative part)": min(0.0, min(margins)),
         "(I-P)M = E - P M_d": (eye - p) @ mfpt - (np.ones((m, m)) - p @ np.diag(m_d)),
         "m_.j - sum_i c_i m_ij = m - c_j m_jj": col - cm - (m - c * m_d),
         "sum_i c_i m_ij = c_j m_jj - 1 + m h_jj m_jj": cm - (c * m_d - 1 + m * h_d * m_d),
@@ -232,10 +234,10 @@ def test_each_residual_row_is_its_own_formula(fix8):
         "pi_j (1 + sum_i!=j c_i m_ij) = m h_jj": pi * (1 + c_off) - m * h_d,
         "pi_j (1 + m_.j - m) = m h_jj": pi * (1 + col - m) - m * h_d,
         "pi_j (1 + sum_i!=j m_ij - m) = m h_jj - 1": pi * (1 + off - m) - (m * h_d - 1),
-        "inequality margins (negative part)": min(0.0, min(margins)),
     }
     want = {name: float(np.abs(err).max()) for name, err in want.items()}
-    got = dict(zip(RESIDUAL_ROWS, residuals(sol).tolist()))
+    got = {**dict(zip(RESIDUAL_ROWS, residuals(sol).tolist())),
+           **dict(zip(IDENTITY_ROWS, identity_residuals(sol).tolist()))}
     assert list(got) == list(want)
     values = sorted(want.values())
     assert values[0] > 0 and all(b > a * (1 + 1e-8) for a, b in zip(values, values[1:]))
@@ -246,31 +248,34 @@ def test_each_residual_row_is_its_own_formula(fix8):
 def test_residuals_are_each_row_errors_max_abs_bit_for_bit(stack):
     sol = solve_chain(_chain_or_stack(stack))
     chains = sol.c.shape[:-1]
-    want = [np.abs(e).reshape(*chains, -1).max(axis=-1)
-            for e in analysis._row_errors(sol).values()]
     arrays = {f.name: getattr(sol, f.name) for f in fields(sol)
               if isinstance(getattr(sol, f.name), np.ndarray)}
     kept = {name: a.copy() for name, a in arrays.items()}
-    got = residuals(sol)
-    assert got.tobytes() == np.array(want).tobytes()
-    # the in-place reduction writes over _row_errors' temporaries only
-    assert all(np.array_equal(arrays[name], a) for name, a in kept.items())
+    for table, errors in ((residuals, analysis._h_errors),
+                          (identity_residuals, analysis._identity_errors)):
+        want = [np.abs(e).reshape(*chains, -1).max(axis=-1) for e in errors(sol).values()]
+        got = table(sol)
+        assert got.tobytes() == np.array(want).tobytes()
+        # the in-place reduction writes over the error formulas' temporaries only
+        assert all(np.array_equal(arrays[name], a) for name, a in kept.items())
 
 
 def test_residuals_make_no_stacked_copy_of_the_matrix_rows():
-    # at m = 200 the traced peak is 5.23 m x m float64 arrays (the temporaries
-    # of _row_errors); stacking the three matrix rows into a new array before
-    # reducing them took it to 6.15
+    # at m = 200 the traced peak of either table is 2.21 m x m float64 arrays:
+    # the two matrix rows of _h_errors, each formed over its product, or the
+    # temporaries of the (I-P)M row; stacking the matrix rows into a new array
+    # before reducing them would add one m x m array per row
     m = 200
     sol = solve_chain(random_chain(m, 1))
-    residuals(sol)
-    tracemalloc.start()
-    try:
-        residuals(sol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5.6 * m * m * 8, peak / (m * m * 8)
+    for table in (residuals, identity_residuals):
+        table(sol)
+        tracemalloc.start()
+        try:
+            table(sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * m * m * 8, (table.__name__, peak / (m * m * 8))
 
 
 def test_a_residual_name_without_a_formula_fails_loudly(fix8, monkeypatch):
@@ -278,6 +283,62 @@ def test_a_residual_name_without_a_formula_fails_loudly(fix8, monkeypatch):
     monkeypatch.setattr(analysis, "RESIDUAL_ROWS", RESIDUAL_ROWS[:-1])
     with pytest.raises(RuntimeError, match="RESIDUAL_ROWS"):
         residuals(sol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(min_value=2, max_value=12), seed=st.integers(min_value=0, max_value=2**32),
+       in_h=st.booleans(), data=st.data())
+def test_an_error_in_h_or_pi_fails_the_h_rows(m, seed, in_h, data):
+    # an error of 100 IDENTITY_TOL in one entry h_ij moves row i of He by as
+    # much, and one in pi_j moves entry j of c^T H - pi^T: the verdict on H's
+    # own rows catches an error in either
+    tm = random_chain(m, seed)
+    assert residuals(solve_chain(tm)).max() <= IDENTITY_TOL
+    error = np.zeros((m, m) if in_h else m)
+    error[data.draw(st.tuples(*[st.integers(0, m - 1)] * error.ndim))] = data.draw(
+        st.sampled_from([-100 * IDENTITY_TOL, 100 * IDENTITY_TOL]))
+    with injected_errors(**{"dh" if in_h else "dpi": error}):
+        rows = dict(zip(RESIDUAL_ROWS, residuals(solve_chain(tm))))
+    assert rows["He = e/m" if in_h else "c^T H = pi^T"] >= 99 * IDENTITY_TOL
+    assert max(rows.values()) > IDENTITY_TOL
+
+
+def _dyadic_chain(m: int, seed: int, sparsity: float) -> TransitionMatrix:
+    """``random_chain``'s P in multiples of 2^-20, its zeros kept and each row
+    summing to exactly 1, so its column sums add up to exactly m."""
+    q = random_chain(m, seed, sparsity).p
+    k = np.where(q > 0, np.maximum(np.floor(q * 2.0**20), 1.0), 0.0)
+    k[np.arange(m), k.argmax(axis=1)] += 2.0**20 - k.sum(axis=1)
+    return validate(k / 2.0**20)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs a long double wider than float64")
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(min_value=3, max_value=12), seed=st.integers(min_value=0, max_value=2**32),
+       sparsity=st.sampled_from([0.0, 0.5]))
+def test_passage_time_rows_restate_the_h_rows(m, seed, sparsity):
+    """With M read off H and pi, each IDENTITY_ROWS error is a +-1 combination
+    of H's rows, divided by pi_j or not: of r_c (the c^T H = pi^T row) and r_e
+    (the e^T H row), or, column by column, -R/pi_j with R the H - PH row.  So
+    the H rows lose nothing.  Checked on 1e-6 Gaussian errors in H and pi, in
+    long double and on a P whose rows sum to exactly 1: in float64 the rows'
+    own rounding, eps times terms up to m/pi_j, reaches 1e-9 of such an error."""
+    tm = _dyadic_chain(m, seed, sparsity)
+    g = np.random.default_rng(seed)
+    dh = (1e-6 * g.standard_normal((m, m))).astype(np.longdouble)
+    with injected_errors(dh=dh, dpi=1e-6 * g.standard_normal(m)):
+        sol = solve_chain(tm)
+    h, pi, c, e = sol.h, sol.pi, sol.c, np.ones(m)
+    assert h.dtype == sol.mfpt.dtype == np.longdouble
+    r_c = c @ h - pi
+    r_e = e @ h - e + (m - 1) * pi
+    big_r = h - tm.p @ h - np.eye(m) + pi
+    want = dict(zip(IDENTITY_ROWS, (-big_r / pi, (r_c - r_e) / pi, -r_c / pi, -r_e / pi,
+                                    r_e - r_c, r_e - r_c, -r_c, -r_c, -r_e, -r_e)))
+    errors = analysis._identity_errors(sol)
+    assert list(errors) == list(want)
+    for name, err in errors.items():
+        assert np.abs(err - want[name]).max() <= 1e-9 * np.abs(want[name]).max(), name
 
 
 def test_bounds_equality_two_state():

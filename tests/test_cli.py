@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsum import cli, fixtures, io
-from mcsum.analysis import RESIDUAL_ROWS, residuals, solve_chain
+from mcsum import analysis, cli, fixtures, io
+from mcsum.analysis import (IDENTITY_ROWS, IDENTITY_TOL, RESIDUAL_ROWS, identity_residuals, residuals,
+                            solve_chain)
 from mcsum.chain import reorder_by_column_sums, validate
 from mcsum.cli import main
 from mcsum.io import dumps
@@ -268,8 +269,9 @@ def test_verify_prints_the_residual_table_in_order(fix5_csv, fix5, capsys):
                for line in capsys.readouterr().out.splitlines()]
     table = list(RESIDUAL_ROWS)
     assert len(table) == len(residuals(solve_chain(fix5)))
+    assert len(IDENTITY_ROWS) == len(identity_residuals(solve_chain(fix5)))
     oracle_row = "M from H = M from elimination (relative)"
-    assert printed == [*table[:-1], oracle_row, table[-1],
+    assert printed == [*table[:-1], *IDENTITY_ROWS, oracle_row, table[-1],
                        "published stationary vector", "published kemeny constant"]
 
 
@@ -284,11 +286,32 @@ def test_verify_prints_residual_rows_with_their_values(tmp_path_factory, m, seed
         assert main(["verify", "--input", str(path)]) == 0
     printed = [re.match(r"(.*?) +(\S+)  pass$", line).groups()
                for line in out.getvalue().splitlines()]
-    table = residuals(solve_chain(validate(*io.load_matrix(path))))
+    sol = solve_chain(validate(*io.load_matrix(path)))
+    table, identity = residuals(sol), identity_residuals(sol)
     oracle_row = "M from H = M from elimination (relative)"
-    assert [name for name, _ in printed] == [*RESIDUAL_ROWS[:-1], oracle_row, RESIDUAL_ROWS[-1]]
+    assert [name for name, _ in printed] == [*RESIDUAL_ROWS[:-1], *IDENTITY_ROWS, oracle_row,
+                                             RESIDUAL_ROWS[-1]]
     values = [value for name, value in printed if name != oracle_row]
-    assert values == [f"{v:.3e}" for v in table]
+    assert values == [f"{v:.3e}" for v in [*table[:-1], *identity, table[-1]]]
+
+
+def test_verify_exits_4_on_an_error_in_m_alone(fix5_csv, monkeypatch, capsys):
+    # H and pi are exact, so every row of residuals passes; the passage-time
+    # rows and the oracle row, which read M, catch an error in m_24 alone
+    mfpt_from_h = analysis.mfpt_from_h
+
+    def with_error(h, pi):
+        mfpt = mfpt_from_h(h, pi)
+        mfpt[1, 3] += 100 * IDENTITY_TOL
+        return mfpt
+
+    monkeypatch.setattr(analysis, "mfpt_from_h", with_error)
+    assert main(["verify", "--input", str(fix5_csv)]) == 4
+    verdicts = dict(re.match(r"(.*?) +\S+  (pass|FAIL)$", line).groups()
+                    for line in capsys.readouterr().out.splitlines())
+    failed = {name for name, verdict in verdicts.items() if verdict == "FAIL"}
+    assert failed and failed <= {*IDENTITY_ROWS, "M from H = M from elimination (relative)"}
+    assert all(verdicts[name] == "pass" for name in RESIDUAL_ROWS)
 
 
 def test_verify_perturbed_matrix_still_passes(tmp_path):

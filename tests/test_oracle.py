@@ -15,10 +15,10 @@ from mcsum.oracle import (
     three_state_closed_form,
     two_state_closed_form,
 )
-from mcsum.rng import SplitMix64, derive_stream
+from mcsum.rng import derive_stream
 from mcsum.scan import random_chain
 from tests.conftest import FIX5_M, FIX5_PI, two_block, two_state
-from tests.oracles import NoConvergence, mc_estimate, stationary_power
+from tests.oracles import NoConvergence, SplitMix64, mc_estimate, stationary_power
 
 
 def test_stationary_direct_cycle(cycle3):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mcsum import analysis
 from mcsum import scan as scan_module
-from mcsum.analysis import RESIDUAL_ROWS, residuals, solve_chain
+from mcsum.analysis import IDENTITY_TOL, RESIDUAL_ROWS, residuals, solve_chain
 from mcsum.chain import TransitionMatrix, validate
 from mcsum.errors import GenerationFailed
 from mcsum.report import analyze
@@ -27,7 +27,7 @@ from mcsum.scan import (
     random_chain,
     scan,
 )
-from tests.conftest import random_doubly_stochastic
+from tests.conftest import injected_errors, random_doubly_stochastic
 
 GOLDEN_SCAN = Path(__file__).parents[1] / "perfbench" / "golden_scan.json"
 
@@ -430,6 +430,20 @@ def test_hard_failures_match_a_per_trial_recomputation(monkeypatch):
     assert any("theorem relation" in line for line in want)
     assert any("identity residual" in line for line in want)
     assert scan(config).hard_failures == want
+
+
+@pytest.mark.parametrize("in_h", [True, False], ids=["h", "pi"])
+def test_scan_names_the_trial_whose_h_or_pi_carries_an_error(in_h):
+    # one block of 20 four-state chains, in which trial 7 alone gets an error
+    # of 100 IDENTITY_TOL in h_21 or in pi_2
+    config = ScanConfig(state_counts=(4,), trials=20, seed=5)
+    assert scan(config).hard_failures == []
+    error = np.zeros((20, 4, 4) if in_h else (20, 4))
+    error[(7, 2, 1) if in_h else (7, 2)] = 100 * IDENTITY_TOL
+    with injected_errors(**{"dh" if in_h else "dpi": error}):
+        failures = scan(config).hard_failures
+    assert len(failures) == 1 and failures[0].startswith("m=4 trial=7: identity residual "), failures
+    assert float(failures[0].rsplit(" = ", 1)[1]) >= 99 * IDENTITY_TOL
 
 
 def test_scan_judges_the_whole_residual_table(monkeypatch):

@@ -137,7 +137,7 @@ class BoundsReport:
     bound tr H >= (m-1)/2 + 1/m, which implies the weaker tr H >= 1/m."""
 
     kemeny_margin: float  # K - (m+1)/2
-    pi_upper_margins: np.ndarray  # m h_jj - pi_j, strictly positive
+    pi_upper_margins: np.ndarray  # m h_jj - pi_j: positive for m >= 2, 0 at m = 1
     pi_lower_offdiag_margins: np.ndarray  # pi_j - 1/(m + sum_{i!=j} c_i m_ij)
     pi_lower_colsum_margins: np.ndarray  # pi_j - c_j/(1 + sum_i c_i m_ij)
 
@@ -244,9 +244,9 @@ def identity_residuals(sol: ChainSolution) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DoublyStochasticReport:
-    """Specialized checks for chains whose column sums are all one.
+    """The paper's doubly stochastic result: c = e exactly when pi = e/m.
 
-    ``applicable`` is False (and the residual fields None) when the maximum
+    ``applicable`` is False (and ``pi_uniform_residual`` None) when the maximum
     deviation of the column sums from 1 is at or above the detection
     threshold.
     """
@@ -254,36 +254,23 @@ class DoublyStochasticReport:
     applicable: bool
     colsum_deviation: float
     pi_uniform_residual: float | None = None
-    col_total_vs_h_residual: float | None = None
-    row_total_vs_kemeny_residual: float | None = None
-    grand_total_vs_kemeny_residual: float | None = None
-    row_total_margins: np.ndarray | None = None  # m_i. - m(m+1)/2
 
 
 def doubly_stochastic_report(sol: ChainSolution) -> DoublyStochasticReport:
-    """Verify the uniform-stationary specializations when c = e.
+    """Check pi = e/m when c = e, from the column sums and the direct solver's pi.
 
-    Checks pi = e/m, the column totals m_.j = m - 1 + m^2 h_jj, the constant
-    row totals m_i. = m K, the grand total K = m_../m^2, and the row-total
-    floor m(m+1)/2.  Everything is read off the chain's existing solution.
+    M's uniform-stationary totals are not checked: with pi = e/m and M read
+    off H, m_i. - m K is -m times the ``He = e/m`` row, m_.j - (m - 1 + m^2 h_jj)
+    is -m times the ``e^T H`` row, and m_i. - m(m+1)/2 adds m times
+    ``kemeny_margin`` to the first, so they restate rows ``residuals`` judges.
     """
     deviation = float(np.abs(sol.c - 1.0).max())
     if deviation >= DOUBLY_STOCHASTIC_TOL:
         return DoublyStochasticReport(applicable=False, colsum_deviation=deviation)
-
-    m = sol.tm.n
-    pi, mfpt = sol.pi, sol.mfpt
-    kemeny = kemeny_from_h(sol.h)
-    h_d, col_totals = sol.h_diag, sol.col_totals
-    row_totals = mfpt.sum(axis=1)
     return DoublyStochasticReport(
         applicable=True,
         colsum_deviation=deviation,
-        pi_uniform_residual=float(np.abs(pi - 1.0 / m).max()),
-        col_total_vs_h_residual=float(np.abs(col_totals - (m - 1.0 + m**2 * h_d)).max()),
-        row_total_vs_kemeny_residual=float(np.abs(row_totals - m * kemeny).max()),
-        grand_total_vs_kemeny_residual=float(abs(kemeny - mfpt.sum() / m**2)),
-        row_total_margins=row_totals - m * (m + 1) / 2.0,
+        pi_uniform_residual=float(np.abs(sol.pi - 1.0 / sol.tm.n).max()),
     )
 
 

@@ -182,7 +182,6 @@ class RelationSummary:
 
 @dataclass(frozen=True)
 class ScanResult:
-    config: ScanConfig
     summaries: list[RelationSummary]
     counterexamples: int  # trials that violate at least one relation
     hard_failures: list[str] = field(default_factory=list)
@@ -257,4 +256,4 @@ def scan(config: ScanConfig, found: Callable[[dict], object] | None = None) -> S
         for r, name in enumerate(RELATIONS)
         for m in sorted(config.state_counts)
     ]
-    return ScanResult(config, summaries, counterexamples, hard_failures)
+    return ScanResult(summaries, counterexamples, hard_failures)

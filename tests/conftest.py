@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mcsum import analysis, fixtures, oracle
-from mcsum.analysis import ChainSolution, solve_chain
+from mcsum.analysis import ChainSolution, kemeny_from_h, solve_chain
 from mcsum.chain import TransitionMatrix, validate
 from mcsum.rng import derive_stream
 from mcsum.scan import random_chain
@@ -105,6 +105,16 @@ def random_doubly_stochastic(m: int, seed: int, components: int | None = None) -
         except Exception:
             continue
     raise RuntimeError("no irreducible doubly stochastic chain found")
+
+
+def uniform_totals(h: np.ndarray, mfpt: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """M's uniform-stationary totals on a doubly stochastic chain, left minus
+    right: m_.j - (m - 1 + m^2 h_jj), m_i. - m K, K - m_../m^2 and the row-total
+    floor m_i. - m(m+1)/2.  With pi = e/m they restate H's rows, so the report
+    leaves them out."""
+    m, kemeny, row_totals = h.shape[-1], kemeny_from_h(h), mfpt.sum(axis=1)
+    return (mfpt.sum(axis=0) - (m - 1.0 + m**2 * h.diagonal()), row_totals - m * kemeny,
+            kemeny - mfpt.sum() / m**2, row_totals - m * (m + 1) / 2.0)
 
 
 @contextlib.contextmanager

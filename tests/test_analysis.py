@@ -41,6 +41,7 @@ from tests.conftest import (
     random_doubly_stochastic,
     two_block,
     two_state,
+    uniform_totals,
 )
 from tests.oracles import group_inverse, kemeny_general
 
@@ -427,30 +428,46 @@ def test_bounds_margins_recompute(fix8):
 
 
 def test_doubly_stochastic_cycle(cycle3):
-    rep = doubly_stochastic_report(solve_chain(cycle3))
+    sol = solve_chain(cycle3)
+    rep = doubly_stochastic_report(sol)
     assert rep.applicable
     assert rep.pi_uniform_residual < 1e-12
-    assert max(
-        rep.col_total_vs_h_residual,
-        rep.row_total_vs_kemeny_residual,
-        rep.grand_total_vs_kemeny_residual,
-    ) < 1e-9
+    col_vs_h, row_vs_kemeny, grand_vs_kemeny, row_margins = uniform_totals(sol.h, sol.mfpt)
+    assert max(np.abs(col_vs_h).max(), np.abs(row_vs_kemeny).max(), abs(grand_vs_kemeny)) < 1e-9
     # the 3-cycle achieves the row-total floor m(m+1)/2 = 6 exactly
-    np.testing.assert_allclose(rep.row_total_margins, 0.0, atol=1e-12)
+    np.testing.assert_allclose(row_margins, 0.0, atol=1e-12)
 
 
 def test_doubly_stochastic_random_mixtures():
     for i in range(12):
-        tm = random_doubly_stochastic(4, 62_000 + i)
-        rep = doubly_stochastic_report(solve_chain(tm))
+        sol = solve_chain(random_doubly_stochastic(4, 62_000 + i))
+        rep = doubly_stochastic_report(sol)
         assert rep.applicable
         assert rep.pi_uniform_residual < 1e-10
-        assert max(
-            rep.col_total_vs_h_residual,
-            rep.row_total_vs_kemeny_residual,
-            rep.grand_total_vs_kemeny_residual,
-        ) < 1e-9
-        assert (rep.row_total_margins > -1e-9).all()
+        col_vs_h, row_vs_kemeny, grand_vs_kemeny, row_margins = uniform_totals(sol.h, sol.mfpt)
+        assert max(np.abs(col_vs_h).max(), np.abs(row_vs_kemeny).max(), abs(grand_vs_kemeny)) < 1e-9
+        assert (row_margins > -1e-9).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(min_value=3, max_value=10), seed=st.integers(min_value=0, max_value=2**32))
+def test_doubly_stochastic_totals_restate_the_h_rows(m, seed):
+    """With pi = e/m and M read off H, each uniform-stationary total is a fixed
+    combination of H's rows: with r_he the He = e/m row and r_e the e^T H row,
+    m_.j - (m - 1 + m^2 h_jj) is -m r_e, m_i. - m K is -m r_he, K - m_../m^2 is
+    (sum r_he + sum r_e)/(2m), and the row-total margins are -m r_he plus
+    m (K - (m+1)/2).  So the report need not hold them.  Checked on a 1e-6
+    Gaussian error in H: the fits are exact in exact arithmetic, and over
+    3000 chains at m = 3..12 the float64 misfit stayed below 0.8 eps times the
+    grand total m_.., and the -m r_he and -m r_e rows were at least 1e4 times that."""
+    sol = solve_chain(random_doubly_stochastic(m, seed))
+    h = sol.h + 1e-6 * np.random.default_rng(seed).standard_normal((m, m))
+    mfpt = mfpt_from_h(h, np.full(m, 1.0 / m))
+    r_he, r_e = h.sum(axis=1) - 1.0 / m, h.sum(axis=0) - 1.0 / m
+    kemeny_margin = kemeny_from_h(h) - (m + 1) / 2.0
+    want = (-m * r_e, -m * r_he, (r_he.sum() + r_e.sum()) / (2 * m), -m * r_he + m * kemeny_margin)
+    for got, w in zip(uniform_totals(h, mfpt), want, strict=True):
+        assert np.abs(got - w).max() <= 4 * np.finfo(float).eps * mfpt.sum()
 
 
 def test_doubly_stochastic_not_applicable(fix8):

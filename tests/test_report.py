@@ -201,7 +201,9 @@ def test_report_has_one_kemeny_value(name, request):
     assert not {"kemeny_variants", "kemeny_spread"} & set(r)
     assert not {"kemeny_lower", "trace_h", "trace_h_weak_lower", "trace_h_weak_margin",
                 "trace_h_lower", "trace_h_margin"} & set(r["bounds"])
-    assert not {"h_shift_residual", "col_total_vs_z_residual"} & set(r["doubly_stochastic"])
+    assert not {"h_shift_residual", "col_total_vs_z_residual", "col_total_vs_h_residual",
+                "row_total_vs_kemeny_residual", "grand_total_vs_kemeny_residual",
+                "row_total_margins"} & set(r["doubly_stochastic"])
     assert not [key for key in r["theorem2_residuals"] if "(1+m)" in key]
 
 
@@ -295,7 +297,7 @@ def _assert_written_as_indent2(rep):
 WRITER_CASES = {
     "fix5": fixtures.fix5,
     "fix8": fixtures.fix8,
-    "cycle3": cycle3_matrix,  # doubly stochastic: row_total_margins present
+    "cycle3": cycle3_matrix,  # doubly stochastic: pi_uniform_residual present
     "two_state": lambda: two_state(0.3, 0.6),  # every violation list empty
     "non_ascii_labels": lambda: validate(FIVE_STATE_UNSORTED, labels=list("αβγδé")),
 }
@@ -306,7 +308,7 @@ WRITER_CASES = {
 def test_write_json_matches_indent2_dump(name, reorder):
     rep = analyze(WRITER_CASES[name](), reorder=reorder)
     if name == "cycle3":
-        assert rep.doubly_stochastic.row_total_margins is not None
+        assert rep.doubly_stochastic.pi_uniform_residual is not None
     if name == "two_state":
         assert not any(rep.ordering.violations.values())
     _assert_written_as_indent2(rep)
